@@ -28,7 +28,6 @@ from .evaluators import (
     SyntheticModelEvaluator,
     SyntheticModelParams,
     ingest_measurements,
-    run_external,
 )
 from .pareto import ProfilePoint, SelectionCriteria, pareto_front, select_profiles
 from .profiles import (
@@ -84,7 +83,6 @@ __all__ = [
     "parse_strategy",
     "pareto_front",
     "run_dse",
-    "run_external",
     "save_registry",
     "score",
     "select_profiles",

@@ -20,6 +20,7 @@ from .engine import (
     DEFAULT_MAX_ITERATIONS,
     DseConfig,
     QualityAxis,
+    document_to_text,
     parse_strategy,
     result_to_document,
     run_dse,
@@ -38,7 +39,6 @@ from .pareto import (
     DEFAULT_LBE_THRESHOLD,
     ProfilePoint,
     SelectionCriteria,
-    pareto_front,
     read_points_csv,
     select_profiles,
     write_plot_data,
@@ -79,13 +79,12 @@ def _axis_fields(axis: QualityAxis) -> tuple[str, str]:
     return "bdr_psnr", "bdde_psnr"
 
 
-def _report_point(mask: str, report: BdReport, axis: QualityAxis, ctp=None) -> ProfilePoint:
+def _report_point(mask: str, report: BdReport, axis: QualityAxis) -> ProfilePoint:
     bdr_field, bdde_field = _axis_fields(axis)
     return ProfilePoint(
         bdr=getattr(report, bdr_field),
         bdde=getattr(report, bdde_field),
         label=mask,
-        ctp=ctp,
     )
 
 
@@ -239,9 +238,7 @@ def cmd_dse(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.json").write_text(manifest_text(manifest), encoding="utf-8")
     document = {"manifest": manifest, **result_to_document(result, config)}
-    (out / "result.json").write_text(
-        json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    (out / "result.json").write_text(document_to_text(document), encoding="utf-8")
     points = [
         _report_point(mask, report, config.quality_axis)
         for mask, report in sorted(
@@ -249,8 +246,8 @@ def cmd_dse(args) -> int:
             key=lambda item: item[0],
         )
     ]
-    write_plot_data(points, out, comment=f"manifest: {digest}")
     selection = select_profiles(points, SelectionCriteria(args.lbe_threshold))
+    write_plot_data(points, selection.front, out, comment=f"manifest: {digest}")
     _write_summary(out / "summary.txt", digest, config, args, result, selection)
 
     terminal = result.terminal_report()
@@ -342,7 +339,6 @@ def cmd_pareto(args) -> int:
     if not points:
         raise ConfigError(f"{source}: no points to select from")
     criteria = SelectionCriteria(args.lbe_threshold)
-    front = pareto_front(points)
     selection = select_profiles(points, criteria)
 
     manifest = build_manifest(
@@ -359,13 +355,13 @@ def cmd_pareto(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "manifest.json").write_text(manifest_text(manifest), encoding="utf-8")
-        write_plot_data(points, out, comment=f"manifest: {digest}")
+        write_plot_data(points, selection.front, out, comment=f"manifest: {digest}")
 
     def _line(tag: str, point: ProfilePoint) -> str:
         label = point.label or "-"
         return f"{tag:<4} {label:<12} bdr {_pct(point.bdr):>8}  bdde {_pct(point.bdde):>8}"
 
-    print(f"front {len(front)} of {len(points)} points (axis {axis.value})")
+    print(f"front {len(selection.front)} of {len(points)} points (axis {axis.value})")
     print(_line("EE", selection.ee))
     print(_line("EBE", selection.ebe))
     print(f"LBE  {len(selection.lbe)} profiles with bdr < {_pct(criteria.lbe_bdr_threshold)}%:")
@@ -405,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     dse.add_argument("--command-template",
                      help="external backend command with {sequence} {qp} {ctp_mask} {out}")
     dse.add_argument("--max-parallel", type=int, default=1,
-                     help="external backend job limit (energy metering wants 1)")
+                     help="external backend: most child jobs running at once "
+                          "(energy metering wants 1)")
     dse.add_argument("--out", required=True, help="output directory")
     dse.set_defaults(func=cmd_dse)
 

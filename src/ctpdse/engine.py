@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .curves import BdReport, RdeCurve, aggregate_reports, bd_report
@@ -203,41 +202,27 @@ class EvaluationCache:
 def run_iteration(
     reference: Ctp,
     config: DseConfig,
-    evaluator: Evaluator,
     cache: EvaluationCache,
     index: int = 1,
 ) -> IterationLog:
     """Evaluate all single flips of ``reference`` and pick the next reference.
 
+    Flips are evaluated one after another, and each report is cached as
+    soon as it returns, so a failure keeps every flip finished before it.
     A candidate improves when its score is strictly below the reference
     score; equal scores never flip. The All policy applies every improving
     flip at once, the One policy only the lowest-scoring one (ties break
     to the lowest registry index).
     """
     reference_score = score(cache.report(reference), config.objective, config.quality_axis)
-    registry = reference.registry
-    flips = [(j, flip_tool(reference, j)) for j in range(len(registry))]
-    missing = [(j, c) for j, c in flips if c not in cache.reports]
-    workers = getattr(evaluator, "max_parallel", 1)  # unknown backends run serial
-    if missing:
-        if workers == 1 or len(missing) == 1:
-            computed = [(j, c, cache.compute(c)) for j, c in missing]
-        else:
-            with ThreadPoolExecutor(
-                max_workers=min(workers or 8, len(missing))
-            ) as pool:
-                futures = [(j, c, pool.submit(cache.compute, c)) for j, c in missing]
-                computed = [(j, c, f.result()) for j, c, f in futures]
-        for _, ctp, rep in computed:
-            cache.reports[ctp] = rep
-
     candidates = []
-    for j, candidate in flips:
-        rep = cache.reports[candidate]
+    for j, tool in enumerate(reference.registry.tools):
+        candidate = flip_tool(reference, j)
+        rep = cache.report(candidate)
         cand_score = score(rep, config.objective, config.quality_axis)
         candidates.append(CandidateEval(
             tool_index=j,
-            tool_name=registry.tools[j].name,
+            tool_name=tool.name,
             ctp=candidate,
             report=rep,
             score=cand_score,
@@ -283,13 +268,16 @@ def run_dse(config: DseConfig, evaluator: Evaluator) -> DseResult:
         reference = config.anchor
         termination = TerminationReason.MAX_ITERATIONS
         for index in range(1, config.max_iterations + 1):
-            log = run_iteration(reference, config, evaluator, cache, index=index)
+            log = run_iteration(reference, config, cache, index=index)
             logs.append(log)
             if log.next_reference in seen:
                 termination = TerminationReason.REPEATED_REFERENCE
                 break
             seen.add(log.next_reference)
             reference = log.next_reference
+        # An All-policy walk stopped by the iteration guard ends on a
+        # multi-flip profile no iteration evaluated.
+        cache.report(logs[-1].next_reference)
     except CtpDseError as exc:
         exc.failed_ctp = getattr(exc, "failed_ctp", None)
         exc.partial_logs = tuple(logs)

@@ -11,8 +11,10 @@ Three interchangeable backends sit behind one ``evaluate`` port:
   measurement command per (sequence, qp) and parses its result file. It
   launches and parses only; it implements no codec or meter.
 
-Each backend declares ``max_parallel``: ``None`` means callers may invoke
-it from any number of threads, an integer caps concurrent child jobs.
+Callers invoke ``evaluate`` from one thread, one profile at a time. The
+cached and synthetic backends compute in that thread. Only the external
+backend runs work concurrently: its ``max_parallel`` caps how many child
+jobs of one profile run at once, which caps them for the whole run.
 """
 
 from __future__ import annotations
@@ -61,8 +63,6 @@ class EvaluationRequest:
 class Evaluator(Protocol):
     """Evaluation port used by the search engine."""
 
-    max_parallel: int | None
-
     def evaluate(self, request: EvaluationRequest) -> list[RdeCurve]: ...
 
 
@@ -82,7 +82,6 @@ class MeasurementTable:
 
     def __init__(self):
         self.rows: dict[tuple[str, str, int], RdePoint] = {}
-        self.series: dict[tuple[str, str, int], MeasurementSeries] = {}
         self.diagnostics: list[str] = []
 
     def add(self, key: tuple[str, str, int], point: RdePoint,
@@ -91,7 +90,6 @@ class MeasurementTable:
             raise ConfigError(f"duplicate measurement key {key}")
         self.rows[key] = point
         if series is not None:
-            self.series[key] = series
             self.diagnostics.append(f"{key[0]}/{key[1]}/qp{key[2]}: {series.describe()}")
 
     def curve(self, ctp_id: str, sequence: str, qps: Sequence[int]) -> RdeCurve:
@@ -176,7 +174,6 @@ class CachedTableEvaluator:
     """Replays ingested measurements; a missing row is a hard miss."""
 
     table: MeasurementTable
-    max_parallel: int | None = None
 
     def evaluate(self, request: EvaluationRequest) -> list[RdeCurve]:
         mask = serialize_ctp(request.ctp)
@@ -321,7 +318,11 @@ class SyntheticModelParams:
 
 @dataclass
 class SyntheticModelEvaluator:
-    """Pure function of (params, request); identical inputs give bit-exact curves."""
+    """Pure function of (params, request); identical inputs give bit-exact curves.
+
+    ``max_parallel`` is accepted and ignored: the model always runs in the
+    caller's thread. It stays so that callers passing it keep working.
+    """
 
     params: SyntheticModelParams
     max_parallel: int | None = None
@@ -369,12 +370,15 @@ class ExternalCommandEvaluator:
 
     The command template must contain an ``{out}`` placeholder naming the
     result file; ``{sequence}``, ``{qp}`` and ``{ctp_mask}`` are available
-    too. The result file is a one-row CSV with header
+    too. The template is split into argv once, and placeholders are
+    substituted inside each argument, so a value with spaces or quotes
+    stays one argument. The result file is a one-row CSV with header
     ``qp,bitrate_kbps,psnr_db,vmaf,energy_j,energy_samples``. When energy
     samples are present they must pass the CI gate before their mean
     becomes the point's energy; a Fail or Insufficient verdict is an error,
-    never silently averaged. Energy-measurement jobs default to serial,
-    matching a single-machine power-meter setup.
+    never silently averaged. At most ``max_parallel`` jobs run at once;
+    energy-measurement jobs default to serial, matching a single-machine
+    power-meter setup.
     """
 
     command_template: str
@@ -388,16 +392,32 @@ class ExternalCommandEvaluator:
             raise ConfigError("command template must contain an {out} placeholder")
         if self.max_parallel < 1:
             raise ConfigError(f"max_parallel must be >= 1, got {self.max_parallel}")
+        try:
+            self._argv = shlex.split(self.command_template)
+        except ValueError as exc:
+            raise ConfigError(f"command template cannot be split into arguments: {exc}") from None
+        try:
+            self._substitute(sequence="s", qp=0, ctp_mask="0", out="out")
+        except (KeyError, IndexError, ValueError) as exc:
+            raise ConfigError(
+                f"command template has an unknown placeholder: {exc}"
+            ) from None
+
+    def _substitute(self, **values) -> list[str]:
+        return [token.format(**values) for token in self._argv]
 
     def evaluate(self, request: EvaluationRequest) -> list[RdeCurve]:
         mask = serialize_ctp(request.ctp)
         jobs = [(seq, qp) for seq in request.sequences for qp in request.qps]
         with tempfile.TemporaryDirectory(prefix="ctpdse-ext-") as tmp:
+            # Named by job, so no sequence name can point outside ``tmp``.
+            outs = {job: str(Path(tmp) / f"job{i}.csv") for i, job in enumerate(jobs)}
             if self.max_parallel == 1 or len(jobs) == 1:
-                results = {job: self._run_job(tmp, mask, *job) for job in jobs}
+                results = {job: self._run_job(outs[job], mask, *job) for job in jobs}
             else:
                 with ThreadPoolExecutor(max_workers=self.max_parallel) as pool:
-                    futures = {job: pool.submit(self._run_job, tmp, mask, *job) for job in jobs}
+                    futures = {job: pool.submit(self._run_job, outs[job], mask, *job)
+                               for job in jobs}
                     results = {job: fut.result() for job, fut in futures.items()}
         curves = []
         for sequence in request.sequences:
@@ -410,17 +430,8 @@ class ExternalCommandEvaluator:
                 ) from exc
         return curves
 
-    def _run_job(self, tmpdir: str, mask: str, sequence: str, qp: int) -> RdePoint:
-        out = str(Path(tmpdir) / f"{sequence}_{qp}_{mask}.csv")
-        try:
-            command = self.command_template.format(
-                sequence=sequence, qp=qp, ctp_mask=mask, out=out
-            )
-        except (KeyError, IndexError) as exc:
-            raise ConfigError(
-                f"command template has an unknown placeholder: {exc}"
-            ) from None
-        argv = shlex.split(command)
+    def _run_job(self, out: str, mask: str, sequence: str, qp: int) -> RdePoint:
+        argv = self._substitute(sequence=sequence, qp=qp, ctp_mask=mask, out=out)
         try:
             proc = subprocess.run(
                 argv, capture_output=True, text=True, timeout=self.timeout
@@ -479,14 +490,3 @@ class ExternalCommandEvaluator:
                 f"({sequence}, qp {qp}): cannot parse result file: {exc}; "
                 f"contents: {text!r}"
             ) from None
-
-
-def run_external(
-    request: EvaluationRequest,
-    command_template: str,
-    max_parallel: int = 1,
-    **kwargs,
-) -> list[RdeCurve]:
-    """One-shot external evaluation; see ``ExternalCommandEvaluator``."""
-    evaluator = ExternalCommandEvaluator(command_template, max_parallel=max_parallel, **kwargs)
-    return evaluator.evaluate(request)

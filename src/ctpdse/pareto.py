@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import ConfigError
-from .profiles import Ctp
 
 DEFAULT_LBE_THRESHOLD = 5.0
 
@@ -24,14 +23,12 @@ DEFAULT_LBE_THRESHOLD = 5.0
 class ProfilePoint:
     """One evaluated profile in the (BDR, BDDE) plane.
 
-    ``ctp`` is optional: points ingested from plain tables carry only
-    their coordinates and a label.
+    Points ingested from plain tables carry only their coordinates.
     """
 
     bdr: float
     bdde: float
     label: str = ""
-    ctp: Ctp | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.bdr) and math.isfinite(self.bdde)):
@@ -82,6 +79,7 @@ def pareto_front(points: Sequence[ProfilePoint]) -> list[ProfilePoint]:
 
 @dataclass(frozen=True)
 class Selection:
+    front: tuple[ProfilePoint, ...]
     ee: ProfilePoint
     ebe: ProfilePoint
     lbe: tuple[ProfilePoint, ...]
@@ -91,7 +89,7 @@ def select_profiles(
     points: Sequence[ProfilePoint],
     criteria: SelectionCriteria = SelectionCriteria(),
 ) -> Selection:
-    """Pick the EE, EBE and LBE profiles out of a point set.
+    """Pick the Pareto front and the EE, EBE and LBE profiles out of a point set.
 
     EE is the point with minimum bdde, EBE the one with minimum
     bdde + bdr (both tie-break to lower bdr); LBE are the front members
@@ -99,12 +97,11 @@ def select_profiles(
     """
     if not points:
         raise ConfigError("cannot select profiles from zero points")
+    front = tuple(pareto_front(points))
     ee = min(points, key=lambda p: (p.bdde, p.bdr))
     ebe = min(points, key=lambda p: (p.bdde + p.bdr, p.bdr))
-    lbe = tuple(
-        p for p in pareto_front(points) if p.bdr < criteria.lbe_bdr_threshold
-    )
-    return Selection(ee=ee, ebe=ebe, lbe=lbe)
+    lbe = tuple(p for p in front if p.bdr < criteria.lbe_bdr_threshold)
+    return Selection(front=front, ee=ee, ebe=ebe, lbe=lbe)
 
 
 def write_points_csv(points: Iterable[ProfilePoint], path, comment: str | None = None) -> None:
@@ -120,6 +117,7 @@ def write_points_csv(points: Iterable[ProfilePoint], path, comment: str | None =
 
 def write_plot_data(
     points: Sequence[ProfilePoint],
+    front: Sequence[ProfilePoint],
     out_dir,
     comment: str | None = None,
 ) -> tuple[Path, Path]:
@@ -129,7 +127,7 @@ def write_plot_data(
     points_path = out_dir / "points.csv"
     front_path = out_dir / "front.csv"
     write_points_csv(points, points_path, comment)
-    write_points_csv(pareto_front(points), front_path, comment)
+    write_points_csv(front, front_path, comment)
     return points_path, front_path
 
 

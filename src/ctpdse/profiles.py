@@ -142,18 +142,8 @@ class Ctp:
                 f"{len(self.registry)} tools"
             )
 
-    @property
-    def hex_mask(self) -> str:
-        return serialize_ctp(self)
-
-    def enabled_names(self) -> tuple[str, ...]:
-        return tuple(t.name for t, b in zip(self.registry.tools, self.bits) if b)
-
-    def disabled_names(self) -> tuple[str, ...]:
-        return tuple(t.name for t, b in zip(self.registry.tools, self.bits) if not b)
-
     def __repr__(self) -> str:
-        return f"Ctp({self.hex_mask})"
+        return f"Ctp({serialize_ctp(self)})"
 
 
 def default_ctp(registry: ToolRegistry) -> Ctp:

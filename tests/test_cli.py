@@ -127,6 +127,18 @@ class TestDse:
         assert code == 4
         assert "exited with 2" in capsys.readouterr().err
 
+    def test_all_policy_stopped_by_max_iter_reports_terminal(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = cli.main([
+            "dse", "--strategy", "ca", "--backend", "synthetic",
+            "--seed", "7", "--max-iter", "3", "--out", str(out),
+        ])
+        assert code == 0
+        document = json.loads((out / "result.json").read_text())
+        assert document["termination_reason"] == "max-iterations"
+        assert document["terminal_reference"] in document["evaluated"]
+        assert "terminal" in capsys.readouterr().out
+
     def test_missing_measurements_flag_exits_2(self, tmp_path, capsys):
         code = cli.main([
             "dse", "--strategy", "e1", "--backend", "cached",

@@ -1,5 +1,11 @@
+import subprocess
+import threading
+import time
+from pathlib import Path
+
 import pytest
 
+from ctpdse import evaluators
 from ctpdse.curves import BdReport, aggregate_reports, bd_report
 from ctpdse.engine import (
     DseConfig,
@@ -17,7 +23,12 @@ from ctpdse.engine import (
     strategy_code,
 )
 from ctpdse.errors import ConfigError, EvaluationError
-from ctpdse.evaluators import EvaluationRequest, SyntheticModelEvaluator, SyntheticModelParams
+from ctpdse.evaluators import (
+    EvaluationRequest,
+    ExternalCommandEvaluator,
+    SyntheticModelEvaluator,
+    SyntheticModelParams,
+)
 from ctpdse.profiles import Ctp, default_ctp, serialize_ctp
 
 from conftest import BASE_QPS, make_params, make_registry
@@ -114,7 +125,7 @@ class TestRunIteration:
             evaluator = SyntheticModelEvaluator(params)
             cache = EvaluationCache(config, evaluator)
             cache.bootstrap_anchor()
-            log = run_iteration(config.anchor, config, evaluator, cache)
+            log = run_iteration(config.anchor, config, cache)
             assert log.flipped_tools == (0,)
             assert log.next_reference.bits == (False, True, True)
 
@@ -125,13 +136,13 @@ class TestRunIteration:
         evaluator = SyntheticModelEvaluator(params)
         cache = EvaluationCache(config_all, evaluator)
         cache.bootstrap_anchor()
-        log_all = run_iteration(config_all.anchor, config_all, evaluator, cache)
+        log_all = run_iteration(config_all.anchor, config_all, cache)
         assert log_all.flipped_tools == (0, 1)
 
         config_one = make_config(registry, "e1")
         cache = EvaluationCache(config_one, evaluator)
         cache.bootstrap_anchor()
-        log_one = run_iteration(config_one.anchor, config_one, evaluator, cache)
+        log_one = run_iteration(config_one.anchor, config_one, cache)
         assert log_one.flipped_tools == (0,)  # -33.3% beats -16.7%
 
     def test_tie_breaks_to_lowest_index(self):
@@ -141,7 +152,7 @@ class TestRunIteration:
         evaluator = SyntheticModelEvaluator(params)
         cache = EvaluationCache(config, evaluator)
         cache.bootstrap_anchor()
-        log = run_iteration(config.anchor, config, evaluator, cache)
+        log = run_iteration(config.anchor, config, cache)
         scores = {c.tool_index: c.score for c in log.candidates}
         assert scores[0] == scores[1]
         assert log.flipped_tools == (0,)
@@ -153,7 +164,7 @@ class TestRunIteration:
         evaluator = SyntheticModelEvaluator(params)
         cache = EvaluationCache(config, evaluator)
         cache.bootstrap_anchor()
-        log = run_iteration(config.anchor, config, evaluator, cache)
+        log = run_iteration(config.anchor, config, cache)
         assert log.flipped_tools == ()
         assert log.next_reference == config.anchor
 
@@ -164,7 +175,7 @@ class TestRunIteration:
         evaluator = SyntheticModelEvaluator(params)
         cache = EvaluationCache(config, evaluator)
         cache.bootstrap_anchor()
-        log = run_iteration(config.anchor, config, evaluator, cache)
+        log = run_iteration(config.anchor, config, cache)
         assert [c.tool_index for c in log.candidates] == list(range(5))
         assert {c.tool_name for c in log.candidates} == set(registry.names())
 
@@ -175,7 +186,7 @@ class TestRunIteration:
         evaluator = SyntheticModelEvaluator(params)
         cache = EvaluationCache(config, evaluator)
         cache.bootstrap_anchor()
-        log = run_iteration(config.anchor, config, evaluator, cache)
+        log = run_iteration(config.anchor, config, cache)
         improved = {c.tool_index for c in log.candidates if c.improved}
         assert set(log.flipped_tools) <= improved
 
@@ -279,9 +290,7 @@ class TestRunDse:
 
 
 class CountingEvaluator:
-    """Serial wrapper that records which profile masks were evaluated."""
-
-    max_parallel = 1
+    """Wrapper that records which profile masks were evaluated."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -334,7 +343,44 @@ class TestCachingAndErrors:
         assert len(err.value.partial_logs) == 1
         assert err.value.partial_logs[0].flipped_tools == (0,)
         assert config.anchor in err.value.partial_evaluated
+        # anchor, three flips of iteration 1 and the flip that finished
+        # inside iteration 2 before the failing one
+        assert len(err.value.partial_evaluated) == 5
         assert err.value.failed_ctp is not None
+
+
+class TestConcurrency:
+    def test_max_parallel_caps_child_jobs_of_a_run(self, monkeypatch):
+        lock = threading.Lock()
+        running = peak = 0
+        header = "qp,bitrate_kbps,psnr_db,vmaf,energy_j,energy_samples"
+
+        def fake_run(argv, **kwargs):
+            nonlocal running, peak
+            with lock:
+                running += 1
+                peak = max(peak, running)
+            try:
+                qp = int(argv[2])
+                # every profile measures like the anchor, so the walk stops
+                # after one iteration of three flips
+                Path(argv[-1]).write_text(
+                    f"{header}\n{qp},{100000.0 / qp},{60.0 - qp / 2},{100.0 - qp},"
+                    f"{1000.0 / qp},\n"
+                )
+                time.sleep(0.02)
+            finally:
+                with lock:
+                    running -= 1
+            return subprocess.CompletedProcess(argv, 0, "", "")
+
+        monkeypatch.setattr(evaluators.subprocess, "run", fake_run)
+        evaluator = ExternalCommandEvaluator("enc {sequence} {qp} {ctp_mask} {out}",
+                                             max_parallel=3)
+        config = make_config(make_registry(3), "e1", sequences=("s01", "s02"))
+        result = run_dse(config, evaluator)
+        assert len(result.evaluated) == 4
+        assert 1 < peak <= 3
 
 
 class TestDeterminism:
@@ -375,7 +421,7 @@ class TestStrategyDivergence:
         config_e = make_config(registry, "e1")
         cache = EvaluationCache(config_e, evaluator)
         cache.bootstrap_anchor()
-        log_e = run_iteration(config_e.anchor, config_e, evaluator, cache)
+        log_e = run_iteration(config_e.anchor, config_e, cache)
         assert log_e.flipped_tools == (0,)
         by_index = {c.tool_index: c for c in log_e.candidates}
         assert by_index[0].report.bdde_vmaf == pytest.approx(100 * (1 / 1.5 - 1), rel=1e-9)
@@ -386,15 +432,15 @@ class TestStrategyDivergence:
         config_c = make_config(registry, "c1")
         cache = EvaluationCache(config_c, evaluator)
         cache.bootstrap_anchor()
-        log_c = run_iteration(config_c.anchor, config_c, evaluator, cache)
+        log_c = run_iteration(config_c.anchor, config_c, cache)
         assert log_c.flipped_tools == (1,)
 
         config_ea = make_config(registry, "ea")
         cache = EvaluationCache(config_ea, evaluator)
         cache.bootstrap_anchor()
-        assert run_iteration(config_ea.anchor, config_ea, evaluator, cache).flipped_tools == (0, 1)
+        assert run_iteration(config_ea.anchor, config_ea, cache).flipped_tools == (0, 1)
 
         config_ca = make_config(registry, "ca")
         cache = EvaluationCache(config_ca, evaluator)
         cache.bootstrap_anchor()
-        assert run_iteration(config_ca.anchor, config_ca, evaluator, cache).flipped_tools == (1,)
+        assert run_iteration(config_ca.anchor, config_ca, cache).flipped_tools == (1,)

@@ -14,7 +14,6 @@ from ctpdse.evaluators import (
     SyntheticModelEvaluator,
     SyntheticModelParams,
     ingest_measurements,
-    run_external,
 )
 from ctpdse.profiles import Ctp, default_ctp, default_registry, serialize_ctp
 
@@ -111,8 +110,7 @@ class TestIngest:
         table = ingest_measurements(path)
         assert len(table.diagnostics) == 1
         assert "pass" in table.diagnostics[0]
-        key = ("3FFFFFFF", "s01", 22)
-        assert table.series[key].mean == 120.0
+        assert "mean=120 J" in table.diagnostics[0]
 
 
 class TestCachedEvaluator:
@@ -277,7 +275,7 @@ class TestExternalCommand:
         write_result_fixtures(tmp_path)
         registry = make_registry(3)
         request = EvaluationRequest(default_ctp(registry), ("s01",), BASE_QPS)
-        (curve,) = run_external(request, copy_template(tmp_path))
+        (curve,) = ExternalCommandEvaluator(copy_template(tmp_path)).evaluate(request)
         assert [p.bitrate for p in curve.points] == [8000.0, 4500.0, 2500.0, 1400.0]
         # zero-variance samples pass the gate and their value is the energy
         assert [p.energy for p in curve.points] == [120.0, 90.0, 65.0, 45.0]
@@ -286,7 +284,7 @@ class TestExternalCommand:
         template = f'{sys.executable} -c "import sys; sys.exit(3)" {{sequence}} {{qp}} {{ctp_mask}} {{out}}'
         request = EvaluationRequest(default_ctp(make_registry(3)), ("s01",), BASE_QPS)
         with pytest.raises(EvaluationError, match=r"\(s01, qp 22\).*exited with 3"):
-            run_external(request, template)
+            ExternalCommandEvaluator(template).evaluate(request)
 
     def test_failed_ci_gate_is_an_error(self, tmp_path):
         rows = dict(RESULT_ROWS)
@@ -294,20 +292,20 @@ class TestExternalCommand:
         write_result_fixtures(tmp_path, rows=rows)
         request = EvaluationRequest(default_ctp(make_registry(3)), ("s01",), BASE_QPS)
         with pytest.raises(EvaluationError, match="rejected.*fail"):
-            run_external(request, copy_template(tmp_path))
+            ExternalCommandEvaluator(copy_template(tmp_path)).evaluate(request)
 
     def test_missing_result_file(self, tmp_path):
         template = f'{sys.executable} -c "pass" {{sequence}} {{qp}} {{ctp_mask}} {{out}}'
         request = EvaluationRequest(default_ctp(make_registry(3)), ("s01",), BASE_QPS)
         with pytest.raises(EvaluationError, match="no result file"):
-            run_external(request, template)
+            ExternalCommandEvaluator(template).evaluate(request)
 
     def test_bad_result_header(self, tmp_path):
         (tmp_path / "s01_22.csv").write_text("qp,rate\n22,1\n")
         write_result_fixtures(tmp_path, rows={qp: r for qp, r in RESULT_ROWS.items() if qp != 22})
         request = EvaluationRequest(default_ctp(make_registry(3)), ("s01",), BASE_QPS)
         with pytest.raises(EvaluationError, match="cannot parse"):
-            run_external(request, copy_template(tmp_path))
+            ExternalCommandEvaluator(copy_template(tmp_path)).evaluate(request)
 
     def test_qp_mismatch_rejected(self, tmp_path):
         rows = dict(RESULT_ROWS)
@@ -315,7 +313,7 @@ class TestExternalCommand:
         write_result_fixtures(tmp_path, rows=rows)
         request = EvaluationRequest(default_ctp(make_registry(3)), ("s01",), BASE_QPS)
         with pytest.raises(EvaluationError, match="invoked with qp 22"):
-            run_external(request, copy_template(tmp_path))
+            ExternalCommandEvaluator(copy_template(tmp_path)).evaluate(request)
 
     def test_template_requires_out_placeholder(self):
         with pytest.raises(ConfigError, match=r"\{out\}"):
@@ -324,13 +322,25 @@ class TestExternalCommand:
     def test_unknown_placeholder_rejected(self, tmp_path):
         request = EvaluationRequest(default_ctp(make_registry(3)), ("s01",), BASE_QPS)
         with pytest.raises(ConfigError, match="placeholder"):
-            run_external(request, "encode {output} {out}")
+            ExternalCommandEvaluator("encode {output} {out}").evaluate(request)
+
+    def test_unbalanced_quote_rejected(self):
+        with pytest.raises(ConfigError, match="split"):
+            ExternalCommandEvaluator('encode "{out}')
 
     def test_parallel_jobs_match_serial(self, tmp_path):
         write_result_fixtures(tmp_path)
         write_result_fixtures(tmp_path, sequence="s02")
         registry = make_registry(3)
         request = EvaluationRequest(default_ctp(registry), ("s01", "s02"), BASE_QPS)
-        serial = run_external(request, copy_template(tmp_path), max_parallel=1)
-        parallel = run_external(request, copy_template(tmp_path), max_parallel=4)
+        template = copy_template(tmp_path)
+        serial = ExternalCommandEvaluator(template, max_parallel=1).evaluate(request)
+        parallel = ExternalCommandEvaluator(template, max_parallel=4).evaluate(request)
         assert serial == parallel
+
+    def test_sequence_with_space_is_one_argument(self, tmp_path):
+        write_result_fixtures(tmp_path, sequence="City Scene")
+        request = EvaluationRequest(default_ctp(make_registry(3)), ("City Scene",), BASE_QPS)
+        (curve,) = ExternalCommandEvaluator(copy_template(tmp_path)).evaluate(request)
+        assert curve.sequence == "City Scene"
+        assert [p.bitrate for p in curve.points] == [8000.0, 4500.0, 2500.0, 1400.0]

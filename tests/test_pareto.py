@@ -176,7 +176,8 @@ class TestPlotData:
             [(p.bdr, p.bdde) for p in benchmark_points]
 
     def test_write_plot_data_emits_points_and_front(self, tmp_path, benchmark_points):
-        points_path, front_path = write_plot_data(benchmark_points, tmp_path)
+        front = pareto_front(benchmark_points)
+        points_path, front_path = write_plot_data(benchmark_points, front, tmp_path)
         assert points_path.read_text().splitlines()[0] == "bdr,bdde"
         front = read_points_csv(front_path)
         assert len(front) == len(BENCHMARK_FRONT_LABELS)
