@@ -15,13 +15,12 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .curves import BdReport, aggregate_reports, bd_report
+from .curves import BdReport, QualityAxis, aggregate_reports, bd_report
 from .engine import (
     DEFAULT_MAX_ITERATIONS,
     DseConfig,
-    QualityAxis,
-    document_to_text,
     parse_strategy,
+    report_from_dict,
     result_to_document,
     run_dse,
 )
@@ -34,7 +33,7 @@ from .evaluators import (
     SyntheticModelParams,
     ingest_measurements,
 )
-from .manifest import build_manifest, file_digest, manifest_digest, manifest_text, registry_digest
+from .manifest import build_manifest, canonical_json, file_digest, manifest_digest, registry_digest
 from .pareto import (
     DEFAULT_LBE_THRESHOLD,
     ProfilePoint,
@@ -73,19 +72,9 @@ def _parse_qps(text: str) -> tuple[int, ...]:
         raise ConfigError(f"qps must be integers, got {text!r}") from None
 
 
-def _axis_fields(axis: QualityAxis) -> tuple[str, str]:
-    if axis is QualityAxis.VMAF:
-        return "bdr_vmaf", "bdde_vmaf"
-    return "bdr_psnr", "bdde_psnr"
-
-
-def _report_point(mask: str, report: BdReport, axis: QualityAxis) -> ProfilePoint:
-    bdr_field, bdde_field = _axis_fields(axis)
-    return ProfilePoint(
-        bdr=getattr(report, bdr_field),
-        bdde=getattr(report, bdde_field),
-        label=mask,
-    )
+def _profile_points(reports, axis: QualityAxis) -> list[ProfilePoint]:
+    """One (BDR, BDDE) point on ``axis`` per (mask, report) pair."""
+    return [ProfilePoint(*report.pair(axis), label=mask) for mask, report in reports]
 
 
 def cmd_show(args) -> int:
@@ -103,6 +92,26 @@ def cmd_show(args) -> int:
     return 0
 
 
+def _table_inputs(args, anchor):
+    """Ingest ``--measurements``; sequences and qps default to the anchor's rows."""
+    table = ingest_measurements(args.measurements)
+    for line in table.diagnostics:
+        print(f"measurement: {line}", file=sys.stderr)
+    mask = serialize_ctp(anchor)
+    sequences = _split_csv(args.sequences) if args.sequences else table.sequences_for(mask)
+    if not sequences:
+        raise ConfigError(
+            f"measurement table has no rows for anchor {mask}; pass --sequences explicitly"
+        )
+    qps = _parse_qps(args.qps) if args.qps else table.qps_for(mask, sequences[0])
+    if not qps:
+        raise ConfigError(
+            f"measurement table has no qps for anchor {mask} on "
+            f"{sequences[0]!r}; pass --qps explicitly"
+        )
+    return table, sequences, qps
+
+
 def _resolve_run_inputs(args, registry, anchor):
     """Build the evaluator plus the effective sequence/qp lists."""
     backend = args.backend
@@ -114,24 +123,7 @@ def _resolve_run_inputs(args, registry, anchor):
         if not args.measurements:
             raise ConfigError("--backend cached requires --measurements")
         inputs["measurements"] = file_digest(args.measurements)
-        table = ingest_measurements(args.measurements)
-        for line in table.diagnostics:
-            print(f"measurement: {line}", file=sys.stderr)
-        mask = serialize_ctp(anchor)
-        if sequences is None:
-            sequences = table.sequences_for(mask)
-            if not sequences:
-                raise ConfigError(
-                    f"measurement table has no rows for anchor {mask}; "
-                    "pass --sequences explicitly"
-                )
-        if qps is None:
-            qps = table.qps_for(mask, sequences[0])
-            if not qps:
-                raise ConfigError(
-                    f"measurement table has no qps for anchor {mask} on "
-                    f"{sequences[0]!r}; pass --qps explicitly"
-                )
+        table, sequences, qps = _table_inputs(args, anchor)
         return CachedTableEvaluator(table), sequences, qps, inputs
 
     if backend == "synthetic":
@@ -179,12 +171,10 @@ def _write_summary(path, digest, config, args, result, selection) -> None:
         f"terminated after {len(result.logs)} iterations: "
         f"{result.termination_reason.value}"
     )
-    bdr_field, bdde_field = _axis_fields(config.quality_axis)
-    terminal = result.terminal_report()
+    bdr, bdde = result.terminal_report().pair(config.quality_axis)
     lines.append(
         f"terminal {serialize_ctp(result.terminal_reference)}  "
-        f"BDR {_pct(getattr(terminal, bdr_field))}  "
-        f"BDDE {_pct(getattr(terminal, bdde_field))}"
+        f"BDR {_pct(bdr)}  BDDE {_pct(bdde)}"
     )
     lines.append(f"selection (lbe threshold {_pct(args.lbe_threshold)}%):")
     lines.append(f"  EE   {selection.ee.label}  bdr {_pct(selection.ee.bdr)}  "
@@ -236,61 +226,46 @@ def cmd_dse(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "manifest.json").write_text(manifest_text(manifest), encoding="utf-8")
+    (out / "manifest.json").write_text(canonical_json(manifest), encoding="utf-8")
     document = {"manifest": manifest, **result_to_document(result, config)}
-    (out / "result.json").write_text(document_to_text(document), encoding="utf-8")
-    points = [
-        _report_point(mask, report, config.quality_axis)
-        for mask, report in sorted(
-            ((serialize_ctp(c), r) for c, r in result.evaluated.items()),
-            key=lambda item: item[0],
-        )
-    ]
+    (out / "result.json").write_text(canonical_json(document), encoding="utf-8")
+    points = _profile_points(
+        sorted(((serialize_ctp(c), r) for c, r in result.evaluated.items()),
+               key=lambda item: item[0]),
+        config.quality_axis,
+    )
     selection = select_profiles(points, SelectionCriteria(args.lbe_threshold))
     write_plot_data(points, selection.front, out, comment=f"manifest: {digest}")
     _write_summary(out / "summary.txt", digest, config, args, result, selection)
 
-    terminal = result.terminal_report()
-    bdr_field, bdde_field = _axis_fields(config.quality_axis)
+    bdr, bdde = result.terminal_report().pair(config.quality_axis)
     print(
         f"terminal {serialize_ctp(result.terminal_reference)}  "
-        f"bdr {_pct(getattr(terminal, bdr_field))}  "
-        f"bdde {_pct(getattr(terminal, bdde_field))}  "
+        f"bdr {_pct(bdr)}  bdde {_pct(bdde)}  "
         f"({result.termination_reason.value} after {len(result.logs)} iterations)"
     )
     print(f"wrote {out / 'result.json'}")
     return 0
 
 
-_BD_COLUMNS = {
-    "vmaf": (("BDR-VMAF", "bdr_vmaf"), ("BDDE-VMAF", "bdde_vmaf")),
-    "psnr": (("BDR-PSNR", "bdr_psnr"), ("BDDE-PSNR", "bdde_psnr")),
-}
-
-
 def cmd_bd(args) -> int:
     registry = _load_registry(args)
     anchor = parse_ctp(args.anchor, registry) if args.anchor else default_ctp(registry)
-    if not args.measurements:
-        raise ConfigError("bd requires --measurements")
-    table = ingest_measurements(args.measurements)
-    for line in table.diagnostics:
-        print(f"measurement: {line}", file=sys.stderr)
-    anchor_mask = serialize_ctp(anchor)
-    sequences = _split_csv(args.sequences) if args.sequences else table.sequences_for(anchor_mask)
-    if not sequences:
-        raise ConfigError(f"no rows for anchor {anchor_mask}; pass --sequences")
-    qps = _parse_qps(args.qps) if args.qps else table.qps_for(anchor_mask, sequences[0])
+    table, sequences, qps = _table_inputs(args, anchor)
     EvaluationRequest(anchor, tuple(sequences), tuple(qps))
+    anchor_mask = serialize_ctp(anchor)
 
-    columns = []
-    if args.axis in ("vmaf", "both"):
-        columns.extend(_BD_COLUMNS["vmaf"])
-    if args.axis in ("psnr", "both"):
-        columns.extend(_BD_COLUMNS["psnr"])
+    # ``--axis both`` prints the VMAF columns before the PSNR ones.
+    axes = ([QualityAxis.VMAF, QualityAxis.PSNR] if args.axis == "both"
+            else [QualityAxis(args.axis)])
+
+    def cells(report: BdReport) -> str:
+        return "".join(f" {_pct(value):>10}" for axis in axes for value in report.pair(axis))
 
     anchor_curves = {s: table.curve(anchor_mask, s, qps) for s in sequences}
-    header = f"{'ctp':<10} {'sequence':<16}" + "".join(f" {h:>10}" for h, _ in columns)
+    header = f"{'ctp':<10} {'sequence':<16}" + "".join(
+        f" {label:>10}" for axis in axes for label in (f"BDR-{axis.name}", f"BDDE-{axis.name}")
+    )
     print(f"anchor {anchor_mask}  sequences {','.join(sequences)}  "
           f"qps {','.join(str(q) for q in qps)}")
     print(header)
@@ -302,37 +277,26 @@ def cmd_bd(args) -> int:
             test_curve = table.curve(mask, sequence, qps)
             report = bd_report(anchor_curves[sequence], test_curve)
             reports.append(report)
-            row = f"{mask:<10} {sequence:<16}" + "".join(
-                f" {_pct(getattr(report, f)):>10}" for _, f in columns
-            )
-            print(row)
+            print(f"{mask:<10} {sequence:<16}" + cells(report))
         aggregate = aggregate_reports(reports)
-        print(f"{mask:<10} {'aggregate':<16}" + "".join(
-            f" {_pct(getattr(aggregate, f)):>10}" for _, f in columns
-        ))
+        print(f"{mask:<10} {'aggregate':<16}" + cells(aggregate))
         for warning in aggregate.warnings:
             print(f"warning: {mask}: {warning}", file=sys.stderr)
     return 0
 
 
-def _points_from_result_dir(path: Path, axis_flag: str | None):
-    result_path = path / "result.json"
-    if not result_path.is_file():
-        raise ConfigError(f"{path} is a directory but contains no result.json")
-    document = json.loads(result_path.read_text(encoding="utf-8"))
-    axis = QualityAxis(axis_flag or document["config"]["quality_axis"])
-    bdr_field, bdde_field = _axis_fields(axis)
-    points = [
-        ProfilePoint(bdr=report[bdr_field], bdde=report[bdde_field], label=mask)
-        for mask, report in document["evaluated"].items()
-    ]
-    return points, axis
-
-
 def cmd_pareto(args) -> int:
     source = Path(args.points)
     if source.is_dir():
-        points, axis = _points_from_result_dir(source, args.axis)
+        result_path = source / "result.json"
+        if not result_path.is_file():
+            raise ConfigError(f"{source} is a directory but contains no result.json")
+        document = json.loads(result_path.read_text(encoding="utf-8"))
+        axis = QualityAxis(args.axis or document["config"]["quality_axis"])
+        points = _profile_points(
+            ((mask, report_from_dict(doc)) for mask, doc in document["evaluated"].items()),
+            axis,
+        )
     else:
         points = read_points_csv(source)
         axis = QualityAxis(args.axis or "vmaf")
@@ -354,7 +318,7 @@ def cmd_pareto(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "manifest.json").write_text(manifest_text(manifest), encoding="utf-8")
+        (out / "manifest.json").write_text(canonical_json(manifest), encoding="utf-8")
         write_plot_data(points, selection.front, out, comment=f"manifest: {digest}")
 
     def _line(tag: str, point: ProfilePoint) -> str:

@@ -15,6 +15,7 @@ data is ever touched here.
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass, field
 from statistics import mean
@@ -32,6 +33,24 @@ MIN_OVERLAP_FRACTION = 0.10
 
 class CurveDataError(ConfigError):
     """Curve points violate an invariant (count, positivity, monotonicity)."""
+
+
+class QualityAxis(enum.Enum):
+    """Quality metric a BD value integrates over; the value names the RdePoint field."""
+
+    PSNR = "psnr"
+    VMAF = "vmaf"
+
+
+# The report layout: each BD field with the RdePoint cost and quality it
+# compares. Rate rows precede energy rows, so the fields of one quality
+# axis, in table order, are its (BDR, BDDE) pair.
+BD_FIELDS = (
+    ("bdr_psnr", "bitrate", QualityAxis.PSNR),
+    ("bdr_vmaf", "bitrate", QualityAxis.VMAF),
+    ("bdde_psnr", "energy", QualityAxis.PSNR),
+    ("bdde_vmaf", "energy", QualityAxis.VMAF),
+)
 
 
 @dataclass(frozen=True)
@@ -102,9 +121,13 @@ class BdReport:
     warnings: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
-        for name in ("bdr_psnr", "bdr_vmaf", "bdde_psnr", "bdde_vmaf"):
+        for name, _, _ in BD_FIELDS:
             if not math.isfinite(getattr(self, name)):
                 raise CurveDataError(f"BD value {name} is not finite")
+
+    def pair(self, axis: QualityAxis) -> tuple[float, float]:
+        """(BDR, BDDE) on one quality axis."""
+        return tuple(getattr(self, name) for name, _, quality in BD_FIELDS if quality is axis)
 
 
 def _prepare(points: Sequence[tuple[float, float]], role: str):
@@ -165,12 +188,8 @@ def bd_report(anchor: RdeCurve, test: RdeCurve) -> BdReport:
         )
     values = {}
     warnings = []
-    for name, cost, quality in (
-        ("bdr_psnr", "bitrate", "psnr"),
-        ("bdr_vmaf", "bitrate", "vmaf"),
-        ("bdde_psnr", "energy", "psnr"),
-        ("bdde_vmaf", "energy", "vmaf"),
-    ):
+    for name, cost, axis in BD_FIELDS:
+        quality = axis.value
         try:
             values[name] = bd_delta(anchor.axis(cost, quality), test.axis(cost, quality))
         except CtpDseError as exc:
@@ -199,9 +218,6 @@ def aggregate_reports(reports: Iterable[BdReport]) -> BdReport:
     # statistics.mean is exact over rationals, so the mean of n equal
     # reports is that report, bit for bit.
     return BdReport(
-        bdr_psnr=mean(r.bdr_psnr for r in reports),
-        bdr_vmaf=mean(r.bdr_vmaf for r in reports),
-        bdde_psnr=mean(r.bdde_psnr for r in reports),
-        bdde_vmaf=mean(r.bdde_vmaf for r in reports),
         warnings=tuple(merged),
+        **{name: mean(getattr(r, name) for r in reports) for name, _, _ in BD_FIELDS},
     )

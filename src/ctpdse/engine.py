@@ -15,10 +15,9 @@ improvement comparison uses the current reference's score.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 
-from .curves import BdReport, RdeCurve, aggregate_reports, bd_report
+from .curves import BD_FIELDS, BdReport, QualityAxis, RdeCurve, aggregate_reports, bd_report
 from .errors import ConfigError, CtpDseError
 from .evaluators import EvaluationRequest, Evaluator
 from .profiles import Ctp, flip_tool, serialize_ctp
@@ -37,11 +36,6 @@ class Objective(enum.Enum):
 class FlipPolicy(enum.Enum):
     ALL = "all"
     ONE = "one"
-
-
-class QualityAxis(enum.Enum):
-    PSNR = "psnr"
-    VMAF = "vmaf"
 
 
 class TerminationReason(enum.Enum):
@@ -78,10 +72,7 @@ def score(report: BdReport, objective: Objective, quality_axis: QualityAxis) -> 
     Energy minimizes BDDE on the chosen quality axis; Combined minimizes
     the unweighted sum BDDE + BDR on that axis.
     """
-    if quality_axis is QualityAxis.VMAF:
-        bdde, bdr = report.bdde_vmaf, report.bdr_vmaf
-    else:
-        bdde, bdr = report.bdde_psnr, report.bdr_psnr
+    bdr, bdde = report.pair(quality_axis)
     return bdde if objective is Objective.ENERGY else bdde + bdr
 
 
@@ -172,7 +163,7 @@ class EvaluationCache:
             bd_report(self._anchor_curves[s], self._anchor_curves[s])
             for s in self.config.sequences
         )
-        for name in ("bdr_psnr", "bdr_vmaf", "bdde_psnr", "bdde_vmaf"):
+        for name, _, _ in BD_FIELDS:
             if abs(getattr(report, name)) > ANCHOR_SELF_BD_TOL:
                 raise CtpDseError(
                     f"anchor self-BD {name} = {getattr(report, name)!r} is not ~0; "
@@ -292,15 +283,18 @@ def run_dse(config: DseConfig, evaluator: Evaluator) -> DseResult:
 
 
 def _report_to_dict(report: BdReport) -> dict:
-    doc = {
-        "bdr_psnr": report.bdr_psnr,
-        "bdr_vmaf": report.bdr_vmaf,
-        "bdde_psnr": report.bdde_psnr,
-        "bdde_vmaf": report.bdde_vmaf,
-    }
+    doc = {name: getattr(report, name) for name, _, _ in BD_FIELDS}
     if report.warnings:
         doc["warnings"] = list(report.warnings)
     return doc
+
+
+def report_from_dict(doc: dict) -> BdReport:
+    """The report a ``result.json`` entry was rendered from."""
+    return BdReport(
+        warnings=tuple(doc.get("warnings", ())),
+        **{name: doc[name] for name, _, _ in BD_FIELDS},
+    )
 
 
 def result_to_document(result: DseResult, config: DseConfig) -> dict:
@@ -348,7 +342,3 @@ def result_to_document(result: DseResult, config: DseConfig) -> dict:
         "terminal_reference": serialize_ctp(result.terminal_reference),
         "termination_reason": result.termination_reason.value,
     }
-
-
-def document_to_text(document: dict) -> str:
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"

@@ -14,7 +14,10 @@ Three interchangeable backends sit behind one ``evaluate`` port:
 Callers invoke ``evaluate`` from one thread, one profile at a time. The
 cached and synthetic backends compute in that thread. Only the external
 backend runs work concurrently: its ``max_parallel`` caps how many child
-jobs of one profile run at once, which caps them for the whole run.
+jobs of one profile run at once, which caps them for the whole run. It
+fails fast: once a child job fails, no further job is launched, the jobs
+already running finish, and ``evaluate`` raises the error of the failed
+job that comes first in (sequence, qp) order.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import math
 import shlex
 import subprocess
 import tempfile
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -409,16 +413,26 @@ class ExternalCommandEvaluator:
     def evaluate(self, request: EvaluationRequest) -> list[RdeCurve]:
         mask = serialize_ctp(request.ctp)
         jobs = [(seq, qp) for seq in request.sequences for qp in request.qps]
+        failed = threading.Event()
+
+        def run(out: str, sequence: str, qp: int) -> RdePoint | None:
+            # A job queued behind a failure is skipped without launching.
+            if failed.is_set():
+                return None
+            try:
+                return self._run_job(out, mask, sequence, qp)
+            except Exception:
+                failed.set()
+                raise
+
         with tempfile.TemporaryDirectory(prefix="ctpdse-ext-") as tmp:
-            # Named by job, so no sequence name can point outside ``tmp``.
-            outs = {job: str(Path(tmp) / f"job{i}.csv") for i, job in enumerate(jobs)}
-            if self.max_parallel == 1 or len(jobs) == 1:
-                results = {job: self._run_job(outs[job], mask, *job) for job in jobs}
-            else:
-                with ThreadPoolExecutor(max_workers=self.max_parallel) as pool:
-                    futures = {job: pool.submit(self._run_job, outs[job], mask, *job)
-                               for job in jobs}
-                    results = {job: fut.result() for job, fut in futures.items()}
+            with ThreadPoolExecutor(max_workers=min(self.max_parallel, len(jobs))) as pool:
+                # Named by job, so no sequence name can point outside ``tmp``.
+                futures = [pool.submit(run, str(Path(tmp) / f"job{i}.csv"), *job)
+                           for i, job in enumerate(jobs)]
+        # Jobs start in order, so every skipped job follows a failed one:
+        # reading results in order raises the earliest failure first.
+        results = {job: future.result() for job, future in zip(jobs, futures)}
         curves = []
         for sequence in request.sequences:
             points = tuple(results[(sequence, qp)] for qp in request.qps)

@@ -34,9 +34,10 @@ def build_manifest(command: str, config: dict, inputs: dict[str, str] | None = N
     }
 
 
-def manifest_text(manifest: dict) -> str:
-    return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+def canonical_json(document: dict) -> str:
+    """The one rendering of every JSON output file: sorted keys, indent 2, final newline."""
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
 def manifest_digest(manifest: dict) -> str:
-    return "sha256:" + hashlib.sha256(manifest_text(manifest).encode()).hexdigest()
+    return "sha256:" + hashlib.sha256(canonical_json(manifest).encode()).hexdigest()

@@ -2,6 +2,7 @@ import json
 import re
 import sys
 
+import pytest
 
 from ctpdse import cli
 from ctpdse.profiles import default_registry, parse_ctp, serialize_ctp
@@ -199,6 +200,17 @@ class TestBd:
         out = capsys.readouterr().out
         assert "BDR-PSNR" in out and "BDR-VMAF" not in out
 
+    def test_anchor_without_qps_names_anchor_and_exits_2(self, tmp_path, capsys):
+        reg = tmp_path / "r.reg"
+        reg.write_text(REGISTRY_3)
+        table = self._table(tmp_path)
+        code = cli.main([
+            "bd", "--anchor", "7", "--test", "6", "--sequences", "nope",
+            "--measurements", table, "--registry", str(reg),
+        ])
+        assert code == 2
+        assert "no qps for anchor 7 on 'nope'" in capsys.readouterr().err
+
     def test_missing_test_rows_exit_3(self, tmp_path, capsys):
         reg = tmp_path / "r.reg"
         reg.write_text(REGISTRY_3)
@@ -226,17 +238,25 @@ class TestPareto:
         assert "-45.31" in out
         assert "LBE  4 profiles" in out
 
-    def test_round_trip_from_dse_output(self, tmp_path, capsys):
+    @pytest.mark.parametrize("axis", ["psnr", "vmaf"])
+    def test_round_trip_from_dse_output(self, tmp_path, capsys, axis):
         run_dir = tmp_path / "run"
         assert cli.main([
             "dse", "--strategy", "e1", "--backend", "synthetic",
-            "--seed", "1", "--out", str(run_dir),
+            "--seed", "1", "--axis", axis, "--out", str(run_dir),
         ]) == 0
         out_dir = tmp_path / "sel"
         code = cli.main(["pareto", "--points", str(run_dir), "--out", str(out_dir)])
         assert code == 0
-        assert (out_dir / "front.csv").is_file()
+
+        def rows(path):
+            lines = path.read_text().splitlines()
+            return [line for line in lines if not line.startswith("# manifest:")]
+
+        for name in ("points.csv", "front.csv"):
+            assert rows(out_dir / name) == rows(run_dir / name)
         stdout = capsys.readouterr().out
+        assert f"(axis {axis})" in stdout
         assert re.search(r"EE\s+[0-9A-F]{8}", stdout)
 
     def test_empty_points_file_exits_2(self, tmp_path, capsys):

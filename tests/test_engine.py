@@ -14,7 +14,6 @@ from ctpdse.engine import (
     Objective,
     QualityAxis,
     TerminationReason,
-    document_to_text,
     parse_strategy,
     result_to_document,
     run_dse,
@@ -29,6 +28,7 @@ from ctpdse.evaluators import (
     SyntheticModelEvaluator,
     SyntheticModelParams,
 )
+from ctpdse.manifest import canonical_json
 from ctpdse.profiles import Ctp, default_ctp, serialize_ctp
 
 from conftest import BASE_QPS, make_params, make_registry
@@ -82,6 +82,8 @@ class TestScore:
         assert score(report, Objective.ENERGY, QualityAxis.PSNR) == -7.0
         assert score(report, Objective.ENERGY, QualityAxis.VMAF) == -40.0
         assert score(report, Objective.COMBINED, QualityAxis.PSNR) == -2.0
+        assert report.pair(QualityAxis.PSNR) == (5.0, -7.0)
+        assert report.pair(QualityAxis.VMAF) == (10.0, -40.0)
 
     def test_anchor_report_scores_zero(self):
         zero = BdReport(0.0, 0.0, 0.0, 0.0)
@@ -390,7 +392,7 @@ class TestDeterminism:
         texts = []
         for _ in range(2):
             config, result = run_strategy(params, registry, "c1", sequences=("s01", "s02"))
-            texts.append(document_to_text(result_to_document(result, config)))
+            texts.append(canonical_json(result_to_document(result, config)))
         assert texts[0] == texts[1]
 
     def test_document_shape(self):

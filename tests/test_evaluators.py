@@ -1,9 +1,13 @@
+import subprocess
 import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from ctpdse import evaluators
 from ctpdse.errors import ConfigError, EvaluationError, MeasurementMissError
 from ctpdse.evaluators import (
     CSV_HEADER,
@@ -337,6 +341,27 @@ class TestExternalCommand:
         serial = ExternalCommandEvaluator(template, max_parallel=1).evaluate(request)
         parallel = ExternalCommandEvaluator(template, max_parallel=4).evaluate(request)
         assert serial == parallel
+
+    @pytest.mark.parametrize("max_parallel", [1, 3])
+    def test_first_failure_stops_further_launches(self, monkeypatch, max_parallel):
+        lock = threading.Lock()
+        launched = []
+
+        def failing_run(argv, **kwargs):
+            with lock:
+                launched.append(argv)
+            time.sleep(0.02)
+            return subprocess.CompletedProcess(argv, 1, "", "")
+
+        monkeypatch.setattr(evaluators.subprocess, "run", failing_run)
+        sequences = ("s01", "s02", "s03", "s04")
+        request = EvaluationRequest(default_ctp(make_registry(3)), sequences, BASE_QPS)
+        evaluator = ExternalCommandEvaluator("enc {sequence} {qp} {out}",
+                                             max_parallel=max_parallel)
+        with pytest.raises(EvaluationError, match=r"\(s01, qp 22\).*exited with 1"):
+            evaluator.evaluate(request)
+        # 16 jobs; only those started before the first failure launch
+        assert 1 <= len(launched) <= max_parallel
 
     def test_sequence_with_space_is_one_argument(self, tmp_path):
         write_result_fixtures(tmp_path, sequence="City Scene")
