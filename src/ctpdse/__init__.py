@@ -39,7 +39,6 @@ from .profiles import (
     flip_tool,
     load_registry,
     parse_ctp,
-    save_registry,
     serialize_ctp,
 )
 from .stats import MeasurementSeries, Verdict, ci_check
@@ -83,7 +82,6 @@ __all__ = [
     "parse_strategy",
     "pareto_front",
     "run_dse",
-    "save_registry",
     "score",
     "select_profiles",
     "serialize_ctp",

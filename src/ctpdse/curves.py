@@ -64,10 +64,10 @@ class RdePoint:
     energy: float
 
     def __post_init__(self):
-        if not self.bitrate > 0:
-            raise CurveDataError(f"qp {self.qp}: bitrate must be > 0, got {self.bitrate}")
-        if not self.energy > 0:
-            raise CurveDataError(f"qp {self.qp}: energy must be > 0, got {self.energy}")
+        for name in ("bitrate", "energy"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise CurveDataError(f"qp {self.qp}: {name} must be finite and > 0, got {value}")
         if not math.isfinite(self.psnr):
             raise CurveDataError(f"qp {self.qp}: psnr must be finite, got {self.psnr}")
         if not 0.0 <= self.vmaf <= 100.0:

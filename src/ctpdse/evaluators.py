@@ -18,6 +18,10 @@ jobs of one profile run at once, which caps them for the whole run. It
 fails fast: once a child job fails, no further job is launched, the jobs
 already running finish, and ``evaluate`` raises the error of the failed
 job that comes first in (sequence, qp) order.
+
+A cached-table row and an external job's result row become a point through
+``parse_measurement`` alone, so both obey the same checks; each caller
+only decides what a CI verdict means.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import subprocess
 import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
@@ -40,8 +44,8 @@ from .errors import ConfigError, EvaluationError, MeasurementMissError
 from .profiles import Ctp, ToolRegistry, serialize_ctp
 from .stats import DEFAULT_CONFIDENCE, DEFAULT_REL_HALF_WIDTH, MeasurementSeries, Verdict
 
-CSV_HEADER = ("ctp_id", "sequence", "qp", "bitrate_kbps", "psnr_db", "vmaf", "energy_j", "energy_samples")
 RESULT_HEADER = ("qp", "bitrate_kbps", "psnr_db", "vmaf", "energy_j", "energy_samples")
+CSV_HEADER = ("ctp_id", "sequence") + RESULT_HEADER
 
 # energy_j must equal the mean of energy_samples this tightly.
 ENERGY_MEAN_REL_TOL = 1e-6
@@ -79,6 +83,60 @@ def _parse_float(text: str, what: str) -> float:
 
 def _parse_samples(text: str) -> tuple[float, ...]:
     return tuple(_parse_float(part, "energy sample") for part in text.split(";") if part)
+
+
+def _data_rows(lines, header: tuple[str, ...], where):
+    """Yield (line number, stripped fields) of each non-blank CSV row below ``header``."""
+    reader = csv.reader(lines)
+    first = next(reader, None)
+    if first is None:
+        raise ConfigError(f"{where}: empty file, expected header {','.join(header)}")
+    if tuple(h.strip() for h in first) != header:
+        raise ConfigError(
+            f"{where}:1: bad header {','.join(first)!r}, expected {','.join(header)}"
+        )
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ConfigError(
+                f"{where}:{reader.line_num}: expected {len(header)} fields, got {len(row)}"
+            )
+        yield reader.line_num, [f.strip() for f in row]
+
+
+def parse_measurement(
+    fields: Sequence[str],
+    confidence: float = DEFAULT_CONFIDENCE,
+    rel_half_width: float = DEFAULT_REL_HALF_WIDTH,
+) -> tuple[RdePoint, MeasurementSeries | None]:
+    """Turn the ``RESULT_HEADER`` fields of one row into a point, or raise ConfigError.
+
+    Energy samples, when present, go through the CI gate and must have
+    ``energy_j`` as their mean; the caller acts on the returned verdict.
+    """
+    qp_text, rate, psnr, vmaf, energy, samples_text = fields
+    try:
+        qp = int(qp_text)
+    except ValueError:
+        raise ConfigError(f"qp is not an integer: {qp_text!r}") from None
+    energy_j = _parse_float(energy, "energy_j")
+    samples = _parse_samples(samples_text)
+    series = None
+    if samples:
+        series = MeasurementSeries.validate(samples, confidence, rel_half_width)
+        if not math.isclose(series.mean, energy_j, rel_tol=ENERGY_MEAN_REL_TOL):
+            raise ConfigError(
+                f"energy_j {energy_j} does not match the sample mean {series.mean}"
+            )
+    point = RdePoint(
+        qp=qp,
+        bitrate=_parse_float(rate, "bitrate_kbps"),
+        psnr=_parse_float(psnr, "psnr_db"),
+        vmaf=_parse_float(vmaf, "vmaf"),
+        energy=energy_j,
+    )
+    return point, series
 
 
 class MeasurementTable:
@@ -124,50 +182,10 @@ def ingest_measurements(
     """
     table = MeasurementTable()
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{path}: empty file, expected header "
-                              f"{','.join(CSV_HEADER)}") from None
-        if tuple(h.strip() for h in header) != CSV_HEADER:
-            raise ConfigError(
-                f"{path}:1: bad header {','.join(header)!r}, expected {','.join(CSV_HEADER)}"
-            )
-        for row in reader:
-            lineno = reader.line_num
-            if not row:
-                continue
-            if len(row) != len(CSV_HEADER):
-                raise ConfigError(
-                    f"{path}:{lineno}: expected {len(CSV_HEADER)} fields, got {len(row)}"
-                )
-            ctp_id, sequence, qp_text, rate, psnr, vmaf, energy, samples_text = (
-                f.strip() for f in row
-            )
+        for lineno, (ctp_id, sequence, *fields) in _data_rows(handle, CSV_HEADER, path):
             try:
-                qp = int(qp_text)
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: qp is not an integer: {qp_text!r}") from None
-            try:
-                energy_j = _parse_float(energy, "energy_j")
-                samples = _parse_samples(samples_text)
-                series = None
-                if samples:
-                    mean = sum(samples) / len(samples)
-                    if not math.isclose(mean, energy_j, rel_tol=ENERGY_MEAN_REL_TOL):
-                        raise ConfigError(
-                            f"energy_j {energy_j} does not match the sample mean {mean}"
-                        )
-                    series = MeasurementSeries.validate(samples, confidence, rel_half_width)
-                point = RdePoint(
-                    qp=qp,
-                    bitrate=_parse_float(rate, "bitrate_kbps"),
-                    psnr=_parse_float(psnr, "psnr_db"),
-                    vmaf=_parse_float(vmaf, "vmaf"),
-                    energy=energy_j,
-                )
-                table.add((ctp_id, sequence, qp), point, series)
+                point, series = parse_measurement(fields, confidence, rel_half_width)
+                table.add((ctp_id, sequence, point.qp), point, series)
             except ConfigError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return table
@@ -377,10 +395,11 @@ class ExternalCommandEvaluator:
     too. The template is split into argv once, and placeholders are
     substituted inside each argument, so a value with spaces or quotes
     stays one argument. The result file is a one-row CSV with header
-    ``qp,bitrate_kbps,psnr_db,vmaf,energy_j,energy_samples``. When energy
-    samples are present they must pass the CI gate before their mean
-    becomes the point's energy; a Fail or Insufficient verdict is an error,
-    never silently averaged. At most ``max_parallel`` jobs run at once;
+    ``qp,bitrate_kbps,psnr_db,vmaf,energy_j,energy_samples``, checked like
+    a table row by ``parse_measurement``. When energy samples are present
+    they must pass the CI gate before their mean becomes the point's
+    energy; a Fail or Insufficient verdict is an error, never silently
+    averaged. At most ``max_parallel`` jobs run at once;
     energy-measurement jobs default to serial, matching a single-machine
     power-meter setup.
     """
@@ -471,36 +490,21 @@ class ExternalCommandEvaluator:
                 f"({sequence}, qp {qp}): command produced no result file: {exc}"
             ) from None
         try:
-            rows = list(csv.reader(text.splitlines()))
-            if not rows or tuple(h.strip() for h in rows[0]) != RESULT_HEADER:
-                raise ConfigError(f"expected header {','.join(RESULT_HEADER)}")
-            data = [r for r in rows[1:] if r]
-            if len(data) != 1 or len(data[0]) != len(RESULT_HEADER):
+            rows = [fields for _, fields in _data_rows(text.splitlines(), RESULT_HEADER, path)]
+            if len(rows) != 1:
                 raise ConfigError("expected exactly one data row")
-            qp_text, rate, psnr, vmaf, energy, samples_text = (f.strip() for f in data[0])
-            if int(qp_text) != qp:
-                raise ConfigError(f"result row is for qp {qp_text}, invoked with qp {qp}")
-            energy_j = _parse_float(energy, "energy_j")
-            samples = _parse_samples(samples_text)
-            if samples:
-                series = MeasurementSeries.validate(samples, self.confidence, self.rel_half_width)
-                if series.verdict is not Verdict.PASS:
-                    raise EvaluationError(
-                        f"({sequence}, qp {qp}): energy measurement rejected, "
-                        f"{series.describe()}"
-                    )
-                energy_j = series.mean
-            return RdePoint(
-                qp=qp,
-                bitrate=_parse_float(rate, "bitrate_kbps"),
-                psnr=_parse_float(psnr, "psnr_db"),
-                vmaf=_parse_float(vmaf, "vmaf"),
-                energy=energy_j,
-            )
-        except EvaluationError:
-            raise
-        except (ConfigError, ValueError) as exc:
+            point, series = parse_measurement(rows[0], self.confidence, self.rel_half_width)
+            if point.qp != qp:
+                raise ConfigError(f"result row is for qp {point.qp}, invoked with qp {qp}")
+        except ConfigError as exc:
             raise EvaluationError(
                 f"({sequence}, qp {qp}): cannot parse result file: {exc}; "
                 f"contents: {text!r}"
             ) from None
+        if series is None:
+            return point
+        if series.verdict is not Verdict.PASS:
+            raise EvaluationError(
+                f"({sequence}, qp {qp}): energy measurement rejected, {series.describe()}"
+            )
+        return replace(point, energy=series.mean)

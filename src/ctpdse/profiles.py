@@ -114,9 +114,6 @@ class ToolRegistry:
         except KeyError:
             raise ProfileFormatError(f"unknown tool name {name!r}") from None
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(t.name for t in self.tools)
-
     @property
     def mask_width(self) -> int:
         """Number of hex digits in the canonical bitmask form."""
@@ -238,8 +235,3 @@ def registry_text(registry: ToolRegistry) -> str:
         for t in registry.tools
     ]
     return "\n".join(lines) + "\n"
-
-
-def save_registry(registry: ToolRegistry, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(registry_text(registry))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from statistics import fmean, stdev
 from typing import Sequence
 
-from scipy.stats import t as student_t
+from scipy.special import stdtrit
 
 from .errors import ConfigError
 
@@ -53,7 +53,7 @@ def ci_check(
     n = len(samples)
     if n < 2:
         return Verdict.INSUFFICIENT, mean, math.inf
-    quantile = float(student_t.ppf((1 + confidence) / 2, n - 1))
+    quantile = float(stdtrit(n - 1, (1 + confidence) / 2))
     half_width = quantile * stdev(samples) / math.sqrt(n)
     verdict = Verdict.PASS if half_width <= rel_half_width * mean else Verdict.FAIL
     return verdict, mean, half_width

@@ -66,10 +66,14 @@ class TestPointValidation:
     def test_zero_bitrate_rejected(self):
         with pytest.raises(CurveDataError, match="bitrate"):
             RdePoint(22, 0.0, 40.0, 90.0, 10.0)
+        with pytest.raises(CurveDataError, match="bitrate"):
+            RdePoint(22, math.inf, 40.0, 90.0, 10.0)
 
     def test_zero_energy_rejected(self):
         with pytest.raises(CurveDataError, match="energy"):
             RdePoint(22, 100.0, 40.0, 90.0, 0.0)
+        with pytest.raises(CurveDataError, match="energy"):
+            RdePoint(22, 100.0, 40.0, 90.0, math.inf)
 
     def test_vmaf_range(self):
         with pytest.raises(CurveDataError, match="vmaf"):

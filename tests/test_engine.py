@@ -179,7 +179,7 @@ class TestRunIteration:
         cache.bootstrap_anchor()
         log = run_iteration(config.anchor, config, cache)
         assert [c.tool_index for c in log.candidates] == list(range(5))
-        assert {c.tool_name for c in log.candidates} == set(registry.names())
+        assert {c.tool_name for c in log.candidates} == {t.name for t in registry.tools}
 
     def test_flipped_subset_of_improved(self):
         registry = make_registry(4)

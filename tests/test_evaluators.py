@@ -75,6 +75,11 @@ class TestIngest:
         path = write_measurements(tmp_path / "m.csv", rows)
         with pytest.raises(ConfigError, match=r"m\.csv:4"):
             ingest_measurements(path)
+        rows = anchor_rows("3FFFFFFF")
+        rows[0] = rows[0].replace("120.0", "inf")
+        path = write_measurements(tmp_path / "m.csv", rows)
+        with pytest.raises(ConfigError, match=r"m\.csv:2: .*energy"):
+            ingest_measurements(path)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -309,6 +314,14 @@ class TestExternalCommand:
         write_result_fixtures(tmp_path, rows={qp: r for qp, r in RESULT_ROWS.items() if qp != 22})
         request = EvaluationRequest(default_ctp(make_registry(3)), ("s01",), BASE_QPS)
         with pytest.raises(EvaluationError, match="cannot parse"):
+            ExternalCommandEvaluator(copy_template(tmp_path)).evaluate(request)
+
+    def test_energy_disagreeing_with_samples_rejected(self, tmp_path):
+        rows = dict(RESULT_ROWS)
+        rows[22] = "22,8000.0,42.5,92.0,999.0,120;120;120"
+        write_result_fixtures(tmp_path, rows=rows)
+        request = EvaluationRequest(default_ctp(make_registry(3)), ("s01",), BASE_QPS)
+        with pytest.raises(EvaluationError, match=r"\(s01, qp 22\).*sample mean"):
             ExternalCommandEvaluator(copy_template(tmp_path)).evaluate(request)
 
     def test_qp_mismatch_rejected(self, tmp_path):

@@ -14,7 +14,6 @@ from ctpdse.profiles import (
     load_registry,
     parse_ctp,
     registry_text,
-    save_registry,
     serialize_ctp,
 )
 
@@ -25,7 +24,7 @@ class TestDefaultRegistry:
     def test_thirty_tools(self):
         registry = default_registry()
         assert len(registry) == 30
-        assert len(set(registry.names())) == 30
+        assert len({t.name for t in registry.tools}) == 30
 
     def test_category_sizes(self):
         registry = default_registry()
@@ -41,7 +40,7 @@ class TestDefaultRegistry:
         }
 
     def test_known_tools_present(self):
-        names = default_registry().names()
+        names = [t.name for t in default_registry().tools]
         for name in ("CCLM", "DMVR", "ALF", "MCTF", "TSRC", "LFNST"):
             assert name in names
 
@@ -193,18 +192,16 @@ class TestRegistryFiles:
     def test_save_load_save_is_byte_identical(self, tmp_path):
         registry = default_registry()
         first = tmp_path / "a.reg"
-        second = tmp_path / "b.reg"
-        save_registry(registry, first)
+        first.write_text(registry_text(registry), encoding="utf-8")
         loaded = load_registry(first)
         assert loaded == registry
-        save_registry(loaded, second)
-        assert first.read_bytes() == second.read_bytes()
+        assert registry_text(loaded).encode() == first.read_bytes()
 
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "r.reg"
         path.write_text("# a comment\n\nA,Intra,1\nB,Other,0\n")
         registry = load_registry(path)
-        assert registry.names() == ("A", "B")
+        assert [t.name for t in registry.tools] == ["A", "B"]
         assert registry.tools[1].default_enabled is False
 
     def test_bad_field_count_reports_line(self, tmp_path):

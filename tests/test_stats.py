@@ -1,8 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from statistics import stdev
 
 import numpy as np
 import pytest
+from scipy.stats import t as student_t
 
+import ctpdse
 from ctpdse.errors import ConfigError
 from ctpdse.stats import MeasurementSeries, Verdict, ci_check
 
@@ -65,6 +72,24 @@ class TestCiCheck:
     def test_bad_bound_rejected(self):
         with pytest.raises(ConfigError, match="rel_half_width"):
             ci_check([1.0, 2.0], rel_half_width=0.0)
+
+    def test_half_width_equals_scipy_stats_quantile(self):
+        rng = np.random.default_rng(5)
+        for n in (2, 3, 5, 10, 30, 199):
+            samples = list(rng.uniform(9.0, 11.0, size=n))
+            sd = stdev(samples)
+            for confidence in (0.5, 0.9, 0.95, 0.99, 0.999, 0.123456):
+                _, _, half_width = ci_check(samples, confidence)
+                quantile = float(student_t.ppf((1 + confidence) / 2, n - 1))
+                assert half_width == quantile * sd / math.sqrt(n)
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    env = dict(os.environ, PYTHONPATH=str(Path(ctpdse.__file__).parents[1]))
+    code = "import sys, ctpdse.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 class TestProperties:
