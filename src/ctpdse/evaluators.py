@@ -26,8 +26,8 @@ only decides what a CI verdict means.
 
 from __future__ import annotations
 
-import csv
 import math
+import re
 import shlex
 import subprocess
 import tempfile
@@ -39,10 +39,11 @@ from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
+from .csvrows import data_rows, parse_float
 from .curves import CurveDataError, RdeCurve, RdePoint
 from .errors import ConfigError, EvaluationError, MeasurementMissError
 from .profiles import Ctp, ToolRegistry, serialize_ctp
-from .stats import DEFAULT_CONFIDENCE, DEFAULT_REL_HALF_WIDTH, MeasurementSeries, Verdict
+from .stats import MeasurementSeries, Verdict
 
 RESULT_HEADER = ("qp", "bitrate_kbps", "psnr_db", "vmaf", "energy_j", "energy_samples")
 CSV_HEADER = ("ctp_id", "sequence") + RESULT_HEADER
@@ -74,66 +75,32 @@ class Evaluator(Protocol):
     def evaluate(self, request: EvaluationRequest) -> list[RdeCurve]: ...
 
 
-def _parse_float(text: str, what: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"{what}: not a number: {text!r}") from None
-
-
-def _parse_samples(text: str) -> tuple[float, ...]:
-    return tuple(_parse_float(part, "energy sample") for part in text.split(";") if part)
-
-
-def _data_rows(lines, header: tuple[str, ...], where):
-    """Yield (line number, stripped fields) of each non-blank CSV row below ``header``."""
-    reader = csv.reader(lines)
-    first = next(reader, None)
-    if first is None:
-        raise ConfigError(f"{where}: empty file, expected header {','.join(header)}")
-    if tuple(h.strip() for h in first) != header:
-        raise ConfigError(
-            f"{where}:1: bad header {','.join(first)!r}, expected {','.join(header)}"
-        )
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise ConfigError(
-                f"{where}:{reader.line_num}: expected {len(header)} fields, got {len(row)}"
-            )
-        yield reader.line_num, [f.strip() for f in row]
-
-
-def parse_measurement(
-    fields: Sequence[str],
-    confidence: float = DEFAULT_CONFIDENCE,
-    rel_half_width: float = DEFAULT_REL_HALF_WIDTH,
-) -> tuple[RdePoint, MeasurementSeries | None]:
+def parse_measurement(fields: Sequence[str]) -> tuple[RdePoint, MeasurementSeries | None]:
     """Turn the ``RESULT_HEADER`` fields of one row into a point, or raise ConfigError.
 
-    Energy samples, when present, go through the CI gate and must have
-    ``energy_j`` as their mean; the caller acts on the returned verdict.
+    Energy samples, when present, go through the CI gate at its default
+    confidence and bound and must have ``energy_j`` as their mean; the
+    caller acts on the returned verdict.
     """
     qp_text, rate, psnr, vmaf, energy, samples_text = fields
     try:
         qp = int(qp_text)
     except ValueError:
         raise ConfigError(f"qp is not an integer: {qp_text!r}") from None
-    energy_j = _parse_float(energy, "energy_j")
-    samples = _parse_samples(samples_text)
+    energy_j = parse_float(energy, "energy_j")
+    samples = tuple(parse_float(s, "energy sample") for s in samples_text.split(";") if s)
     series = None
     if samples:
-        series = MeasurementSeries.validate(samples, confidence, rel_half_width)
+        series = MeasurementSeries.validate(samples)
         if not math.isclose(series.mean, energy_j, rel_tol=ENERGY_MEAN_REL_TOL):
             raise ConfigError(
                 f"energy_j {energy_j} does not match the sample mean {series.mean}"
             )
     point = RdePoint(
         qp=qp,
-        bitrate=_parse_float(rate, "bitrate_kbps"),
-        psnr=_parse_float(psnr, "psnr_db"),
-        vmaf=_parse_float(vmaf, "vmaf"),
+        bitrate=parse_float(rate, "bitrate_kbps"),
+        psnr=parse_float(psnr, "psnr_db"),
+        vmaf=parse_float(vmaf, "vmaf"),
         energy=energy_j,
     )
     return point, series
@@ -168,23 +135,22 @@ class MeasurementTable:
         return tuple(sorted({q for c, s, q in self.rows if c == ctp_id and s == sequence}))
 
 
-def ingest_measurements(
-    path,
-    confidence: float = DEFAULT_CONFIDENCE,
-    rel_half_width: float = DEFAULT_REL_HALF_WIDTH,
-) -> MeasurementTable:
-    """Load a measurement CSV, validating schema, ranges and sample means.
+def ingest_measurements(path) -> MeasurementTable:
+    """Load a measurement CSV, validating schema, masks, ranges and sample means.
 
-    Rows carrying repeated energy readings are run through the CI gate and
-    the verdicts land in ``table.diagnostics``; a failing verdict is a
-    diagnostic here, not an error, since cached tables hold already-vetted
-    measurements.
+    Each ``ctp_id`` must be an upper-case hex mask, the form profiles are
+    looked up by. Rows carrying repeated energy readings are run through
+    the CI gate and the verdicts land in ``table.diagnostics``; a failing
+    verdict is a diagnostic here, not an error, since cached tables hold
+    already-vetted measurements.
     """
     table = MeasurementTable()
     with open(path, newline="", encoding="utf-8") as handle:
-        for lineno, (ctp_id, sequence, *fields) in _data_rows(handle, CSV_HEADER, path):
+        for lineno, (ctp_id, sequence, *fields) in data_rows(handle, CSV_HEADER, path):
             try:
-                point, series = parse_measurement(fields, confidence, rel_half_width)
+                if not re.fullmatch("[0-9A-F]+", ctp_id):
+                    raise ConfigError(f"ctp_id {ctp_id!r} is not an upper-case hex mask")
+                point, series = parse_measurement(fields)
                 table.add((ctp_id, sequence, point.qp), point, series)
             except ConfigError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from None
@@ -228,6 +194,10 @@ class SequenceBaseline:
             raise ConfigError(f"no baseline entry for qp {qp} (have {self.qps})") from None
 
 
+# Tool pairs whose joint energy factor SyntheticModelParams.random draws.
+INTERACTION_PAIRS = 2
+
+
 @dataclass(frozen=True)
 class SyntheticModelParams:
     """Deterministic cost model: multiplicative costs, additive quality.
@@ -250,7 +220,6 @@ class SyntheticModelParams:
     dq_psnr: tuple[float, ...]
     dq_vmaf: tuple[float, ...]
     interactions: tuple[tuple[int, int, float], ...] = ()
-    seed: int = 0
 
     def __post_init__(self):
         n = len(self.rate_mult)
@@ -275,7 +244,6 @@ class SyntheticModelParams:
         sequences: Sequence[str],
         qps: Sequence[int],
         seed: int,
-        interaction_pairs: int = 2,
     ) -> "SyntheticModelParams":
         """Draw an admissible model from a seeded generator.
 
@@ -319,14 +287,14 @@ class SyntheticModelParams:
         dq_psnr_bound = min(0.25, 4.0 / n)
         dq_vmaf_bound = min(0.35, 6.0 / n)
         pairs = []
-        if interaction_pairs and n >= 2:
-            seen = set()
-            while len(pairs) < interaction_pairs:
-                j, k = sorted(rng.choice(n, size=2, replace=False).tolist())
-                if (j, k) in seen:
-                    continue
-                seen.add((j, k))
-                pairs.append((int(j), int(k), float(rng.uniform(0.92, 1.10))))
+        seen = set()
+        # A registry of n tools has n * (n - 1) / 2 distinct pairs.
+        while len(pairs) < min(INTERACTION_PAIRS, n * (n - 1) // 2):
+            j, k = sorted(rng.choice(n, size=2, replace=False).tolist())
+            if (j, k) in seen:
+                continue
+            seen.add((j, k))
+            pairs.append((int(j), int(k), float(rng.uniform(0.92, 1.10))))
         return cls(
             baselines=baselines,
             rate_mult=tuple(float(v) for v in rng.uniform(0.90, 1.04, size=n)),
@@ -334,7 +302,6 @@ class SyntheticModelParams:
             dq_psnr=tuple(float(v) for v in rng.uniform(-dq_psnr_bound, dq_psnr_bound, size=n)),
             dq_vmaf=tuple(float(v) for v in rng.uniform(-dq_vmaf_bound, dq_vmaf_bound, size=n)),
             interactions=tuple(sorted(pairs)),
-            seed=seed,
         )
 
 
@@ -406,8 +373,6 @@ class ExternalCommandEvaluator:
 
     command_template: str
     max_parallel: int = 1
-    confidence: float = DEFAULT_CONFIDENCE
-    rel_half_width: float = DEFAULT_REL_HALF_WIDTH
     timeout: float | None = None
 
     def __post_init__(self):
@@ -490,10 +455,10 @@ class ExternalCommandEvaluator:
                 f"({sequence}, qp {qp}): command produced no result file: {exc}"
             ) from None
         try:
-            rows = [fields for _, fields in _data_rows(text.splitlines(), RESULT_HEADER, path)]
+            rows = [fields for _, fields in data_rows(text.splitlines(), RESULT_HEADER, path)]
             if len(rows) != 1:
                 raise ConfigError("expected exactly one data row")
-            point, series = parse_measurement(rows[0], self.confidence, self.rel_half_width)
+            point, series = parse_measurement(rows[0])
             if point.qp != qp:
                 raise ConfigError(f"result row is for qp {point.qp}, invoked with qp {qp}")
         except ConfigError as exc:

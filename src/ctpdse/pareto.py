@@ -14,9 +14,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .csvrows import data_rows, parse_float
 from .errors import ConfigError
 
 DEFAULT_LBE_THRESHOLD = 5.0
+POINTS_HEADER = ("bdr", "bdde")
 
 
 @dataclass(frozen=True)
@@ -110,7 +112,7 @@ def write_points_csv(points: Iterable[ProfilePoint], path, comment: str | None =
         if comment:
             handle.write(f"# {comment}\n")
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["bdr", "bdde"])
+        writer.writerow(POINTS_HEADER)
         for point in points:
             writer.writerow([repr(point.bdr), repr(point.bdde)])
 
@@ -132,24 +134,12 @@ def write_plot_data(
 
 
 def read_points_csv(path) -> list[ProfilePoint]:
-    """Read a two-column (bdr, bdde) CSV; ``#`` comment lines are skipped."""
+    """Read a two-column (bdr, bdde) CSV, by the rules of ``csvrows.data_rows``."""
     points = []
     with open(path, newline="", encoding="utf-8") as handle:
-        lines = [line for line in handle if not line.startswith("#")]
-    reader = csv.reader(lines)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ConfigError(f"{path}: empty points file") from None
-    if [h.strip() for h in header] != ["bdr", "bdde"]:
-        raise ConfigError(f"{path}: expected header 'bdr,bdde', got {','.join(header)!r}")
-    for i, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise ConfigError(f"{path}:{i}: expected 2 fields, got {len(row)}")
-        try:
-            points.append(ProfilePoint(bdr=float(row[0]), bdde=float(row[1])))
-        except ValueError:
-            raise ConfigError(f"{path}:{i}: not a number: {row!r}") from None
+        for lineno, (bdr, bdde) in data_rows(handle, POINTS_HEADER, path):
+            try:
+                points.append(ProfilePoint(parse_float(bdr, "bdr"), parse_float(bdde, "bdde")))
+            except ConfigError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return points

@@ -9,6 +9,7 @@ bit) and an ``off:``-prefixed list of disabled tool names.
 from __future__ import annotations
 
 import math
+import string
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -192,10 +193,10 @@ def parse_ctp(text: str, registry: ToolRegistry) -> Ctp:
             f"hex mask {text!r} has {len(text)} digits, expected {width} "
             f"for a {len(registry)}-tool registry"
         )
-    try:
-        value = int(text, 16)
-    except ValueError:
-        raise ProfileFormatError(f"invalid hex mask {text!r}") from None
+    # int(text, 16) alone would also take a sign or an underscore.
+    if not set(text) <= set(string.hexdigits):
+        raise ProfileFormatError(f"invalid hex mask {text!r}")
+    value = int(text, 16)
     if value >> len(registry):
         raise ProfileFormatError(
             f"hex mask {text!r} sets bits beyond the {len(registry)}-tool registry"

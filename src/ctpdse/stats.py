@@ -2,8 +2,9 @@
 
 Decode-energy readings are noisy, so a point only enters a curve once the
 Student-t confidence interval of its repeated samples is tight relative to
-the mean. The confidence level and relative width bound are configuration,
-not constants, and are echoed in every verdict.
+the mean. Measurement readers gate at ``DEFAULT_CONFIDENCE`` and
+``DEFAULT_REL_HALF_WIDTH``; ``ci_check`` takes other levels too, and every
+verdict echoes the level and bound it was judged at.
 """
 
 from __future__ import annotations

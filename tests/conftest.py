@@ -40,7 +40,6 @@ def make_params(
     dq_psnr=None,
     dq_vmaf=None,
     interactions=(),
-    seed=0,
 ) -> SyntheticModelParams:
     ones = (1.0,) * n
     zeros = (0.0,) * n
@@ -51,7 +50,6 @@ def make_params(
         dq_psnr=tuple(dq_psnr) if dq_psnr else zeros,
         dq_vmaf=tuple(dq_vmaf) if dq_vmaf else zeros,
         interactions=tuple(interactions),
-        seed=seed,
     )
 
 

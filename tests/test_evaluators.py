@@ -81,6 +81,19 @@ class TestIngest:
         with pytest.raises(ConfigError, match=r"m\.csv:2: .*energy"):
             ingest_measurements(path)
 
+    def test_error_line_counts_comment_and_blank_lines(self, tmp_path):
+        rows = anchor_rows("3FFFFFFF")
+        rows[1] = rows[1].replace("4500.0", "0")
+        path = tmp_path / "m.csv"
+        path.write_text("\n".join(["# journal", HEADER_LINE, rows[0], "", "# note", rows[1]]) + "\n")
+        with pytest.raises(ConfigError, match=r"m\.csv:6: "):
+            ingest_measurements(path)
+
+    def test_lower_case_ctp_id_rejected(self, tmp_path):
+        path = write_measurements(tmp_path / "m.csv", anchor_rows("3fffffff"))
+        with pytest.raises(ConfigError, match=r"m\.csv:2: .*upper-case hex mask"):
+            ingest_measurements(path)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("ctp,seq,qp\n")
@@ -192,13 +205,14 @@ class TestSyntheticModel:
         assert first == second
 
     def test_random_params_valid_for_every_subset(self):
-        registry = make_registry(6)
         rng = np.random.default_rng(99)
-        for seed in range(5):
+        # One and two tools have fewer pairs than the model draws interactions for.
+        for n, seed in [(6, s) for s in range(5)] + [(1, 0), (2, 0)]:
+            registry = make_registry(n)
             params = SyntheticModelParams.random(registry, ("s01",), BASE_QPS, seed=seed)
             evaluator = SyntheticModelEvaluator(params)
             for _ in range(16):
-                bits = tuple(bool(b) for b in rng.integers(0, 2, size=6))
+                bits = tuple(bool(b) for b in rng.integers(0, 2, size=n))
                 request = EvaluationRequest(Ctp(registry, bits), ("s01",), BASE_QPS)
                 (curve,) = evaluator.evaluate(request)  # RdeCurve validates invariants
                 assert all(0.0 <= p.vmaf <= 100.0 for p in curve.points)

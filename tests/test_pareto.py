@@ -194,6 +194,12 @@ class TestPlotData:
         with pytest.raises(ConfigError, match=":2"):
             read_points_csv(path)
 
+    def test_read_error_names_physical_line(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("# manifest: sha256:abc\nbdr,bdde\n1.0,abc\n")
+        with pytest.raises(ConfigError, match=r"p\.csv:3: bdde: not a number"):
+            read_points_csv(path)
+
     def test_non_finite_point_rejected(self):
         with pytest.raises(ConfigError, match="finite"):
             ProfilePoint(bdr=float("nan"), bdde=0.0)

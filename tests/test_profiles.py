@@ -169,8 +169,10 @@ class TestParseSerialize:
             parse_ctp("FFFFFFFF", default_registry())
 
     def test_non_hex_rejected(self):
-        with pytest.raises(ProfileFormatError, match="invalid hex"):
-            parse_ctp("3FFFFFGZ", default_registry())
+        # int(text, 16) takes a sign and underscores; the mask must not.
+        for text in ("3FFFFFGZ", "3FFF_FFF", "+FFFFFFF", "-0000000"):
+            with pytest.raises(ProfileFormatError, match="invalid hex"):
+                parse_ctp(text, default_registry())
 
     def test_default_profile_round_trips(self):
         registry = default_registry()
