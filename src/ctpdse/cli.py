@@ -18,13 +18,14 @@ from . import __version__
 from .curves import BdReport, QualityAxis, aggregate_reports, bd_report
 from .engine import (
     DEFAULT_MAX_ITERATIONS,
+    STRATEGIES,
     DseConfig,
     parse_strategy,
     report_from_dict,
     result_to_document,
     run_dse,
 )
-from .errors import ConfigError, CtpDseError, EvaluationError, MeasurementMissError
+from .errors import ConfigError, CtpDseError, MeasurementMissError
 from .evaluators import (
     CachedTableEvaluator,
     EvaluationRequest,
@@ -53,7 +54,7 @@ def _pct(value: float) -> str:
 
 
 def _load_registry(args):
-    if getattr(args, "registry", None):
+    if args.registry:
         return load_registry(args.registry)
     return default_registry()
 
@@ -351,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     show.set_defaults(func=cmd_show)
 
     dse = sub.add_parser("dse", help="run the greedy design-space exploration")
-    dse.add_argument("--strategy", required=True, choices=("ea", "e1", "ca", "c1"))
+    dse.add_argument("--strategy", required=True, choices=tuple(STRATEGIES))
     dse.add_argument("--axis", choices=("psnr", "vmaf"), default="vmaf")
     dse.add_argument("--backend", required=True, choices=("cached", "synthetic", "external"))
     dse.add_argument("--measurements", help="measurement CSV (cached backend)")
@@ -408,9 +409,6 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except EvaluationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except CtpDseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

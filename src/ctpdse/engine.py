@@ -61,9 +61,7 @@ def parse_strategy(code: str) -> tuple[Objective, FlipPolicy]:
 
 
 def strategy_code(objective: Objective, flip_policy: FlipPolicy) -> str:
-    first = "e" if objective is Objective.ENERGY else "c"
-    second = "1" if flip_policy is FlipPolicy.ONE else "a"
-    return first + second
+    return {pair: code for code, pair in STRATEGIES.items()}[objective, flip_policy]
 
 
 def score(report: BdReport, objective: Objective, quality_axis: QualityAxis) -> float:

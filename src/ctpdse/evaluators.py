@@ -63,6 +63,8 @@ class EvaluationRequest:
     def __post_init__(self):
         if not self.sequences:
             raise ConfigError("evaluation request needs at least one sequence")
+        if not all(self.sequences):
+            raise ConfigError(f"sequence names must not be empty, got {self.sequences}")
         if not self.qps:
             raise ConfigError("evaluation request needs at least one qp")
         if any(b <= a for a, b in zip(self.qps, self.qps[1:])):
@@ -150,6 +152,8 @@ def ingest_measurements(path) -> MeasurementTable:
             try:
                 if not re.fullmatch("[0-9A-F]+", ctp_id):
                     raise ConfigError(f"ctp_id {ctp_id!r} is not an upper-case hex mask")
+                if not sequence:
+                    raise ConfigError("sequence is empty")
                 point, series = parse_measurement(fields)
                 table.add((ctp_id, sequence, point.qp), point, series)
             except ConfigError as exc:

@@ -1,7 +1,8 @@
 """Pareto-front extraction over (BDR, BDDE) points and profile selection.
 
 Dominance is weak on both axes with at least one strict: lower bit-rate
-overhead and lower energy are both better. From a front three profile
+overhead and lower energy are both better. The front is one sorted sweep
+(Kung, Luccio & Preparata, J. ACM 22(4), 1975). From a front three profile
 families are picked: EE (minimum energy), EBE (minimum energy + rate sum)
 and LBE (front members below a bit-rate-increase threshold).
 """
@@ -48,34 +49,20 @@ class SelectionCriteria:
             )
 
 
-def _dominates(p: ProfilePoint, q: ProfilePoint) -> bool:
-    return (
-        p.bdr <= q.bdr
-        and p.bdde <= q.bdde
-        and (p.bdr < q.bdr or p.bdde < q.bdde)
-    )
-
-
 def pareto_front(points: Sequence[ProfilePoint]) -> list[ProfilePoint]:
     """Non-dominated subset, sorted by ascending bdr, duplicates collapsed.
 
-    Exact coordinate duplicates keep one representative, the first in
-    label order.
+    One sweep over the points sorted by (bdr, bdde, label) keeps a point
+    exactly when its bdde is strictly below that of the last kept point.
+    Exact coordinate duplicates therefore keep one representative, the
+    first in label order, and among equal labels the first in input order.
     """
     if not points:
         raise ConfigError("cannot compute a Pareto front of zero points")
-    by_coord: dict[tuple[float, float], ProfilePoint] = {}
-    for point in points:
-        key = (point.bdr, point.bdde)
-        kept = by_coord.get(key)
-        if kept is None or point.label < kept.label:
-            by_coord[key] = point
-    unique = list(by_coord.values())
-    front = [
-        p for p in unique
-        if not any(_dominates(q, p) for q in unique)
-    ]
-    front.sort(key=lambda p: (p.bdr, p.bdde))
+    front: list[ProfilePoint] = []
+    for point in sorted(points, key=lambda p: (p.bdr, p.bdde, p.label)):
+        if not front or point.bdde < front[-1].bdde:
+            front.append(point)
     return front
 
 

@@ -48,6 +48,8 @@ class TestEvaluationRequest:
         ctp = default_ctp(make_registry(3))
         with pytest.raises(ConfigError, match="sequence"):
             EvaluationRequest(ctp, (), (22,))
+        with pytest.raises(ConfigError, match="sequence"):
+            EvaluationRequest(ctp, ("s01", ""), (22,))
         with pytest.raises(ConfigError, match="qp"):
             EvaluationRequest(ctp, ("s01",), ())
         with pytest.raises(ConfigError, match="strictly increasing"):
@@ -92,6 +94,11 @@ class TestIngest:
     def test_lower_case_ctp_id_rejected(self, tmp_path):
         path = write_measurements(tmp_path / "m.csv", anchor_rows("3fffffff"))
         with pytest.raises(ConfigError, match=r"m\.csv:2: .*upper-case hex mask"):
+            ingest_measurements(path)
+
+    def test_empty_sequence_rejected_at_line(self, tmp_path):
+        path = write_measurements(tmp_path / "m.csv", anchor_rows("3FFFFFFF", sequence=""))
+        with pytest.raises(ConfigError, match=r"m\.csv:2: sequence is empty"):
             ingest_measurements(path)
 
     def test_bad_header_rejected(self, tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ctpdse.errors import ConfigError
 from ctpdse.pareto import (
@@ -24,6 +26,33 @@ def random_cloud(rng, n):
         point(float(rng.uniform(-2.0, 80.0)), float(rng.uniform(-50.0, 2.0)), label=str(i))
         for i in range(n)
     ]
+
+
+def quadratic_front(points):
+    """Reference front by the definition: collapse, all-pairs dominance, sort."""
+    by_coord = {}
+    for p in points:
+        kept = by_coord.get((p.bdr, p.bdde))
+        if kept is None or p.label < kept.label:
+            by_coord[(p.bdr, p.bdde)] = p
+    unique = list(by_coord.values())
+    front = [
+        p for p in unique
+        if not any(
+            q.bdr <= p.bdr and q.bdde <= p.bdde and (q.bdr < p.bdr or q.bdde < p.bdde)
+            for q in unique
+        )
+    ]
+    front.sort(key=lambda p: (p.bdr, p.bdde))
+    return front
+
+
+# A small grid with -0.0 and a small alphabet, so ties, exact duplicates
+# and repeated labels are common.
+GRID = st.sampled_from((-2.0, -1.0, -0.0, 0.0, 1.0, 2.0))
+GRID_POINTS = st.lists(
+    st.builds(point, GRID, GRID, st.sampled_from(("", "a", "b"))), min_size=1, max_size=30
+)
 
 
 class TestParetoFront:
@@ -100,6 +129,13 @@ class TestParetoFront:
                     q.bdr == p.bdr and q.bdde == p.bdde for q in front
                 )
                 assert dominated or on_front
+
+    @given(GRID_POINTS)
+    def test_matches_quadratic_oracle(self, points):
+        def exact(front):  # repr tells -0.0 from 0.0, which == does not
+            return [(p.label, repr(p.bdr), repr(p.bdde)) for p in front]
+
+        assert exact(pareto_front(points)) == exact(quadratic_front(points))
 
     def test_merge_associativity(self):
         rng = np.random.default_rng(32)
