@@ -7,6 +7,17 @@ piecewise-cubic (PCHIP), the interpolants are integrated in closed form
 over the overlapping quality interval, and the mean log-offset is mapped
 back to percent. Negative values are savings.
 
+The interpolant is the one scipy's ``PchipInterpolator`` builds, computed
+here in plain Python. Node slopes follow Fritsch & Carlson (SIAM J.
+Numer. Anal. 17, 1980): zero where the adjacent secants change sign or
+one of them is zero, and otherwise the weighted harmonic mean of the two
+secants of Fritsch & Butland (SIAM J. Sci. Stat. Comput. 5, 1984). End
+slopes use the one-sided three-point rule, set to zero when its sign
+differs from the end secant's, and cut to three times the end secant
+when the two secants nearest the end differ in sign and the estimate
+exceeds that. Each interval's integral is the closed form of the cubic
+Hermite basis over the part of the interval inside the overlap.
+
 Only the piecewise-cubic form is provided; the older global third-order
 polynomial fit is deliberately not implemented. Quality values are used
 as ingested (PSNR is expected pre-combined across components); no pixel
@@ -20,9 +31,6 @@ import math
 from dataclasses import dataclass, field
 from statistics import mean
 from typing import Iterable, Sequence
-
-import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import ConfigError, CtpDseError
 
@@ -131,24 +139,72 @@ class BdReport:
 
 
 def _prepare(points: Sequence[tuple[float, float]], role: str):
-    """Sort by quality, validate, return (quality, log10 cost) arrays."""
+    """Sort by quality, validate, return (quality, log10 cost) lists."""
     if len(points) < 4:
         raise CurveDataError(f"{role} curve has {len(points)} points, need at least 4")
-    arr = np.asarray(points, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    pairs = [(float(cost), float(quality)) for cost, quality in points]
+    if not all(math.isfinite(cost) and math.isfinite(quality) for cost, quality in pairs):
         raise CurveDataError(f"{role} curve contains non-finite values")
-    cost, quality = arr[:, 0], arr[:, 1]
-    if np.any(cost <= 0):
+    if any(cost <= 0 for cost, _ in pairs):
         raise CurveDataError(f"{role} curve has non-positive cost values")
-    order = np.argsort(quality)
-    quality, cost = quality[order], cost[order]
-    if np.any(np.diff(quality) <= 0):
-        dup = quality[np.flatnonzero(np.diff(quality) <= 0)[0]]
-        raise CurveDataError(
-            f"{role} curve quality values are not strictly monotone "
-            f"(repeated quality near {dup:g})"
+    pairs.sort(key=lambda pair: pair[1])
+    quality = [q for _, q in pairs]
+    for prev, cur in zip(quality, quality[1:]):
+        if cur <= prev:
+            raise CurveDataError(
+                f"{role} curve quality values are not strictly monotone "
+                f"(repeated quality near {prev:g})"
+            )
+    return quality, [math.log10(cost) for cost, _ in pairs]
+
+
+def _sign(value: float) -> int:
+    return (value > 0) - (value < 0)
+
+
+def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    """One-sided three-point slope at an end node, clamped to keep the shape."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if _sign(d) != _sign(m0):
+        return 0.0
+    if _sign(m0) != _sign(m1) and abs(d) > 3 * abs(m0):
+        return 3 * m0
+    return d
+
+
+def _pchip_integral(x: list[float], y: list[float], lo: float, hi: float) -> float:
+    """Integral over [lo, hi] of the PCHIP interpolant through (x, y)."""
+    h = [b - a for a, b in zip(x, x[1:])]
+    m = [(b - a) / w for a, b, w in zip(y, y[1:], h)]
+    slopes = [_end_slope(h[0], h[1], m[0], m[1])]
+    for k in range(1, len(x) - 1):
+        m0, m1 = m[k - 1], m[k]
+        if _sign(m0) * _sign(m1) > 0:
+            w1, w2 = 2 * h[k] + h[k - 1], h[k] + 2 * h[k - 1]
+            slopes.append(1.0 / ((w1 / m0 + w2 / m1) / (w1 + w2)))
+        else:
+            slopes.append(0.0)
+    slopes.append(_end_slope(h[-1], h[-2], m[-1], m[-2]))
+
+    def area(k: int, t: float) -> float:
+        # Integral over [0, t] of the unit-interval Hermite basis of interval k.
+        t2 = t * t
+        t3 = t2 * t
+        t4 = t3 * t
+        return (
+            y[k] * (t4 / 2 - t3 + t)
+            + h[k] * slopes[k] * (t4 / 4 - 2 * t3 / 3 + t2 / 2)
+            + y[k + 1] * (t3 - t4 / 2)
+            + h[k] * slopes[k + 1] * (t4 / 4 - t3 / 3)
         )
-    return quality, np.log10(cost)
+
+    total = 0.0
+    for k, width in enumerate(h):
+        a = max(lo, x[k])
+        b = min(hi, x[k + 1])
+        if a < b:
+            total += width * (area(k, (b - x[k]) / width) - area(k, (a - x[k]) / width))
+    return total
 
 
 def bd_delta(anchor: Sequence[tuple[float, float]], test: Sequence[tuple[float, float]]) -> float:
@@ -167,16 +223,17 @@ def bd_delta(anchor: Sequence[tuple[float, float]], test: Sequence[tuple[float, 
             f"empty quality overlap: anchor spans [{aq[0]:g}, {aq[-1]:g}], "
             f"test spans [{tq[0]:g}, {tq[-1]:g}]"
         )
-    anchor_int = PchipInterpolator(aq, ac).integrate(lo, hi)
-    test_int = PchipInterpolator(tq, tc).integrate(lo, hi)
-    delta = (test_int - anchor_int) / (hi - lo)
-    return float(100.0 * (10.0 ** delta - 1.0))
+    delta = (_pchip_integral(tq, tc, lo, hi) - _pchip_integral(aq, ac, lo, hi)) / (hi - lo)
+    try:
+        return 100.0 * (10.0 ** delta - 1.0)
+    except OverflowError:  # costs some 300 decades apart; BdReport rejects the inf
+        return math.inf
 
 
-def _overlap_fraction(anchor_q: np.ndarray, test_q: np.ndarray) -> float:
-    lo = max(anchor_q.min(), test_q.min())
-    hi = min(anchor_q.max(), test_q.max())
-    span = anchor_q.max() - anchor_q.min()
+def _overlap_fraction(anchor_q: Sequence[float], test_q: Sequence[float]) -> float:
+    lo = max(min(anchor_q), min(test_q))
+    hi = min(max(anchor_q), max(test_q))
+    span = max(anchor_q) - min(anchor_q)
     return (hi - lo) / span if span > 0 else 0.0
 
 
@@ -194,8 +251,8 @@ def bd_report(anchor: RdeCurve, test: RdeCurve) -> BdReport:
             values[name] = bd_delta(anchor.axis(cost, quality), test.axis(cost, quality))
         except CtpDseError as exc:
             raise CurveDataError(f"{name} ({test.sequence}): {exc}") from exc
-        anchor_q = np.array([getattr(p, quality) for p in anchor.points], dtype=float)
-        test_q = np.array([getattr(p, quality) for p in test.points], dtype=float)
+        anchor_q = [getattr(p, quality) for p in anchor.points]
+        test_q = [getattr(p, quality) for p in test.points]
         frac = _overlap_fraction(anchor_q, test_q)
         if frac < MIN_OVERLAP_FRACTION:
             warnings.append(

@@ -37,8 +37,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
-import numpy as np
-
 from .csvrows import data_rows, parse_float
 from .curves import CurveDataError, RdeCurve, RdePoint
 from .errors import ConfigError, EvaluationError, MeasurementMissError
@@ -256,6 +254,9 @@ class SyntheticModelParams:
         Quality deltas shrink with the tool count to keep VMAF away from
         the clamp, which would flatten quality and break BD interpolation.
         """
+        # Imported here so that only a synthetic model loads numpy.
+        import numpy as np
+
         rng = np.random.default_rng(seed)
         n = len(registry)
         qps = tuple(int(q) for q in qps)

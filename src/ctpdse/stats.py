@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from statistics import fmean, stdev
 from typing import Sequence
 
-from scipy.special import stdtrit
-
 from .errors import ConfigError
 
 DEFAULT_CONFIDENCE = 0.99
@@ -54,6 +52,9 @@ def ci_check(
     n = len(samples)
     if n < 2:
         return Verdict.INSUFFICIENT, mean, math.inf
+    # Imported here so that only readers of energy samples load scipy.
+    from scipy.special import stdtrit
+
     quantile = float(stdtrit(n - 1, (1 + confidence) / 2))
     half_width = quantile * stdev(samples) / math.sqrt(n)
     verdict = Verdict.PASS if half_width <= rel_half_width * mean else Verdict.FAIL

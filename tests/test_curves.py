@@ -1,11 +1,17 @@
+import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
+import ctpdse
 from ctpdse.curves import (
     CurveDataError,
     RdeCurve,
@@ -17,21 +23,54 @@ from ctpdse.curves import (
 )
 
 
+def sorted_log_cost(points):
+    """(quality, log10 cost) arrays sorted by quality."""
+    arr = np.asarray(points, dtype=float)
+    order = np.argsort(arr[:, 1])
+    return arr[order, 1], np.log10(arr[order, 0])
+
+
 def bd_trapezoid_oracle(anchor, test, samples=100_000):
     """Numerical reference: dense trapezoid over the same log-cost interpolants."""
-    def arrays(points):
-        arr = np.asarray(points, dtype=float)
-        order = np.argsort(arr[:, 1])
-        return arr[order, 1], np.log10(arr[order, 0])
-
-    aq, ac = arrays(anchor)
-    tq, tc = arrays(test)
+    aq, ac = sorted_log_cost(anchor)
+    tq, tc = sorted_log_cost(test)
     lo, hi = max(aq[0], tq[0]), min(aq[-1], tq[-1])
     xs = np.linspace(lo, hi, samples)
     int_anchor = np.trapezoid(PchipInterpolator(aq, ac)(xs), xs)
     int_test = np.trapezoid(PchipInterpolator(tq, tc)(xs), xs)
     delta = (int_test - int_anchor) / (hi - lo)
     return 100.0 * (10.0 ** delta - 1.0)
+
+
+def bd_scipy_oracle(anchor, test):
+    """Reference: scipy's PCHIP interpolants integrated over the common quality range."""
+    aq, ac = sorted_log_cost(anchor)
+    tq, tc = sorted_log_cost(test)
+    lo, hi = max(aq[0], tq[0]), min(aq[-1], tq[-1])
+    int_anchor = PchipInterpolator(aq, ac).integrate(lo, hi)
+    int_test = PchipInterpolator(tq, tc).integrate(lo, hi)
+    return float(100.0 * (10.0 ** ((int_test - int_anchor) / (hi - lo)) - 1.0))
+
+
+@st.composite
+def overlapping_curve_pairs(draw):
+    """Two curves of 4-6 points whose quality ranges overlap at least in part.
+
+    Costs are drawn in any order with repeats, so secants change sign or
+    vanish and the PCHIP zero-slope and end-clamp rules are exercised.
+    """
+    def curve(start, steps):
+        costs = draw(st.lists(st.sampled_from((10.0, 100.0)) | st.floats(1.0, 1e4),
+                              min_size=len(steps) + 1, max_size=len(steps) + 1))
+        return list(zip(costs, itertools.accumulate(steps, initial=start)))
+
+    def steps():
+        return draw(st.lists(st.floats(0.5, 4.0), min_size=3, max_size=5))
+
+    anchor_steps, test_steps = steps(), steps()
+    shift = draw(st.floats(-0.9, 0.9))
+    span = sum(anchor_steps) if shift > 0 else sum(test_steps)
+    return curve(30.0, anchor_steps), curve(30.0 + shift * span, test_steps)
 
 
 def random_curve_pair(rng):
@@ -135,6 +174,16 @@ class TestBdDelta:
             oracle = bd_trapezoid_oracle(anchor, test)
             assert closed == pytest.approx(oracle, rel=1e-6)
 
+    @given(overlapping_curve_pairs())
+    @example(  # a secant sign change: zero interior slope and the 3 * m0 end clamp
+        ([(100.0, 30.0), (120.0, 31.0), (30.0, 32.0), (40.0, 33.0)],
+         [(100.0, 30.5), (100.0, 31.5), (50.0, 32.5), (80.0, 33.5), (20.0, 34.0)]),
+    )
+    def test_matches_scipy_pchip_integral(self, pair):
+        anchor, test = pair
+        assert bd_delta(anchor, test) == pytest.approx(bd_scipy_oracle(anchor, test),
+                                                       rel=1e-9, abs=1e-12)
+
     def test_antisymmetry_on_offset_curves(self):
         anchor = [(1400.0, 34.6), (2500.0, 37.4), (4500.0, 40.1), (8000.0, 42.5)]
         for factor in (0.6, 1.4, 2.2):
@@ -193,6 +242,19 @@ class TestBdDelta:
             bd_delta(pts, pts)
 
 
+@pytest.mark.parametrize("module, absent", [
+    ("ctpdse.cli", ("scipy",)),
+    ("ctpdse.curves", ("numpy", "scipy")),
+])
+def test_import_loads_no_numeric_library(module, absent):
+    env = dict(os.environ, PYTHONPATH=str(Path(ctpdse.__file__).parents[1]))
+    code = (f"import sys, {module}; "
+            f"print(sorted({{m.split('.')[0] for m in sys.modules}} & {set(absent)!r}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
 class TestBdReport:
     def test_self_report_is_zero(self):
         curve = make_curve()
@@ -231,6 +293,13 @@ class TestBdReport:
         anchor = make_curve(vmaf_shift=-60.0)  # vmaf range 6..32
         test = make_curve(ctp_id="TEST")       # vmaf range 66..92, no overlap
         with pytest.raises(CurveDataError, match="bdr_vmaf"):
+            bd_report(anchor, test)
+
+    def test_costs_too_far_apart_rejected(self):
+        # an energy ratio of 1e600 overflows 10 ** delta
+        anchor = make_curve(energy_mult=1e-300)
+        test = make_curve(ctp_id="TEST", energy_mult=1e300)
+        with pytest.raises(CurveDataError, match="not finite"):
             bd_report(anchor, test)
 
     def test_thin_overlap_warns_on_report(self):
