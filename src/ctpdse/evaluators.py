@@ -199,6 +199,107 @@ class SequenceBaseline:
 # Tool pairs whose joint energy factor SyntheticModelParams.random draws.
 INTERACTION_PAIRS = 2
 
+_M32 = (1 << 32) - 1
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+
+
+def _seed_state(seed: int) -> list[int]:
+    """``numpy.random.SeedSequence(seed).generate_state(4, uint64)``."""
+    entropy = [seed & _M32]
+    while seed >> 32:
+        seed >>= 32
+        entropy.append(seed & _M32)
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return result ^ result >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = 0x8B51F9DD
+    words = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _M32
+        value = value * hash_const & _M32
+        words.append(value ^ value >> 16)
+    return [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+class _Pcg64:
+    """The draws of ``numpy.random.default_rng(seed)`` that the synthetic model makes.
+
+    PCG64 is a 128-bit LCG with XSL-RR output (O'Neill, "PCG", 2014),
+    seeded through numpy's SeedSequence. Bounded integers use Lemire's
+    32-bit rejection method on PCG64's buffered half-words, as numpy does.
+    """
+
+    MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+    def __init__(self, seed: int):
+        state, state_low, inc, inc_low = _seed_state(seed)
+        self.inc = ((inc << 64 | inc_low) << 1 | 1) & _M128
+        # numpy steps once from state 0, adds the seed, and steps again.
+        self.state = ((self.inc + (state << 64 | state_low)) * self.MULTIPLIER
+                      + self.inc) & _M128
+        self.half: int | None = None
+
+    def next64(self) -> int:
+        self.state = (self.state * self.MULTIPLIER + self.inc) & _M128
+        word = (self.state >> 64 ^ self.state) & _M64
+        rot = self.state >> 122
+        return (word >> rot | word << (64 - rot)) & _M64
+
+    def next32(self) -> int:
+        if self.half is not None:
+            half, self.half = self.half, None
+            return half
+        word = self.next64()
+        self.half = word >> 32
+        return word & _M32
+
+    def uniform(self, low: float, high: float) -> float:
+        return low + (high - low) * ((self.next64() >> 11) * 2.0**-53)
+
+    def uniforms(self, low: float, high: float, size: int) -> tuple[float, ...]:
+        return tuple(self.uniform(low, high) for _ in range(size))
+
+    def bounded(self, top: int) -> int:
+        """A uniform integer in ``[0, top]``, for ``top < 2**32 - 1``."""
+        if top == 0:
+            return 0
+        span = top + 1
+        product = self.next32() * span
+        if product & _M32 < span:
+            threshold = (_M32 - top) % span
+            while product & _M32 < threshold:
+                product = self.next32() * span
+        return product >> 32
+
+    def pair(self, n: int) -> list[int]:
+        """``choice(n, 2, replace=False)``: Floyd's sample, then numpy's shuffle."""
+        first = self.bounded(n - 2)
+        second = self.bounded(n - 1)
+        pair = [first, n - 1 if second == first else second]
+        j = self.bounded(1)
+        pair[j], pair[1] = pair[1], pair[j]
+        return pair
+
 
 @dataclass(frozen=True)
 class SyntheticModelParams:
@@ -249,15 +350,18 @@ class SyntheticModelParams:
     ) -> "SyntheticModelParams":
         """Draw an admissible model from a seeded generator.
 
+        The draws reproduce ``numpy.random.default_rng(seed)`` bit for bit,
+        so every seed keeps the model, and hence the walks and selections,
+        that it had when numpy drew it. A seed must be >= 0.
+
         Enabled tools tend to save rate and cost energy, so disabling
         trades bit rate for energy, mirroring the real design space.
         Quality deltas shrink with the tool count to keep VMAF away from
         the clamp, which would flatten quality and break BD interpolation.
         """
-        # Imported here so that only a synthetic model loads numpy.
-        import numpy as np
-
-        rng = np.random.default_rng(seed)
+        if seed < 0:
+            raise ConfigError(f"synthetic model seed must be >= 0, got {seed}")
+        rng = _Pcg64(seed)
         n = len(registry)
         qps = tuple(int(q) for q in qps)
         baselines = {}
@@ -283,11 +387,7 @@ class SyntheticModelParams:
             for _ in range(steps):
                 energy.append(energy[-1] / rng.uniform(1.25, 1.5))
             baselines[sequence] = SequenceBaseline(
-                qps,
-                tuple(float(v) for v in rate),
-                tuple(float(v) for v in psnr),
-                tuple(float(v) for v in vmaf),
-                tuple(float(v) for v in energy),
+                qps, tuple(rate), tuple(psnr), tuple(vmaf), tuple(energy)
             )
         dq_psnr_bound = min(0.25, 4.0 / n)
         dq_vmaf_bound = min(0.35, 6.0 / n)
@@ -295,17 +395,17 @@ class SyntheticModelParams:
         seen = set()
         # A registry of n tools has n * (n - 1) / 2 distinct pairs.
         while len(pairs) < min(INTERACTION_PAIRS, n * (n - 1) // 2):
-            j, k = sorted(rng.choice(n, size=2, replace=False).tolist())
+            j, k = sorted(rng.pair(n))
             if (j, k) in seen:
                 continue
             seen.add((j, k))
-            pairs.append((int(j), int(k), float(rng.uniform(0.92, 1.10))))
+            pairs.append((j, k, rng.uniform(0.92, 1.10)))
         return cls(
             baselines=baselines,
-            rate_mult=tuple(float(v) for v in rng.uniform(0.90, 1.04, size=n)),
-            energy_mult=tuple(float(v) for v in rng.uniform(0.95, 1.18, size=n)),
-            dq_psnr=tuple(float(v) for v in rng.uniform(-dq_psnr_bound, dq_psnr_bound, size=n)),
-            dq_vmaf=tuple(float(v) for v in rng.uniform(-dq_vmaf_bound, dq_vmaf_bound, size=n)),
+            rate_mult=rng.uniforms(0.90, 1.04, n),
+            energy_mult=rng.uniforms(0.95, 1.18, n),
+            dq_psnr=rng.uniforms(-dq_psnr_bound, dq_psnr_bound, n),
+            dq_vmaf=rng.uniforms(-dq_vmaf_bound, dq_vmaf_bound, n),
             interactions=tuple(sorted(pairs)),
         )
 

@@ -155,6 +155,16 @@ class TestDse:
         ])
         assert code == 2
 
+    def test_negative_seed_exits_2_and_names_seed(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = cli.main([
+            "dse", "--strategy", "ea", "--backend", "synthetic",
+            "--seed", "-1", "--out", str(out),
+        ])
+        assert code == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBd:
     def _table(self, tmp_path):

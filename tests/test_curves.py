@@ -243,7 +243,7 @@ class TestBdDelta:
 
 
 @pytest.mark.parametrize("module, absent", [
-    ("ctpdse.cli", ("scipy",)),
+    ("ctpdse.cli", ("numpy", "scipy")),
     ("ctpdse.curves", ("numpy", "scipy")),
 ])
 def test_import_loads_no_numeric_library(module, absent):
@@ -253,6 +253,17 @@ def test_import_loads_no_numeric_library(module, absent):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_synthetic_dse_loads_no_numeric_library(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(ctpdse.__file__).parents[1]))
+    argv = ["dse", "--strategy", "ea", "--backend", "synthetic", "--seed", "7",
+            "--out", str(tmp_path / "run")]
+    code = (f"import sys; from ctpdse import cli; code = cli.main({argv!r}); "
+            "print(code, sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "0 []"
 
 
 class TestBdReport:

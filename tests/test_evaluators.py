@@ -6,6 +6,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ctpdse import evaluators
 from ctpdse.errors import ConfigError, EvaluationError, MeasurementMissError
@@ -166,6 +168,61 @@ class TestCachedEvaluator:
         assert "qp=37" in str(err.value)
 
 
+def numpy_model(registry, sequences, qps, seed):
+    """The synthetic model as drawn with numpy.random.default_rng: the oracle of
+    SyntheticModelParams.random, which must give every seed the same model."""
+    rng = np.random.default_rng(seed)
+    n = len(registry)
+    qps = tuple(int(q) for q in qps)
+    baselines = {}
+    for sequence in sequences:
+        steps = len(qps) - 1
+        rate0 = rng.uniform(4000.0, 16000.0)
+        rate = [rate0]
+        for _ in range(steps):
+            rate.append(rate[-1] / rng.uniform(1.6, 2.1))
+        psnr0 = rng.uniform(41.0, 44.0)
+        psnr = [psnr0]
+        for _ in range(steps):
+            psnr.append(psnr[-1] - rng.uniform(1.8, 3.0))
+        vmaf0 = rng.uniform(82.0, 92.0)
+        vmaf = [vmaf0]
+        for _ in range(steps):
+            vmaf.append(vmaf[-1] - rng.uniform(6.0, 10.0))
+        if vmaf[-1] < 5.0:
+            scale = (vmaf0 - 5.0) / (vmaf0 - vmaf[-1])
+            vmaf = [vmaf0 - (vmaf0 - v) * scale for v in vmaf]
+        energy0 = rng.uniform(60.0, 160.0)
+        energy = [energy0]
+        for _ in range(steps):
+            energy.append(energy[-1] / rng.uniform(1.25, 1.5))
+        baselines[sequence] = SequenceBaseline(
+            qps,
+            tuple(float(v) for v in rate),
+            tuple(float(v) for v in psnr),
+            tuple(float(v) for v in vmaf),
+            tuple(float(v) for v in energy),
+        )
+    dq_psnr_bound = min(0.25, 4.0 / n)
+    dq_vmaf_bound = min(0.35, 6.0 / n)
+    pairs = []
+    seen = set()
+    while len(pairs) < min(evaluators.INTERACTION_PAIRS, n * (n - 1) // 2):
+        j, k = sorted(rng.choice(n, size=2, replace=False).tolist())
+        if (j, k) in seen:
+            continue
+        seen.add((j, k))
+        pairs.append((int(j), int(k), float(rng.uniform(0.92, 1.10))))
+    return SyntheticModelParams(
+        baselines=baselines,
+        rate_mult=tuple(float(v) for v in rng.uniform(0.90, 1.04, size=n)),
+        energy_mult=tuple(float(v) for v in rng.uniform(0.95, 1.18, size=n)),
+        dq_psnr=tuple(float(v) for v in rng.uniform(-dq_psnr_bound, dq_psnr_bound, size=n)),
+        dq_vmaf=tuple(float(v) for v in rng.uniform(-dq_vmaf_bound, dq_vmaf_bound, size=n)),
+        interactions=tuple(sorted(pairs)),
+    )
+
+
 class TestSyntheticModel:
     def test_all_tools_disabled_returns_baseline(self):
         registry = make_registry(4)
@@ -269,6 +326,45 @@ class TestSyntheticModel:
                 dq_psnr=(0.0, 0.0),
                 dq_vmaf=(0.0, 0.0),
             )
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -3"):
+            SyntheticModelParams.random(make_registry(4), ("s01",), BASE_QPS, seed=-3)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**128 - 1),
+        tools=st.integers(min_value=1, max_value=64),
+        sequences=st.integers(min_value=1, max_value=3),
+        qps=st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=6,
+                     unique=True).map(sorted),
+    )
+    # Seeds of one, two and three 32-bit words of SeedSequence entropy.
+    @example(seed=0, tools=30, sequences=2, qps=BASE_QPS)
+    @example(seed=2**32, tools=30, sequences=2, qps=BASE_QPS)
+    @example(seed=2**64 + 1, tools=30, sequences=2, qps=BASE_QPS)
+    # Five words: more entropy than SeedSequence's four-word pool.
+    @example(seed=2**128 + 3, tools=30, sequences=2, qps=BASE_QPS)
+    # One and two tools have fewer pairs than the model draws interactions for.
+    @example(seed=5, tools=1, sequences=1, qps=BASE_QPS)
+    @example(seed=5, tools=2, sequences=1, qps=BASE_QPS)
+    def test_random_matches_numpy_default_rng(self, seed, tools, sequences, qps):
+        registry = make_registry(tools)
+        names = tuple(f"s{i:02d}" for i in range(sequences))
+        assert SyntheticModelParams.random(registry, names, qps, seed=seed) \
+            == numpy_model(registry, names, qps, seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**32, 2**128 + 3],
+                             ids=["0", "7", "2**32", "2**128+3"])
+    def test_stream_matches_numpy_pcg64(self, seed):
+        # The model's draws alone seldom reach Lemire's rejection loop; tops
+        # near 2**32 reject about a quarter of their draws.
+        rng = evaluators._Pcg64(seed)
+        assert [rng.next64() for _ in range(8)] == np.random.PCG64(seed).random_raw(8).tolist()
+        tops = [1, 2, 29, 2**31, 3 * 2**30 + 5, 2**32 - 2] * 20
+        rng = evaluators._Pcg64(seed)
+        reference = np.random.default_rng(seed)
+        assert [rng.bounded(top) for top in tops] \
+            == [int(reference.integers(0, top, endpoint=True)) for top in tops]
 
     def test_baseline_validation(self):
         with pytest.raises(ConfigError, match="strictly increasing"):
