@@ -29,10 +29,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from statistics import mean
 from typing import Iterable, Sequence
 
 from .errors import ConfigError, CtpDseError
+from .stats import exact_mean
 
 # Warn when the common quality range covers less than this fraction of
 # the anchor's quality span; the BD value then rests on a thin overlap.
@@ -272,9 +272,9 @@ def aggregate_reports(reports: Iterable[BdReport]) -> BdReport:
         for warning in report.warnings:
             if warning not in merged:
                 merged.append(warning)
-    # statistics.mean is exact over rationals, so the mean of n equal
+    # exact_mean sums exactly and rounds once, so the mean of n equal
     # reports is that report, bit for bit.
     return BdReport(
         warnings=tuple(merged),
-        **{name: mean(getattr(r, name) for r in reports) for name, _, _ in BD_FIELDS},
+        **{name: exact_mean([getattr(r, name) for r in reports]) for name, _, _ in BD_FIELDS},
     )

@@ -63,6 +63,8 @@ class EvaluationRequest:
             raise ConfigError("evaluation request needs at least one sequence")
         if not all(self.sequences):
             raise ConfigError(f"sequence names must not be empty, got {self.sequences}")
+        if len(set(self.sequences)) != len(self.sequences):
+            raise ConfigError(f"sequence names must not repeat, got {self.sequences}")
         if not self.qps:
             raise ConfigError("evaluation request needs at least one qp")
         if any(b <= a for a, b in zip(self.qps, self.qps[1:])):

@@ -4,11 +4,17 @@ import sys
 
 import pytest
 
-from ctpdse import cli
+from ctpdse import cli, evaluators
 from ctpdse.profiles import default_registry, parse_ctp, serialize_ctp
 
 from conftest import BENCHMARK_POINTS
-from test_evaluators import HEADER_LINE, anchor_rows
+from test_evaluators import (
+    HEADER_LINE,
+    RESULT_ROWS,
+    anchor_rows,
+    copy_template,
+    write_result_fixtures,
+)
 
 REGISTRY_3 = "T00,Other,1\nT01,Other,1\nT02,Other,1\n"
 
@@ -16,6 +22,22 @@ REGISTRY_3 = "T00,Other,1\nT01,Other,1\nT02,Other,1\n"
 def write_table(path, rows):
     path.write_text(HEADER_LINE + "\n" + "\n".join(rows) + "\n")
     return str(path)
+
+
+# Energy samples that crashed the CI gate with a traceback, and the
+# diagnostic each now gives.
+BAD_SAMPLES = [
+    pytest.param("90;inf", "energy samples must be finite and > 0, got inf", id="inf"),
+    pytest.param("1e308;1.7e308", "the sum of the energy samples overflows a float",
+                 id="sum-overflow"),
+]
+
+
+def with_samples(rows, index, samples):
+    """``rows`` with the energy samples of row ``index`` replaced."""
+    rows = list(rows)
+    rows[index] = rows[index].rstrip(",") + "," + samples
+    return rows
 
 
 def halved_energy_rows(mask, sequence="s01"):
@@ -128,6 +150,49 @@ class TestDse:
         assert code == 4
         assert "exited with 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("samples, message", BAD_SAMPLES)
+    def test_cached_bad_samples_exit_2_and_name_line(self, tmp_path, capsys, samples, message):
+        reg = tmp_path / "r.reg"
+        reg.write_text(REGISTRY_3)
+        table = write_table(tmp_path / "m.csv", with_samples(anchor_rows("7"), 1, samples))
+        code = cli.main([
+            "dse", "--strategy", "e1", "--backend", "cached",
+            "--measurements", table, "--registry", str(reg),
+            "--out", str(tmp_path / "run"),
+        ])
+        assert code == 2
+        assert f"m.csv:3: {message}" in capsys.readouterr().err
+
+    def test_external_non_finite_sample_exits_4(self, tmp_path, capsys):
+        reg = tmp_path / "r.reg"
+        reg.write_text(REGISTRY_3)
+        rows = dict(RESULT_ROWS)
+        rows[27] = "27,4500.0,40.1,86.5,90.0,90;inf"
+        write_result_fixtures(tmp_path, rows=rows)
+        code = cli.main([
+            "dse", "--strategy", "e1", "--backend", "external",
+            "--command-template", copy_template(tmp_path), "--sequences", "s01",
+            "--registry", str(reg), "--out", str(tmp_path / "run"),
+        ])
+        assert code == 4
+        assert "(s01, qp 27)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("backend", ["synthetic", "external"])
+    def test_repeated_sequence_exits_2_before_any_job(self, tmp_path, capsys, monkeypatch,
+                                                      backend):
+        launched = []
+        monkeypatch.setattr(evaluators.subprocess, "run",
+                            lambda argv, **kwargs: launched.append(argv))
+        out = tmp_path / "run"
+        code = cli.main([
+            "dse", "--strategy", "e1", "--backend", backend, "--sequences", "s01,s01",
+            "--command-template", "enc {sequence} {qp} {out}", "--out", str(out),
+        ])
+        assert code == 2
+        assert "sequence names must not repeat, got ('s01', 's01')" in capsys.readouterr().err
+        assert launched == []
+        assert not out.exists()
+
     def test_all_policy_stopped_by_max_iter_reports_terminal(self, tmp_path, capsys):
         out = tmp_path / "run"
         code = cli.main([
@@ -220,6 +285,29 @@ class TestBd:
         ])
         assert code == 2
         assert "no qps for anchor 7 on 'nope'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples, message", BAD_SAMPLES)
+    def test_bad_samples_exit_2_and_name_line(self, tmp_path, capsys, samples, message):
+        reg = tmp_path / "r.reg"
+        reg.write_text(REGISTRY_3)
+        rows = with_samples(anchor_rows("7"), 1, samples) + halved_energy_rows("6")
+        table = write_table(tmp_path / "m.csv", rows)
+        code = cli.main([
+            "bd", "--anchor", "7", "--test", "6",
+            "--measurements", table, "--registry", str(reg),
+        ])
+        assert code == 2
+        assert f"m.csv:3: {message}" in capsys.readouterr().err
+
+    def test_repeated_sequence_exits_2(self, tmp_path, capsys):
+        reg = tmp_path / "r.reg"
+        reg.write_text(REGISTRY_3)
+        code = cli.main([
+            "bd", "--anchor", "7", "--test", "6", "--sequences", "s01,s01",
+            "--measurements", self._table(tmp_path), "--registry", str(reg),
+        ])
+        assert code == 2
+        assert "sequence names must not repeat" in capsys.readouterr().err
 
     def test_missing_test_rows_exit_3(self, tmp_path, capsys):
         reg = tmp_path / "r.reg"

@@ -245,6 +245,8 @@ class TestBdDelta:
 @pytest.mark.parametrize("module, absent", [
     ("ctpdse.cli", ("numpy", "scipy")),
     ("ctpdse.curves", ("numpy", "scipy")),
+    ("ctpdse.cli", ("statistics", "fractions", "decimal")),
+    ("ctpdse.stats", ("statistics", "fractions", "decimal")),
 ])
 def test_import_loads_no_numeric_library(module, absent):
     env = dict(os.environ, PYTHONPATH=str(Path(ctpdse.__file__).parents[1]))

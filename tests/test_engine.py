@@ -32,6 +32,7 @@ from ctpdse.manifest import canonical_json
 from ctpdse.profiles import Ctp, default_ctp, serialize_ctp
 
 from conftest import BASE_QPS, make_params, make_registry
+from test_evaluators import RESULT_ROWS, copy_template, write_result_fixtures
 
 
 def make_config(registry, strategy="e1", max_iterations=64, sequences=("s01",)):
@@ -314,6 +315,20 @@ class FailAfter(CountingEvaluator):
         return super().evaluate(request)
 
 
+class SwitchAfter(CountingEvaluator):
+    """Evaluates with ``inner`` for ``allowed_calls`` calls, then with ``then``."""
+
+    def __init__(self, inner, then, allowed_calls):
+        super().__init__(inner)
+        self.then = then
+        self.allowed_calls = allowed_calls
+
+    def evaluate(self, request):
+        if len(self.masks) >= self.allowed_calls:
+            return self.then.evaluate(request)
+        return super().evaluate(request)
+
+
 class TestCachingAndErrors:
     def test_no_profile_evaluated_twice(self):
         registry = make_registry(5)
@@ -349,6 +364,46 @@ class TestCachingAndErrors:
         # inside iteration 2 before the failing one
         assert len(err.value.partial_evaluated) == 5
         assert err.value.failed_ctp is not None
+
+    def test_non_finite_external_sample_keeps_partial_state(self, tmp_path):
+        rows = dict(RESULT_ROWS)
+        rows[27] = "27,4500.0,40.1,86.5,90.0,90;inf"
+        write_result_fixtures(tmp_path, rows=rows)
+        external = ExternalCommandEvaluator(copy_template(tmp_path))
+        registry = make_registry(3)
+        params = make_params(3, energy_mult=(1.5, 1.2, 1.0))
+        # synthetic for iteration 1 and one flip of iteration 2, then external
+        evaluator = SwitchAfter(SyntheticModelEvaluator(params), external, allowed_calls=5)
+        config = make_config(registry, "e1")
+        with pytest.raises(EvaluationError, match=r"\(s01, qp 27\).*got inf") as err:
+            run_dse(config, evaluator)
+        assert len(err.value.partial_logs) == 1
+        assert len(err.value.partial_evaluated) == 5
+        assert err.value.failed_ctp is not None
+
+    def test_external_walk_launches_each_job_once(self, monkeypatch):
+        lock = threading.Lock()
+        launched = []
+        header = "qp,bitrate_kbps,psnr_db,vmaf,energy_j,energy_samples"
+
+        def fake_run(argv, **kwargs):
+            _, mask, sequence, qp, out = argv
+            with lock:
+                launched.append((mask, sequence, qp))
+            # tools cost energy, so the walk disables each of them in turn
+            energy = (1000.0 + 100 * bin(int(mask, 16)).count("1")) / int(qp)
+            Path(out).write_text(f"{header}\n{qp},{100000.0 / int(qp)},{60.0 - int(qp) / 2},"
+                                 f"{100.0 - int(qp)},{energy},\n")
+            return subprocess.CompletedProcess(argv, 0, "", "")
+
+        monkeypatch.setattr(evaluators.subprocess, "run", fake_run)
+        evaluator = ExternalCommandEvaluator("enc {ctp_mask} {sequence} {qp} {out}",
+                                             max_parallel=2)
+        config = make_config(make_registry(3), "e1", sequences=("s01", "s02"))
+        result = run_dse(config, evaluator)
+        assert len(result.logs) > 1
+        assert len(launched) == len(result.evaluated) * 2 * len(BASE_QPS)
+        assert len(set(launched)) == len(launched)
 
 
 class TestConcurrency:

@@ -52,6 +52,8 @@ class TestEvaluationRequest:
             EvaluationRequest(ctp, (), (22,))
         with pytest.raises(ConfigError, match="sequence"):
             EvaluationRequest(ctp, ("s01", ""), (22,))
+        with pytest.raises(ConfigError, match=r"must not repeat, got \('s01', 's02', 's01'\)"):
+            EvaluationRequest(ctp, ("s01", "s02", "s01"), (22,))
         with pytest.raises(ConfigError, match="qp"):
             EvaluationRequest(ctp, ("s01",), ())
         with pytest.raises(ConfigError, match="strictly increasing"):

@@ -1,17 +1,23 @@
 import math
+import operator
 import os
+import statistics
+import struct
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from statistics import stdev
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.stats import t as student_t
 
 import ctpdse
 from ctpdse.errors import ConfigError
-from ctpdse.stats import MeasurementSeries, Verdict, ci_check
+from ctpdse.stats import MeasurementSeries, Verdict, ci_check, exact_mean, exact_stdev
 
 
 class TestCiCheck:
@@ -60,6 +66,15 @@ class TestCiCheck:
     def test_non_positive_sample_rejected(self):
         with pytest.raises(ConfigError, match="> 0"):
             ci_check([10.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf])
+    def test_non_finite_sample_rejected_and_named(self, bad):
+        with pytest.raises(ConfigError, match=f"finite and > 0, got {bad}"):
+            ci_check([10.0, bad, 10.0])
+
+    def test_sample_sum_overflow_is_a_config_error(self):
+        with pytest.raises(ConfigError, match=r"overflows a float: \(1e\+308, 1\.7e\+308\)"):
+            ci_check((1e308, 1.7e308))
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigError, match="at least one"):
@@ -114,6 +129,66 @@ class TestProperties:
             _, mean2, half_width2 = ci_check(samples + [mean])
             assert mean2 == pytest.approx(mean, rel=1e-12)
             assert half_width2 / mean2 <= half_width / mean + 1e-12
+
+
+# Signed floats from the subnormals up to about 1e300, so that one series
+# can mix magnitudes some 600 decades apart; ldexp rounds the smallest
+# draws to subnormals or to zero.
+MAGNITUDES = st.builds(math.ldexp, st.floats(0.5, 1.0), st.integers(-1080, 997))
+VALUES = st.one_of(
+    MAGNITUDES,
+    MAGNITUDES.map(operator.neg),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0]),
+)
+
+
+def float_series(min_size):
+    """1-12 values, either drawn freely or repeated from a small pool."""
+    free = st.lists(VALUES, min_size=min_size, max_size=12)
+    repeated = st.lists(VALUES, min_size=1, max_size=3).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=min_size, max_size=12))
+    return st.one_of(free, repeated)
+
+
+def fraction_variance(values):
+    exact = [Fraction(v) for v in values]
+    mean = sum(exact) / len(exact)
+    return sum((x - mean) ** 2 for x in exact) / (len(exact) - 1)
+
+
+class TestExactStatistics:
+    @given(float_series(min_size=1))
+    @example([-0.0])
+    @example([-0.0, 0.0])
+    @example([1e300, 1e-300, -1e300, 5e-324])
+    def test_mean_equals_statistics_mean(self, values):
+        assert repr(exact_mean(values)) == repr(statistics.mean(values))
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="statistics.stdev is correctly rounded from Python 3.11 on")
+    @given(float_series(min_size=2))
+    @example([1e300, 1e-300, 5e-324])
+    @example([7.0, 7.0, 7.0])
+    def test_stdev_equals_statistics_stdev(self, values):
+        assert repr(exact_stdev(values)) == repr(statistics.stdev(values))
+
+    @given(float_series(min_size=2))
+    @example([1.0, 2.0])
+    @example([5e-324, 1e-323])
+    def test_stdev_is_correctly_rounded_root_of_exact_variance(self, values):
+        result = exact_stdev(values)
+        variance = fraction_variance(values)
+        if variance == 0:
+            assert result == 0.0
+            return
+        # The root rounds to ``result`` exactly when it lies between the
+        # midpoints to ``result``'s neighbours; on a midpoint the even one wins.
+        at = Fraction(result)
+        low = (at + Fraction(math.nextafter(result, 0.0))) / 2
+        high = (at + Fraction(math.nextafter(result, math.inf))) / 2
+        assert low * low <= variance <= high * high
+        if variance in (low * low, high * high):
+            assert struct.unpack("<Q", struct.pack("<d", result))[0] % 2 == 0
 
 
 class TestMeasurementSeries:
