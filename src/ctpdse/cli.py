@@ -222,11 +222,13 @@ def cmd_dse(args) -> int:
         inputs,
     )
     digest = manifest_digest(manifest)
+    # The last checks before the walk, so a bad threshold or --out costs no evaluation.
+    criteria = SelectionCriteria(args.lbe_threshold)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     result = run_dse(config, evaluator)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.json").write_text(canonical_json(manifest), encoding="utf-8")
     document = {"manifest": manifest, **result_to_document(result, config)}
     (out / "result.json").write_text(canonical_json(document), encoding="utf-8")
@@ -235,7 +237,7 @@ def cmd_dse(args) -> int:
                key=lambda item: item[0]),
         config.quality_axis,
     )
-    selection = select_profiles(points, SelectionCriteria(args.lbe_threshold))
+    selection = select_profiles(points, criteria)
     write_plot_data(points, selection.front, out, comment=f"manifest: {digest}")
     _write_summary(out / "summary.txt", digest, config, args, result, selection)
 
@@ -288,6 +290,10 @@ def cmd_bd(args) -> int:
 
 def cmd_pareto(args) -> int:
     source = Path(args.points)
+    if args.out:
+        target, own = Path(args.out).resolve(), source.resolve()
+        if own in (target, *(target / n for n in ("points.csv", "front.csv", "manifest.json"))):
+            raise ConfigError(f"--out {args.out} would overwrite the input {args.points}")
     if source.is_dir():
         result_path = source / "result.json"
         if not result_path.is_file():

@@ -43,9 +43,9 @@ class SelectionCriteria:
     lbe_bdr_threshold: float = DEFAULT_LBE_THRESHOLD
 
     def __post_init__(self):
-        if not self.lbe_bdr_threshold > 0:
+        if not 0 < self.lbe_bdr_threshold < math.inf:
             raise ConfigError(
-                f"lbe_bdr_threshold must be > 0, got {self.lbe_bdr_threshold}"
+                f"lbe_bdr_threshold must be finite and > 0, got {self.lbe_bdr_threshold}"
             )
 
 

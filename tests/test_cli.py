@@ -193,6 +193,38 @@ class TestDse:
         assert launched == []
         assert not out.exists()
 
+    @staticmethod
+    def _external_dse(monkeypatch, out, *flags):
+        """Exit code of an external ``ctp dse``, and the argv of every child it launched."""
+        launched = []
+        monkeypatch.setattr(evaluators.subprocess, "run",
+                            lambda argv, **kwargs: launched.append(argv))
+        code = cli.main([
+            "dse", "--strategy", "e1", "--backend", "external", "--sequences", "s01",
+            "--command-template", "enc {sequence} {qp} {out}", "--out", str(out), *flags,
+        ])
+        return code, launched
+
+    @pytest.mark.parametrize("threshold", ["0", "-1", "nan", "inf"])
+    def test_bad_lbe_threshold_exits_2_before_any_job(self, tmp_path, capsys, monkeypatch,
+                                                      threshold):
+        out = tmp_path / "run"
+        code, launched = self._external_dse(monkeypatch, out, f"--lbe-threshold={threshold}")
+        assert code == 2
+        assert f"got {float(threshold)}" in capsys.readouterr().err
+        assert launched == []
+        assert not out.exists()
+
+    def test_out_naming_a_file_exits_2_before_any_job(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "run"
+        out.write_text("kept\n")
+        code, launched = self._external_dse(monkeypatch, out)
+        assert code == 2
+        assert "File exists" in capsys.readouterr().err
+        assert launched == []
+        assert out.read_text() == "kept\n"
+        assert list(tmp_path.iterdir()) == [out]
+
     def test_all_policy_stopped_by_max_iter_reports_terminal(self, tmp_path, capsys):
         out = tmp_path / "run"
         code = cli.main([
@@ -356,6 +388,23 @@ class TestPareto:
         stdout = capsys.readouterr().out
         assert f"(axis {axis})" in stdout
         assert re.search(r"EE\s+[0-9A-F]{8}", stdout)
+
+    def test_out_overwriting_the_input_exits_2(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert cli.main(["dse", "--strategy", "c1", "--backend", "synthetic",
+                         "--seed", "7", "--out", str(run_dir)]) == 0
+        capsys.readouterr()
+
+        def files():
+            return {path.name: path.read_bytes() for path in run_dir.iterdir()}
+
+        before = files()
+        for points in (run_dir / ".." / "run", run_dir / "points.csv", run_dir / "front.csv"):
+            code = cli.main(["pareto", "--points", str(points), "--axis", "psnr",
+                             "--out", str(run_dir)])
+            assert code == 2
+            assert "would overwrite the input" in capsys.readouterr().err
+            assert files() == before
 
     def test_empty_points_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "p.csv"

@@ -247,6 +247,8 @@ class TestBdDelta:
     ("ctpdse.curves", ("numpy", "scipy")),
     ("ctpdse.cli", ("statistics", "fractions", "decimal")),
     ("ctpdse.stats", ("statistics", "fractions", "decimal")),
+    ("ctpdse.curves", ("subprocess", "concurrent", "shlex", "csv")),
+    ("ctpdse.stats", ("subprocess", "concurrent", "shlex", "csv")),
 ])
 def test_import_loads_no_numeric_library(module, absent):
     env = dict(os.environ, PYTHONPATH=str(Path(ctpdse.__file__).parents[1]))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -199,8 +201,9 @@ class TestSelection:
             select_profiles([])
 
     def test_bad_threshold_rejected(self):
-        with pytest.raises(ConfigError, match="threshold"):
-            SelectionCriteria(0.0)
+        for threshold in (0.0, math.inf):
+            with pytest.raises(ConfigError, match="threshold"):
+                SelectionCriteria(threshold)
 
 
 class TestPlotData:
