@@ -39,9 +39,9 @@ from .pareto import (
     DEFAULT_LBE_THRESHOLD,
     ProfilePoint,
     SelectionCriteria,
+    points_csv,
     read_points_csv,
     select_profiles,
-    write_plot_data,
 )
 from .profiles import default_ctp, default_registry, load_registry, parse_ctp, serialize_ctp
 
@@ -71,6 +71,26 @@ def _parse_qps(text: str) -> tuple[int, ...]:
         return tuple(int(q) for q in _split_csv(text))
     except ValueError:
         raise ConfigError(f"qps must be integers, got {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
+def _claim_out(text: str) -> Path:
+    """Create ``--out`` if missing; otherwise it must be an empty directory."""
+    out = Path(text)
+    out.mkdir(parents=True, exist_ok=True)  # an existing file fails here: File exists
+    if any(out.iterdir()):
+        raise ConfigError(f"--out {text} is not empty; pass a new or empty directory")
+    return out
+
+
+def _write_outputs(out: Path, texts: dict[str, str]) -> None:
+    for name, text in texts.items():
+        (out / name).write_text(text, encoding="utf-8")
 
 
 def _profile_points(reports, axis: QualityAxis) -> list[ProfilePoint]:
@@ -147,8 +167,8 @@ def _resolve_run_inputs(args, registry, anchor):
     raise ConfigError(f"unknown backend {backend!r}")
 
 
-def _write_summary(path, digest, config, args, result, selection) -> None:
-    lines = [f"# manifest: {digest}"]
+def _summary(comment, config, args, result, selection) -> str:
+    lines = [f"# {comment}"]
     lines.append(
         f"strategy {config.strategy}  axis {config.quality_axis.value}  "
         f"backend {args.backend}  anchor {serialize_ctp(config.anchor)}"
@@ -185,7 +205,7 @@ def _write_summary(path, digest, config, args, result, selection) -> None:
     lines.append(f"  LBE  {len(selection.lbe)} profiles:")
     for point in selection.lbe:
         lines.append(f"    {point.label}  bdr {_pct(point.bdr)}  bdde {_pct(point.bdde)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
 
 
 def cmd_dse(args) -> int:
@@ -221,25 +241,27 @@ def cmd_dse(args) -> int:
         },
         inputs,
     )
-    digest = manifest_digest(manifest)
+    comment = f"manifest: {manifest_digest(manifest)}"
     # The last checks before the walk, so a bad threshold or --out costs no evaluation.
     criteria = SelectionCriteria(args.lbe_threshold)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _claim_out(args.out)
 
     result = run_dse(config, evaluator)
 
-    (out / "manifest.json").write_text(canonical_json(manifest), encoding="utf-8")
     document = {"manifest": manifest, **result_to_document(result, config)}
-    (out / "result.json").write_text(canonical_json(document), encoding="utf-8")
     points = _profile_points(
         sorted(((serialize_ctp(c), r) for c, r in result.evaluated.items()),
                key=lambda item: item[0]),
         config.quality_axis,
     )
     selection = select_profiles(points, criteria)
-    write_plot_data(points, selection.front, out, comment=f"manifest: {digest}")
-    _write_summary(out / "summary.txt", digest, config, args, result, selection)
+    _write_outputs(out, {
+        "manifest.json": canonical_json(manifest),
+        "result.json": canonical_json(document),
+        "points.csv": points_csv(points, comment),
+        "front.csv": points_csv(selection.front, comment),
+        "summary.txt": _summary(comment, config, args, result, selection),
+    })
 
     bdr, bdde = result.terminal_report().pair(config.quality_axis)
     print(
@@ -289,11 +311,8 @@ def cmd_bd(args) -> int:
 
 
 def cmd_pareto(args) -> int:
+    out = _claim_out(args.out) if args.out else None
     source = Path(args.points)
-    if args.out:
-        target, own = Path(args.out).resolve(), source.resolve()
-        if own in (target, *(target / n for n in ("points.csv", "front.csv", "manifest.json"))):
-            raise ConfigError(f"--out {args.out} would overwrite the input {args.points}")
     if source.is_dir():
         result_path = source / "result.json"
         if not result_path.is_file():
@@ -321,12 +340,13 @@ def cmd_pareto(args) -> int:
         },
         {"points": file_digest(source if source.is_file() else source / "result.json")},
     )
-    digest = manifest_digest(manifest)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "manifest.json").write_text(canonical_json(manifest), encoding="utf-8")
-        write_plot_data(points, selection.front, out, comment=f"manifest: {digest}")
+    if out is not None:
+        comment = f"manifest: {manifest_digest(manifest)}"
+        _write_outputs(out, {
+            "manifest.json": canonical_json(manifest),
+            "points.csv": points_csv(points, comment),
+            "front.csv": points_csv(selection.front, comment),
+        })
 
     def _line(tag: str, point: ProfilePoint) -> str:
         label = point.label or "-"
@@ -371,10 +391,10 @@ def build_parser() -> argparse.ArgumentParser:
     dse.add_argument("--lbe-threshold", type=float, default=DEFAULT_LBE_THRESHOLD)
     dse.add_argument("--command-template",
                      help="external backend command with {sequence} {qp} {ctp_mask} {out}")
-    dse.add_argument("--max-parallel", type=int, default=1,
+    dse.add_argument("--max-parallel", type=_positive_int, default=1,
                      help="external backend: most child jobs running at once "
                           "(energy metering wants 1)")
-    dse.add_argument("--out", required=True, help="output directory")
+    dse.add_argument("--out", required=True, help="new or empty output directory")
     dse.set_defaults(func=cmd_dse)
 
     bd = sub.add_parser("bd", help="BD table of test profiles against an anchor")
@@ -394,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     pareto.add_argument("--axis", choices=("psnr", "vmaf"),
                         help="BD axis when reading a result directory")
     pareto.add_argument("--lbe-threshold", type=float, default=DEFAULT_LBE_THRESHOLD)
-    pareto.add_argument("--out", help="directory for points/front CSVs")
+    pareto.add_argument("--out", help="new or empty directory for points/front CSVs")
     pareto.set_defaults(func=cmd_pareto)
 
     return parser

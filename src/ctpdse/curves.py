@@ -38,6 +38,8 @@ from .stats import exact_mean
 # the anchor's quality span; the BD value then rests on a thin overlap.
 MIN_OVERLAP_FRACTION = 0.10
 
+MIN_CURVE_POINTS = 4
+
 
 class CurveDataError(ConfigError):
     """Curve points violate an invariant (count, positivity, monotonicity)."""
@@ -91,10 +93,10 @@ class RdeCurve:
     points: tuple[RdePoint, ...]
 
     def __post_init__(self):
-        if len(self.points) < 4:
+        if len(self.points) < MIN_CURVE_POINTS:
             raise CurveDataError(
                 f"curve ({self.ctp_id}, {self.sequence}) has {len(self.points)} "
-                "points; BD interpolation needs at least 4"
+                f"points; BD interpolation needs at least {MIN_CURVE_POINTS}"
             )
         for prev, cur in zip(self.points, self.points[1:]):
             if cur.qp <= prev.qp:
@@ -140,8 +142,10 @@ class BdReport:
 
 def _prepare(points: Sequence[tuple[float, float]], role: str):
     """Sort by quality, validate, return (quality, log10 cost) lists."""
-    if len(points) < 4:
-        raise CurveDataError(f"{role} curve has {len(points)} points, need at least 4")
+    if len(points) < MIN_CURVE_POINTS:
+        raise CurveDataError(
+            f"{role} curve has {len(points)} points, need at least {MIN_CURVE_POINTS}"
+        )
     pairs = [(float(cost), float(quality)) for cost, quality in points]
     if not all(math.isfinite(cost) and math.isfinite(quality) for cost, quality in pairs):
         raise CurveDataError(f"{role} curve contains non-finite values")

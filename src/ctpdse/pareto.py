@@ -9,10 +9,8 @@ and LBE (front members below a bit-rate-increase threshold).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from .csvrows import data_rows, parse_float
@@ -93,31 +91,11 @@ def select_profiles(
     return Selection(front=front, ee=ee, ebe=ebe, lbe=lbe)
 
 
-def write_points_csv(points: Iterable[ProfilePoint], path, comment: str | None = None) -> None:
-    """Two-column (bdr, bdde) CSV consumable by any plotting tool."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        if comment:
-            handle.write(f"# {comment}\n")
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(POINTS_HEADER)
-        for point in points:
-            writer.writerow([repr(point.bdr), repr(point.bdde)])
-
-
-def write_plot_data(
-    points: Sequence[ProfilePoint],
-    front: Sequence[ProfilePoint],
-    out_dir,
-    comment: str | None = None,
-) -> tuple[Path, Path]:
-    """Emit ``points.csv`` (all points) and ``front.csv`` (their front)."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    points_path = out_dir / "points.csv"
-    front_path = out_dir / "front.csv"
-    write_points_csv(points, points_path, comment)
-    write_points_csv(front, front_path, comment)
-    return points_path, front_path
+def points_csv(points: Iterable[ProfilePoint], comment: str) -> str:
+    """Two-column (bdr, bdde) CSV text under one ``# comment`` line; floats written by ``repr``."""
+    lines = [f"# {comment}", ",".join(POINTS_HEADER)]
+    lines += [f"{point.bdr!r},{point.bdde!r}" for point in points]
+    return "\n".join(lines) + "\n"
 
 
 def read_points_csv(path) -> list[ProfilePoint]:

@@ -193,6 +193,27 @@ class TestDse:
         assert launched == []
         assert not out.exists()
 
+    def test_fewer_than_four_qps_exits_2_before_any_job(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "run"
+        code, launched = self._external_dse(monkeypatch, out, "--qps", "22,27,32")
+        assert code == 2
+        assert "BD needs at least 4 qps, got 3" in capsys.readouterr().err
+        assert launched == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("backend", ["cached", "synthetic", "external"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_max_parallel_below_one_exits_2(self, tmp_path, capsys, backend, value):
+        out = tmp_path / "run"
+        code = cli.main([
+            "dse", "--strategy", "ea", "--backend", backend, "--seed", "7",
+            f"--max-parallel={value}", "--out", str(out),
+        ])
+        assert code == 2
+        assert f"argument --max-parallel: must be an integer >= 1, got '{value}'" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
     @staticmethod
     def _external_dse(monkeypatch, out, *flags):
         """Exit code of an external ``ctp dse``, and the argv of every child it launched."""
@@ -224,6 +245,31 @@ class TestDse:
         assert launched == []
         assert out.read_text() == "kept\n"
         assert list(tmp_path.iterdir()) == [out]
+
+    def test_out_naming_a_finished_run_exits_2_before_any_job(self, tmp_path, capsys,
+                                                              monkeypatch):
+        out = tmp_path / "run"
+        assert cli.main(["dse", "--strategy", "ea", "--backend", "synthetic",
+                         "--seed", "7", "--out", str(out)]) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+        code, launched = self._external_dse(monkeypatch, out)
+        assert code == 2
+        assert f"--out {out} is not empty" in capsys.readouterr().err
+        assert launched == []
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_empty_out_left_by_a_failed_run_is_accepted(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        template = f'{sys.executable} -c "import sys; sys.exit(2)" {{sequence}} {{qp}} {{out}}'
+        assert cli.main(["dse", "--strategy", "e1", "--backend", "external",
+                         "--command-template", template, "--sequences", "s01",
+                         "--out", str(out)]) == 4
+        assert out.is_dir() and list(out.iterdir()) == []
+        assert cli.main(["dse", "--strategy", "ea", "--backend", "synthetic",
+                         "--seed", "7", "--out", str(out)]) == 0
+        assert {path.name for path in out.iterdir()} == {
+            "result.json", "points.csv", "front.csv", "summary.txt", "manifest.json"}
 
     def test_all_policy_stopped_by_max_iter_reports_terminal(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -403,8 +449,20 @@ class TestPareto:
             code = cli.main(["pareto", "--points", str(points), "--axis", "psnr",
                              "--out", str(run_dir)])
             assert code == 2
-            assert "would overwrite the input" in capsys.readouterr().err
+            assert f"--out {run_dir} is not empty" in capsys.readouterr().err
             assert files() == before
+
+    def test_out_naming_another_run_exits_2(self, tmp_path, capsys):
+        runs = [tmp_path / "a", tmp_path / "b"]
+        for seed, run_dir in zip(("7", "8"), runs):
+            assert cli.main(["dse", "--strategy", "ea", "--backend", "synthetic",
+                             "--seed", seed, "--out", str(run_dir)]) == 0
+        before = {path.name: path.read_bytes() for path in runs[1].iterdir()}
+        capsys.readouterr()
+        code = cli.main(["pareto", "--points", str(runs[0]), "--out", str(runs[1])])
+        assert code == 2
+        assert f"--out {runs[1]} is not empty" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in runs[1].iterdir()} == before
 
     def test_empty_points_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "p.csv"

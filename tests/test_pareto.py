@@ -10,10 +10,9 @@ from ctpdse.pareto import (
     ProfilePoint,
     SelectionCriteria,
     pareto_front,
+    points_csv,
     read_points_csv,
     select_profiles,
-    write_plot_data,
-    write_points_csv,
 )
 
 from conftest import BENCHMARK_FRONT_LABELS
@@ -209,16 +208,17 @@ class TestSelection:
 class TestPlotData:
     def test_round_trip(self, tmp_path, benchmark_points):
         path = tmp_path / "points.csv"
-        write_points_csv(benchmark_points, path, comment="manifest: sha256:abc")
+        path.write_text(points_csv(benchmark_points, "manifest: sha256:abc"))
         loaded = read_points_csv(path)
         assert [(p.bdr, p.bdde) for p in loaded] == \
             [(p.bdr, p.bdde) for p in benchmark_points]
 
-    def test_write_plot_data_emits_points_and_front(self, tmp_path, benchmark_points):
-        front = pareto_front(benchmark_points)
-        points_path, front_path = write_plot_data(benchmark_points, front, tmp_path)
-        assert points_path.read_text().splitlines()[0] == "bdr,bdde"
-        front = read_points_csv(front_path)
+    def test_points_csv_renders_comment_header_and_front(self, tmp_path, benchmark_points):
+        text = points_csv(pareto_front(benchmark_points), "manifest: sha256:abc")
+        assert text.splitlines()[:2] == ["# manifest: sha256:abc", "bdr,bdde"]
+        path = tmp_path / "front.csv"
+        path.write_text(text)
+        front = read_points_csv(path)
         assert len(front) == len(BENCHMARK_FRONT_LABELS)
 
     def test_read_rejects_bad_header(self, tmp_path):
