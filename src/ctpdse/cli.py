@@ -10,7 +10,9 @@ manifest and reruns with equal manifests are byte-identical.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -79,10 +81,13 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _claim_out(text: str) -> Path:
-    """Create ``--out`` if missing; otherwise it must be an empty directory."""
+def _check_out(text: str) -> Path:
+    """``--out`` must be missing or an empty directory; this creates nothing."""
     out = Path(text)
-    out.mkdir(parents=True, exist_ok=True)  # an existing file fails here: File exists
+    if not out.exists():
+        return out
+    if not out.is_dir():
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), text)
     if any(out.iterdir()):
         raise ConfigError(f"--out {text} is not empty; pass a new or empty directory")
     return out
@@ -113,18 +118,25 @@ def cmd_show(args) -> int:
     return 0
 
 
-def _table_inputs(args, anchor):
+def _sequences_and_qps(args):
+    """``--sequences`` and ``--qps`` as given, each None when absent."""
+    sequences = _split_csv(args.sequences) if args.sequences else None
+    qps = _parse_qps(args.qps) if args.qps else None
+    return sequences, qps
+
+
+def _table_inputs(args, anchor, sequences, qps):
     """Ingest ``--measurements``; sequences and qps default to the anchor's rows."""
     table = ingest_measurements(args.measurements)
     for line in table.diagnostics:
         print(f"measurement: {line}", file=sys.stderr)
     mask = serialize_ctp(anchor)
-    sequences = _split_csv(args.sequences) if args.sequences else table.sequences_for(mask)
+    sequences = sequences or table.sequences_for(mask)
     if not sequences:
         raise ConfigError(
             f"measurement table has no rows for anchor {mask}; pass --sequences explicitly"
         )
-    qps = _parse_qps(args.qps) if args.qps else table.qps_for(mask, sequences[0])
+    qps = qps or table.qps_for(mask, sequences[0])
     if not qps:
         raise ConfigError(
             f"measurement table has no qps for anchor {mask} on "
@@ -136,15 +148,14 @@ def _table_inputs(args, anchor):
 def _resolve_run_inputs(args, registry, anchor):
     """Build the evaluator plus the effective sequence/qp lists."""
     backend = args.backend
-    sequences = _split_csv(args.sequences) if args.sequences else None
-    qps = _parse_qps(args.qps) if args.qps else None
+    sequences, qps = _sequences_and_qps(args)
     inputs: dict[str, str] = {}
 
     if backend == "cached":
         if not args.measurements:
             raise ConfigError("--backend cached requires --measurements")
         inputs["measurements"] = file_digest(args.measurements)
-        table, sequences, qps = _table_inputs(args, anchor)
+        table, sequences, qps = _table_inputs(args, anchor, sequences, qps)
         return CachedTableEvaluator(table), sequences, qps, inputs
 
     if backend == "synthetic":
@@ -209,6 +220,7 @@ def _summary(comment, config, args, result, selection) -> str:
 
 
 def cmd_dse(args) -> int:
+    out = _check_out(args.out)
     registry = _load_registry(args)
     anchor = parse_ctp(args.anchor, registry) if args.anchor else default_ctp(registry)
     objective, flip_policy = parse_strategy(args.strategy)
@@ -242,9 +254,9 @@ def cmd_dse(args) -> int:
         inputs,
     )
     comment = f"manifest: {manifest_digest(manifest)}"
-    # The last checks before the walk, so a bad threshold or --out costs no evaluation.
     criteria = SelectionCriteria(args.lbe_threshold)
-    out = _claim_out(args.out)
+    # Created only once every check has passed, so a config error leaves no directory.
+    out.mkdir(parents=True, exist_ok=True)
 
     result = run_dse(config, evaluator)
 
@@ -276,7 +288,8 @@ def cmd_dse(args) -> int:
 def cmd_bd(args) -> int:
     registry = _load_registry(args)
     anchor = parse_ctp(args.anchor, registry) if args.anchor else default_ctp(registry)
-    table, sequences, qps = _table_inputs(args, anchor)
+    tests = [parse_ctp(text, registry) for text in args.test]
+    table, sequences, qps = _table_inputs(args, anchor, *_sequences_and_qps(args))
     EvaluationRequest(anchor, tuple(sequences), tuple(qps))
     anchor_mask = serialize_ctp(anchor)
 
@@ -294,8 +307,7 @@ def cmd_bd(args) -> int:
     print(f"anchor {anchor_mask}  sequences {','.join(sequences)}  "
           f"qps {','.join(str(q) for q in qps)}")
     print(header)
-    for text in args.test:
-        test = parse_ctp(text, registry)
+    for test in tests:
         mask = serialize_ctp(test)
         reports = []
         for sequence in sequences:
@@ -311,7 +323,7 @@ def cmd_bd(args) -> int:
 
 
 def cmd_pareto(args) -> int:
-    out = _claim_out(args.out) if args.out else None
+    out = _check_out(args.out) if args.out else None
     source = Path(args.points)
     if source.is_dir():
         result_path = source / "result.json"
@@ -342,6 +354,7 @@ def cmd_pareto(args) -> int:
     )
     if out is not None:
         comment = f"manifest: {manifest_digest(manifest)}"
+        out.mkdir(parents=True, exist_ok=True)
         _write_outputs(out, {
             "manifest.json": canonical_json(manifest),
             "points.csv": points_csv(points, comment),

@@ -14,11 +14,22 @@ exactly in ``int`` arithmetic. The mean is then one correctly rounded
 square root of the exact sample variance. These are the floats that
 ``statistics.mean`` and ``statistics.stdev`` give on Python 3.11 and
 later, computed without ``Fraction`` normalisation.
+
+The Student-t quantile is exact in the same sense. For an integer number
+of degrees of freedom the CDF has a finite closed form (Abramowitz and
+Stegun 26.7.3-26.7.4; Hill, CACM Algorithms 395 and 396), which is
+evaluated in integer fixed point, with ``math.isqrt`` and, for odd df,
+Euler's arctangent series. Bisection over float bit patterns then finds
+the correctly rounded root, each step decided at the exact midpoint
+between two floats, with the precision doubled until the decision is
+certain. ``ci_check`` computes one quantile per (confidence, sample count)
+and caches it.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -68,6 +79,120 @@ def exact_stdev(values: Sequence[float]) -> float:
     return float(root << q) if q >= 0 else root / (1 << -q)
 
 
+# Bit patterns order positive floats by value (see _unpack).
+_MANT = 1 << 52
+# Bit pattern of 2.0 ** 64, above every quantile: p < 1 makes 2p - 1 at most
+# 1 - 2**-52, and even at df = 1 that quantile, cot(pi * 2**-53), is below 2**52.
+_QUANTILE_CEILING = (1023 + 64) * _MANT
+# Working precision in bits: the first try, and the last doubling before a
+# midpoint is taken to be the root itself (see _above).
+_FIRST_BITS = 128
+_LAST_BITS = 1 << 13
+
+
+def _series(x: int, bits: int, odd: int, terms: float) -> int:
+    """``sum(c_k * x**k for k < terms)`` with ``x`` and the sum scaled by ``2**bits``.
+
+    ``c_0 = 1`` and ``c_k = c_(k-1) * (2k - 1 + odd) / (2k + odd)``: the
+    coefficients (2k-1)!!/(2k)!! of the even-df series for ``odd = 0``, and
+    (2k)!!/(2k+1)!! of the odd-df series and of Euler's arctangent series
+    for ``odd = 1``. With ``terms`` infinite the sum stops at the first zero
+    term, after at most ``bits + 1`` terms for ``x`` <= 1/2. Each term
+    truncates, so the error grows at most quadratically with the number of
+    terms, and linearly for ``x`` <= 1/2; the bound in ``_above`` covers both.
+    """
+    total, term, k = 0, 1 << bits, 0
+    while term and k < terms:
+        total += term
+        k += 1
+        term = term * x * (2 * k - 1 + odd) // ((2 * k + odd) << bits)
+    return total
+
+
+@functools.lru_cache(maxsize=None)
+def _half_pi(bits: int) -> int:
+    """pi / 2 scaled by ``2**bits``: Euler's series for 2 atan(1)."""
+    return _series(1 << bits - 1, bits, 1, math.inf)
+
+
+def _excess(num: int, den: int, df: int, goal: tuple[int, int], bits: int) -> int:
+    """``A(t) - goal`` scaled by ``2**bits``, within ``(df + bits)**2``, at ``t = num / den``.
+
+    ``A(t) = 2 F(t) - 1`` is the two-sided probability of Student's t with
+    ``df`` degrees of freedom, in closed form for integer df (Abramowitz and
+    Stegun 26.7.3-26.7.4): with ``theta = atan(t / sqrt(df))``, even df gives
+    ``sin(theta) * sum((2k-1)!!/(2k)!! * cos(theta)**2k for k < df/2)`` and
+    odd df gives ``(2/pi) * (theta + sin(theta) cos(theta) * sum((2k)!!/(2k+1)!!
+    * cos(theta)**2k for k < (df-1)/2))``. Odd df is compared as
+    ``A * pi/2`` against ``goal * pi/2``. Theta comes from Euler's series
+    ``atan(y) = sin cos * sum((2k)!!/(2k+1)!! * sin**2k)``, taken on the
+    complementary angle when theta > pi/4 so that the ratio stays <= 1/2.
+    """
+    v = df * den * den
+    d = v + num * num  # (df + t**2) * den**2
+    cos2 = (v << bits) // d
+    target = (goal[0] << bits) // goal[1]
+    if df % 2 == 0:
+        sin = math.isqrt((num * num << 2 * bits) // d)
+        return (sin * _series(cos2, bits, 0, df // 2) >> bits) - target
+    sin_cos = math.isqrt((v * num * num << 2 * bits) // (d * d))
+    if num * num <= v:
+        theta = sin_cos * _series((num * num << bits) // d, bits, 1, math.inf) >> bits
+    else:
+        theta = _half_pi(bits) - (sin_cos * _series(cos2, bits, 1, math.inf) >> bits)
+    return (theta + (sin_cos * _series(cos2, bits, 1, df // 2) >> bits)
+            - (target * _half_pi(bits) >> bits))
+
+
+def _unpack(k: int) -> tuple[int, int]:
+    """The positive float with bit pattern ``k`` as ``(m, e)``, its value being ``m * 2**e``."""
+    e, m = divmod(k, _MANT)
+    return (m + _MANT, e - 1075) if e else (m, -1074)
+
+
+def _above(k: int, df: int, goal: tuple[int, int]) -> bool:
+    """Whether ``A`` exceeds ``goal`` at the midpoint of float ``k`` and float ``k + 1``.
+
+    The midpoint is an exact rational. The precision doubles until the
+    excess is larger than its error bound. An excess still within about
+    ``2**-8000`` is taken to be zero, that is, the root lies on the
+    midpoint, and the answer rounds it to the even float.
+    """
+    m, e = _unpack(k)
+    num, den = (2 * m + 1 << e - 1, 1) if e >= 1 else (2 * m + 1, 1 << 1 - e)
+    bits = _FIRST_BITS
+    while bits <= _LAST_BITS:
+        excess = _excess(num, den, df, goal, bits)
+        if abs(excess) > (df + bits) ** 2:
+            return excess > 0
+        bits *= 2
+    return k % 2 == 0
+
+
+@functools.lru_cache(maxsize=None)
+def t_quantile(p: float, df: int) -> float:
+    """The ``p``-quantile of Student's t with ``df`` >= 1 degrees of freedom, 1/2 <= p <= 1.
+
+    The result is the correctly rounded root ``t`` of ``F(t) = p`` for the
+    float ``p`` as given, and infinite for ``p = 1``. It is the first float
+    whose upper rounding boundary, the midpoint to the next float, lies
+    above the root, found by bisection over bit patterns.
+    """
+    if not (0.5 <= p <= 1 and df >= 1):
+        raise ValueError(f"t_quantile needs 1/2 <= p <= 1 and df >= 1, got p={p}, df={df}")
+    if p == 1:
+        return math.inf
+    goal = (2 * p - 1).as_integer_ratio()  # exact: 2p and 2p - 1 are floats
+    lo, hi = 0, _QUANTILE_CEILING
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _above(mid, df, goal):
+            hi = mid
+        else:
+            lo = mid + 1
+    return math.ldexp(*_unpack(lo))
+
+
 class Verdict(enum.Enum):
     PASS = "pass"
     FAIL = "fail"
@@ -103,11 +228,7 @@ def ci_check(
         raise ConfigError(f"the sum of the energy samples overflows a float: {samples}") from None
     if n < 2:
         return Verdict.INSUFFICIENT, mean, math.inf
-    # Imported here so that only readers of energy samples load scipy.
-    from scipy.special import stdtrit
-
-    quantile = float(stdtrit(n - 1, (1 + confidence) / 2))
-    half_width = quantile * exact_stdev(samples) / math.sqrt(n)
+    half_width = t_quantile((1 + confidence) / 2, n - 1) * exact_stdev(samples) / math.sqrt(n)
     verdict = Verdict.PASS if half_width <= rel_half_width * mean else Verdict.FAIL
     return verdict, mean, half_width
 

@@ -1,9 +1,13 @@
 import json
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ctpdse
 from ctpdse import cli, evaluators
 from ctpdse.profiles import default_registry, parse_ctp, serialize_ctp
 
@@ -38,6 +42,25 @@ def with_samples(rows, index, samples):
     rows = list(rows)
     rows[index] = rows[index].rstrip(",") + "," + samples
     return rows
+
+
+def with_readings(rows):
+    """``rows`` with three energy readings around each row's energy, so ingest gates every row."""
+    gated = []
+    for row in rows:
+        energy = float(row.split(",")[6])
+        gated.append(row.rstrip(",") + f",{energy - 1};{energy};{energy + 1}")
+    return gated
+
+
+def gated_table(tmp_path):
+    """Registry with three tools, and a table of anchor 7 and its single flips, every row gated."""
+    reg = tmp_path / "r.reg"
+    reg.write_text(REGISTRY_3)
+    rows = anchor_rows("7")
+    for mask in ("6", "5", "3"):
+        rows += halved_energy_rows(mask)
+    return str(reg), write_table(tmp_path / "m.csv", with_readings(rows))
 
 
 def halved_energy_rows(mask, sequence="s01"):
@@ -259,6 +282,23 @@ class TestDse:
         assert launched == []
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
+    def test_cached_out_not_empty_exits_2_before_ingest(self, tmp_path, capsys):
+        reg, table = gated_table(tmp_path)
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "kept.txt").write_text("kept\n")
+        code = cli.main([
+            "dse", "--strategy", "e1", "--backend", "cached", "--measurements", table,
+            "--registry", reg, "--out", str(out),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"--out {out} is not empty" in captured.err
+        assert "measurement:" not in captured.err
+        assert captured.out == ""
+        assert [path.name for path in out.iterdir()] == ["kept.txt"]
+        assert (out / "kept.txt").read_text() == "kept\n"
+
     def test_empty_out_left_by_a_failed_run_is_accepted(self, tmp_path, capsys):
         out = tmp_path / "run"
         template = f'{sys.executable} -c "import sys; sys.exit(2)" {{sequence}} {{qp}} {{out}}'
@@ -387,6 +427,21 @@ class TestBd:
         assert code == 2
         assert "sequence names must not repeat" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--test", "6", "--test", "ZZZ"], "ZZZ"),
+        (["--test", "6", "--qps", "22,x"], "qps must be integers, got '22,x'"),
+        (["--test", "6", "--sequences", ","], "empty list: ','"),
+    ], ids=["test", "qps", "sequences"])
+    def test_bad_argument_exits_2_before_ingest(self, tmp_path, capsys, flags, message):
+        reg, table = gated_table(tmp_path)
+        code = cli.main(["bd", "--anchor", "7", "--measurements", table, "--registry", reg,
+                         *flags])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "measurement:" not in captured.err
+        assert captured.out == ""
+
     def test_missing_test_rows_exit_3(self, tmp_path, capsys):
         reg = tmp_path / "r.reg"
         reg.write_text(REGISTRY_3)
@@ -472,8 +527,34 @@ class TestPareto:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert cli.main(["pareto", "--points", str(tmp_path / "nope.csv")]) == 2
 
+    def test_config_error_leaves_no_out_directory(self, tmp_path, capsys):
+        path = tmp_path / "p.csv"
+        path.write_text("bdr,bdde\n")
+        out = tmp_path / "sel"
+        assert cli.main(["pareto", "--points", str(path), "--out", str(out)]) == 2
+        assert "no points to select from" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_directory_without_result_exits_2(self, tmp_path, capsys):
         assert cli.main(["pareto", "--points", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["bd", "--anchor", "7", "--test", "6", "--test", "3"],
+    ["dse", "--strategy", "e1", "--backend", "cached", "--max-iter", "1"],
+], ids=["bd", "dse-cached"])
+def test_measurement_runs_load_no_numeric_library(tmp_path, command):
+    reg, table = gated_table(tmp_path)
+    argv = [*command, "--measurements", table, "--registry", reg]
+    if command[0] == "dse":
+        argv += ["--out", str(tmp_path / "run")]
+    env = dict(os.environ, PYTHONPATH=str(Path(ctpdse.__file__).parents[1]))
+    code = (f"import sys; from ctpdse import cli; code = cli.main({argv!r}); "
+            "print(code, sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.splitlines()[-1] == "0 []"
+    assert run.stderr.count("measurement: ") == 16
 
 
 class TestVersion:

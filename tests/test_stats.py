@@ -1,23 +1,35 @@
+import hashlib
 import math
 import operator
-import os
+import random
 import statistics
 import struct
-import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
-from statistics import stdev
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from scipy.stats import t as student_t
 
-import ctpdse
 from ctpdse.errors import ConfigError
-from ctpdse.stats import MeasurementSeries, Verdict, ci_check, exact_mean, exact_stdev
+from ctpdse.stats import (
+    DEFAULT_CONFIDENCE,
+    MeasurementSeries,
+    Verdict,
+    ci_check,
+    exact_mean,
+    exact_stdev,
+    t_quantile,
+)
+
+
+def t_cdf(t, df):
+    """Student-t CDF at the working mpmath precision, from the regularised incomplete beta."""
+    nu = mpmath.mpf(df)
+    return 1 - mpmath.betainc(nu / 2, mpmath.mpf(1) / 2, 0, nu / (nu + t * t),
+                              regularized=True) / 2
 
 
 class TestCiCheck:
@@ -88,23 +100,48 @@ class TestCiCheck:
         with pytest.raises(ConfigError, match="rel_half_width"):
             ci_check([1.0, 2.0], rel_half_width=0.0)
 
-    def test_half_width_equals_scipy_stats_quantile(self):
-        rng = np.random.default_rng(5)
-        for n in (2, 3, 5, 10, 30, 199):
-            samples = list(rng.uniform(9.0, 11.0, size=n))
-            sd = stdev(samples)
-            for confidence in (0.5, 0.9, 0.95, 0.99, 0.999, 0.123456):
-                _, _, half_width = ci_check(samples, confidence)
-                quantile = float(student_t.ppf((1 + confidence) / 2, n - 1))
-                assert half_width == quantile * sd / math.sqrt(n)
+    def test_half_width_uses_the_correctly_rounded_quantile(self):
+        # q is the correctly rounded root of F(q) = p exactly when the CDF at
+        # the midpoints from q to its neighbouring floats brackets p; the
+        # CDF is taken from mpmath at 200 bits.
+        rng = random.Random(5)
+        with mpmath.workprec(200):
+            for n in range(2, 201):
+                samples = [rng.uniform(9.0, 11.0) for _ in range(n)]
+                for confidence in (0.5, 0.9, 0.95, 0.99, 0.999, 0.123456):
+                    p = (1 + confidence) / 2
+                    q = t_quantile(p, n - 1)
+                    below = (mpmath.mpf(q) + math.nextafter(q, 0.0)) / 2
+                    above = (mpmath.mpf(q) + math.nextafter(q, math.inf)) / 2
+                    assert t_cdf(below, n - 1) < p < t_cdf(above, n - 1), (confidence, n)
+                    _, _, half_width = ci_check(samples, confidence)
+                    assert half_width == q * exact_stdev(samples) / math.sqrt(n)
 
 
-def test_cli_import_does_not_load_scipy_stats():
-    env = dict(os.environ, PYTHONPATH=str(Path(ctpdse.__file__).parents[1]))
-    code = "import sys, ctpdse.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "False"
+class TestQuantile:
+    def test_run_path_quantiles_are_pinned(self):
+        # The readers' confidence for n = 2..200, as checked against mpmath
+        # above; the digest is of their space-separated reprs.
+        quantiles = [t_quantile((1 + DEFAULT_CONFIDENCE) / 2, n - 1) for n in range(2, 201)]
+        assert quantiles[0] == 63.656741162871526
+        assert quantiles[3] == 4.604094871349992
+        assert quantiles[-1] == 2.6007602160585157
+        digest = hashlib.sha256(" ".join(map(repr, quantiles)).encode()).hexdigest()
+        assert digest == "74188787a1c22f14ca8941fd2e54855cedd91502886c1f355965693750297f6d"
+
+    def test_edges(self):
+        assert t_quantile(0.5, 3) == 0.0
+        assert t_quantile(0.75, 1) == 1.0  # tan(pi / 4)
+        assert t_quantile(1.0, 3) == math.inf
+        # The largest p below 1: at df = 1 the root is cot(pi * 2**-53).
+        assert t_quantile(1 - 2 ** -53, 1) == 2867080569611329.5
+        for p, df in ((0.25, 3), (math.nextafter(1.0, 2.0), 3), (0.9, 0)):
+            with pytest.raises(ValueError, match="1/2 <= p <= 1 and df >= 1"):
+                t_quantile(p, df)
+
+    def test_confidence_rounding_p_to_one_gives_an_infinite_half_width(self):
+        verdict, mean, half_width = ci_check([1.0, 2.0, 3.0], 1 - 2 ** -53)
+        assert (verdict, mean, half_width) == (Verdict.FAIL, 2.0, math.inf)
 
 
 class TestProperties:
