@@ -30,10 +30,11 @@ from .engine import (
 from .errors import ConfigError, CtpDseError, MeasurementMissError
 from .evaluators import (
     CachedTableEvaluator,
-    EvaluationRequest,
     ExternalCommandEvaluator,
     SyntheticModelEvaluator,
     SyntheticModelParams,
+    check_qps,
+    check_sequences,
     ingest_measurements,
 )
 from .manifest import build_manifest, canonical_json, file_digest, manifest_digest, registry_digest
@@ -119,9 +120,13 @@ def cmd_show(args) -> int:
 
 
 def _sequences_and_qps(args):
-    """``--sequences`` and ``--qps`` as given, each None when absent."""
+    """``--sequences`` and ``--qps`` as given and checked, each None when absent."""
     sequences = _split_csv(args.sequences) if args.sequences else None
     qps = _parse_qps(args.qps) if args.qps else None
+    if sequences:
+        check_sequences(sequences)
+    if qps:
+        check_qps(qps)
     return sequences, qps
 
 
@@ -145,10 +150,9 @@ def _table_inputs(args, anchor, sequences, qps):
     return table, sequences, qps
 
 
-def _resolve_run_inputs(args, registry, anchor):
+def _resolve_run_inputs(args, registry, anchor, sequences, qps):
     """Build the evaluator plus the effective sequence/qp lists."""
     backend = args.backend
-    sequences, qps = _sequences_and_qps(args)
     inputs: dict[str, str] = {}
 
     if backend == "cached":
@@ -221,10 +225,13 @@ def _summary(comment, config, args, result, selection) -> str:
 
 def cmd_dse(args) -> int:
     out = _check_out(args.out)
+    criteria = SelectionCriteria(args.lbe_threshold)
+    sequences, qps = _sequences_and_qps(args)
     registry = _load_registry(args)
     anchor = parse_ctp(args.anchor, registry) if args.anchor else default_ctp(registry)
     objective, flip_policy = parse_strategy(args.strategy)
-    evaluator, sequences, qps, inputs = _resolve_run_inputs(args, registry, anchor)
+    evaluator, sequences, qps, inputs = _resolve_run_inputs(args, registry, anchor,
+                                                            sequences, qps)
     config = DseConfig(
         objective=objective,
         flip_policy=flip_policy,
@@ -254,7 +261,6 @@ def cmd_dse(args) -> int:
         inputs,
     )
     comment = f"manifest: {manifest_digest(manifest)}"
-    criteria = SelectionCriteria(args.lbe_threshold)
     # Created only once every check has passed, so a config error leaves no directory.
     out.mkdir(parents=True, exist_ok=True)
 
@@ -286,11 +292,11 @@ def cmd_dse(args) -> int:
 
 
 def cmd_bd(args) -> int:
+    sequences, qps = _sequences_and_qps(args)
     registry = _load_registry(args)
     anchor = parse_ctp(args.anchor, registry) if args.anchor else default_ctp(registry)
     tests = [parse_ctp(text, registry) for text in args.test]
-    table, sequences, qps = _table_inputs(args, anchor, *_sequences_and_qps(args))
-    EvaluationRequest(anchor, tuple(sequences), tuple(qps))
+    table, sequences, qps = _table_inputs(args, anchor, sequences, qps)
     anchor_mask = serialize_ctp(anchor)
 
     # ``--axis both`` prints the VMAF columns before the PSNR ones.
@@ -322,25 +328,33 @@ def cmd_bd(args) -> int:
     return 0
 
 
+def _result_points(path: Path, axis_flag: str | None):
+    """The points of a ``ctp dse`` result.json, on ``axis_flag`` or the run's own axis."""
+    try:
+        document = json.loads(path.read_text(encoding="utf-8"))
+        axis = QualityAxis(axis_flag or document["config"]["quality_axis"])
+        reports = [(mask, report_from_dict(doc)) for mask, doc in document["evaluated"].items()]
+        return _profile_points(reports, axis), axis
+    except KeyError as exc:
+        raise ConfigError(f"{path}: not a ctp dse result, no key {exc}") from None
+    except (AttributeError, ConfigError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: not a ctp dse result: {exc}") from None
+
+
 def cmd_pareto(args) -> int:
     out = _check_out(args.out) if args.out else None
+    criteria = SelectionCriteria(args.lbe_threshold)
     source = Path(args.points)
     if source.is_dir():
         result_path = source / "result.json"
         if not result_path.is_file():
             raise ConfigError(f"{source} is a directory but contains no result.json")
-        document = json.loads(result_path.read_text(encoding="utf-8"))
-        axis = QualityAxis(args.axis or document["config"]["quality_axis"])
-        points = _profile_points(
-            ((mask, report_from_dict(doc)) for mask, doc in document["evaluated"].items()),
-            axis,
-        )
+        points, axis = _result_points(result_path, args.axis)
     else:
         points = read_points_csv(source)
         axis = QualityAxis(args.axis or "vmaf")
     if not points:
         raise ConfigError(f"{source}: no points to select from")
-    criteria = SelectionCriteria(args.lbe_threshold)
     selection = select_profiles(points, criteria)
 
     manifest = build_manifest(
@@ -400,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     dse.add_argument("--sequences", help="comma-separated sequence names")
     dse.add_argument("--qps", help="comma-separated qps (default 22,27,32,37)")
     dse.add_argument("--seed", type=int, default=0, help="synthetic model seed")
-    dse.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITERATIONS)
+    dse.add_argument("--max-iter", type=_positive_int, default=DEFAULT_MAX_ITERATIONS)
     dse.add_argument("--lbe-threshold", type=float, default=DEFAULT_LBE_THRESHOLD)
     dse.add_argument("--command-template",
                      help="external backend command with {sequence} {qp} {ctp_mask} {out}")

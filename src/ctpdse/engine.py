@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .curves import (BD_FIELDS, MIN_CURVE_POINTS, BdReport, QualityAxis, RdeCurve,
+from .curves import (BD_FIELDS, BdReport, QualityAxis, RdeCurve,
                      aggregate_reports, bd_report)
 from .errors import ConfigError, CtpDseError
 from .evaluators import EvaluationRequest, Evaluator
@@ -85,10 +85,8 @@ class DseConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        # Reuse the request validation for sequence/qp sanity.
+        # The request owns the sequence and qp rules, BD's qp minimum included.
         EvaluationRequest(self.anchor, self.sequences, self.qps)
-        if len(self.qps) < MIN_CURVE_POINTS:
-            raise ConfigError(f"BD needs at least {MIN_CURVE_POINTS} qps, got {len(self.qps)}")
 
     @property
     def strategy(self) -> str:

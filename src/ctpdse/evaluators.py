@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
 from .csvrows import data_rows, parse_float
-from .curves import CurveDataError, RdeCurve, RdePoint
+from .curves import MIN_CURVE_POINTS, CurveDataError, RdeCurve, RdePoint
 from .errors import ConfigError, EvaluationError, MeasurementMissError
 from .profiles import Ctp, ToolRegistry, serialize_ctp
 from .stats import MeasurementSeries, Verdict
@@ -50,6 +50,26 @@ CSV_HEADER = ("ctp_id", "sequence") + RESULT_HEADER
 ENERGY_MEAN_REL_TOL = 1e-6
 
 
+def check_sequences(sequences: tuple[str, ...]) -> None:
+    """Raise ConfigError unless ``sequences`` are one or more distinct, non-empty names."""
+    if not sequences:
+        raise ConfigError("evaluation request needs at least one sequence")
+    if not all(sequences):
+        raise ConfigError(f"sequence names must not be empty, got {sequences}")
+    if len(set(sequences)) != len(sequences):
+        raise ConfigError(f"sequence names must not repeat, got {sequences}")
+
+
+def check_qps(qps: tuple[int, ...]) -> None:
+    """Raise ConfigError unless ``qps`` increase strictly and are enough for a BD curve."""
+    if not qps:
+        raise ConfigError("evaluation request needs at least one qp")
+    if any(b <= a for a, b in zip(qps, qps[1:])):
+        raise ConfigError(f"qps must be strictly increasing, got {qps}")
+    if len(qps) < MIN_CURVE_POINTS:
+        raise ConfigError(f"BD needs at least {MIN_CURVE_POINTS} qps, got {len(qps)}")
+
+
 @dataclass(frozen=True)
 class EvaluationRequest:
     """One profile to evaluate over a set of sequences and operating points."""
@@ -59,16 +79,8 @@ class EvaluationRequest:
     qps: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.sequences:
-            raise ConfigError("evaluation request needs at least one sequence")
-        if not all(self.sequences):
-            raise ConfigError(f"sequence names must not be empty, got {self.sequences}")
-        if len(set(self.sequences)) != len(self.sequences):
-            raise ConfigError(f"sequence names must not repeat, got {self.sequences}")
-        if not self.qps:
-            raise ConfigError("evaluation request needs at least one qp")
-        if any(b <= a for a, b in zip(self.qps, self.qps[1:])):
-            raise ConfigError(f"qps must be strictly increasing, got {self.qps}")
+        check_sequences(self.sequences)
+        check_qps(self.qps)
 
 
 class Evaluator(Protocol):
@@ -80,9 +92,9 @@ class Evaluator(Protocol):
 def parse_measurement(fields: Sequence[str]) -> tuple[RdePoint, MeasurementSeries | None]:
     """Turn the ``RESULT_HEADER`` fields of one row into a point, or raise ConfigError.
 
-    Energy samples, when present, go through the CI gate at its default
-    confidence and bound and must have ``energy_j`` as their mean; the
-    caller acts on the returned verdict.
+    Energy samples, when present, go through the CI gate
+    (``MeasurementSeries.validate``) and must have ``energy_j`` as their
+    mean; the caller acts on the returned verdict.
     """
     qp_text, rate, psnr, vmaf, energy, samples_text = fields
     try:

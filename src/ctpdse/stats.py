@@ -2,9 +2,8 @@
 
 Decode-energy readings are noisy, so a point only enters a curve once the
 Student-t confidence interval of its repeated samples is tight relative to
-the mean. Measurement readers gate at ``DEFAULT_CONFIDENCE`` and
-``DEFAULT_REL_HALF_WIDTH``; ``ci_check`` takes other levels too, and every
-verdict echoes the level and bound it was judged at.
+the mean. The gate has one setting: ``DEFAULT_CONFIDENCE`` and
+``DEFAULT_REL_HALF_WIDTH``, which every verdict's description echoes.
 
 Sample statistics are exact until one final rounding. A finite float is
 an integer over a power of two, so a series is written as integers over
@@ -22,8 +21,7 @@ evaluated in integer fixed point, with ``math.isqrt`` and, for odd df,
 Euler's arctangent series. Bisection over float bit patterns then finds
 the correctly rounded root, each step decided at the exact midpoint
 between two floats, with the precision doubled until the decision is
-certain. ``ci_check`` computes one quantile per (confidence, sample count)
-and caches it.
+certain. ``ci_check`` computes one quantile per sample count and caches it.
 """
 
 from __future__ import annotations
@@ -199,17 +197,13 @@ class Verdict(enum.Enum):
     INSUFFICIENT = "insufficient"
 
 
-def ci_check(
-    samples: Sequence[float],
-    confidence: float = DEFAULT_CONFIDENCE,
-    rel_half_width: float = DEFAULT_REL_HALF_WIDTH,
-) -> tuple[Verdict, float, float]:
+def ci_check(samples: Sequence[float]) -> tuple[Verdict, float, float]:
     """Two-sided Student-t interval test on repeated readings.
 
     Returns (verdict, mean, half_width). The verdict is PASS when the
-    half-width is at most ``rel_half_width`` times the mean, FAIL when it
-    is wider, and INSUFFICIENT for fewer than two samples (half-width is
-    then infinite).
+    half-width at ``DEFAULT_CONFIDENCE`` is at most ``DEFAULT_REL_HALF_WIDTH``
+    times the mean, FAIL when it is wider, and INSUFFICIENT for fewer than
+    two samples (half-width is then infinite).
     """
     if not samples:
         raise ConfigError("ci_check requires at least one sample")
@@ -217,10 +211,6 @@ def ci_check(
     for value in samples:
         if not 0 < value < math.inf:
             raise ConfigError(f"energy samples must be finite and > 0, got {value}")
-    if not 0 < confidence < 1:
-        raise ConfigError(f"confidence must be in (0, 1), got {confidence}")
-    if not rel_half_width > 0:
-        raise ConfigError(f"rel_half_width must be > 0, got {rel_half_width}")
     n = len(samples)
     try:
         mean = math.fsum(samples) / n
@@ -228,8 +218,9 @@ def ci_check(
         raise ConfigError(f"the sum of the energy samples overflows a float: {samples}") from None
     if n < 2:
         return Verdict.INSUFFICIENT, mean, math.inf
-    half_width = t_quantile((1 + confidence) / 2, n - 1) * exact_stdev(samples) / math.sqrt(n)
-    verdict = Verdict.PASS if half_width <= rel_half_width * mean else Verdict.FAIL
+    q = t_quantile((1 + DEFAULT_CONFIDENCE) / 2, n - 1)
+    half_width = q * exact_stdev(samples) / math.sqrt(n)
+    verdict = Verdict.PASS if half_width <= DEFAULT_REL_HALF_WIDTH * mean else Verdict.FAIL
     return verdict, mean, half_width
 
 
@@ -238,25 +229,17 @@ class MeasurementSeries:
     """Raw samples of one decode job together with their validation verdict."""
 
     samples: tuple[float, ...]
-    confidence: float
-    rel_half_width: float
     verdict: Verdict
     mean: float
     half_width: float
 
     @classmethod
-    def validate(
-        cls,
-        samples: Sequence[float],
-        confidence: float = DEFAULT_CONFIDENCE,
-        rel_half_width: float = DEFAULT_REL_HALF_WIDTH,
-    ) -> "MeasurementSeries":
-        verdict, mean, half_width = ci_check(samples, confidence, rel_half_width)
-        return cls(tuple(samples), confidence, rel_half_width, verdict, mean, half_width)
+    def validate(cls, samples: Sequence[float]) -> "MeasurementSeries":
+        return cls(tuple(samples), *ci_check(samples))
 
     def describe(self) -> str:
         return (
             f"{self.verdict.value}: n={len(self.samples)} mean={self.mean:.6g} J "
             f"half_width={self.half_width:.6g} J "
-            f"(confidence={self.confidence}, bound={self.rel_half_width})"
+            f"(confidence={DEFAULT_CONFIDENCE}, bound={DEFAULT_REL_HALF_WIDTH})"
         )

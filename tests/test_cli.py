@@ -299,6 +299,27 @@ class TestDse:
         assert [path.name for path in out.iterdir()] == ["kept.txt"]
         assert (out / "kept.txt").read_text() == "kept\n"
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--qps", "22,27,32"], "BD needs at least 4 qps, got 3"),
+        (["--sequences", "s01,s01"], "sequence names must not repeat, got ('s01', 's01')"),
+        (["--max-iter", "0"], "argument --max-iter: must be an integer >= 1, got '0'"),
+        (["--lbe-threshold", "0"], "lbe_bdr_threshold must be finite and > 0, got 0.0"),
+    ], ids=["three-qps", "repeated-sequence", "max-iter", "lbe-threshold"])
+    def test_cached_bad_argument_exits_2_before_ingest(self, tmp_path, capsys, flags,
+                                                       message):
+        reg, table = gated_table(tmp_path)
+        out = tmp_path / "run"
+        code = cli.main([
+            "dse", "--strategy", "e1", "--backend", "cached", "--measurements", table,
+            "--registry", reg, "--out", str(out), *flags,
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "measurement:" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_empty_out_left_by_a_failed_run_is_accepted(self, tmp_path, capsys):
         out = tmp_path / "run"
         template = f'{sys.executable} -c "import sys; sys.exit(2)" {{sequence}} {{qp}} {{out}}'
@@ -431,7 +452,12 @@ class TestBd:
         (["--test", "6", "--test", "ZZZ"], "ZZZ"),
         (["--test", "6", "--qps", "22,x"], "qps must be integers, got '22,x'"),
         (["--test", "6", "--sequences", ","], "empty list: ','"),
-    ], ids=["test", "qps", "sequences"])
+        (["--test", "6", "--sequences", "s01,s01"],
+         "sequence names must not repeat, got ('s01', 's01')"),
+        (["--test", "6", "--qps", "37,22,27,32"],
+         "qps must be strictly increasing, got (37, 22, 27, 32)"),
+        (["--test", "6", "--qps", "22,27,32"], "BD needs at least 4 qps, got 3"),
+    ], ids=["test", "qps", "sequences", "repeated-sequence", "unordered-qps", "three-qps"])
     def test_bad_argument_exits_2_before_ingest(self, tmp_path, capsys, flags, message):
         reg, table = gated_table(tmp_path)
         code = cli.main(["bd", "--anchor", "7", "--measurements", table, "--registry", reg,
@@ -526,6 +552,42 @@ class TestPareto:
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert cli.main(["pareto", "--points", str(tmp_path / "nope.csv")]) == 2
+
+    def test_bad_threshold_is_reported_before_the_points_are_read(self, tmp_path, capsys):
+        code = cli.main(["pareto", "--points", str(tmp_path / "nope.csv"),
+                         "--lbe-threshold", "0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "lbe_bdr_threshold must be finite and > 0, got 0.0" in err
+        assert "nope.csv" not in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: "{not json", "Expecting property name"),
+        (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "config"}),
+         "no key 'config'"),
+        (lambda text: text.replace('"bdr_vmaf"', '"bdr_other"', 1), "no key 'bdr_vmaf'"),
+        (lambda text: text.replace('"quality_axis": "vmaf"', '"quality_axis": "ssim"'),
+         "'ssim' is not a valid QualityAxis"),
+        (lambda text: text.replace('"bdr_vmaf": ', '"bdr_vmaf": NaN, "unused": ', 1),
+         "BD value bdr_vmaf is not finite"),
+        (lambda text: "[]", "list indices must be integers"),
+        (lambda text: json.dumps({**json.loads(text), "evaluated": []}),
+         "'list' object has no attribute 'items'"),
+    ], ids=["not-json", "no-config", "no-bdr-vmaf", "unknown-axis", "nan", "list",
+            "evaluated-list"])
+    def test_malformed_result_exits_2_and_names_file(self, tmp_path, capsys, edit, message):
+        run_dir = tmp_path / "run"
+        assert cli.main(["dse", "--strategy", "ea", "--backend", "synthetic",
+                         "--seed", "7", "--out", str(run_dir)]) == 0
+        result = run_dir / "result.json"
+        text = result.read_text()
+        assert '"quality_axis": "vmaf"' in text and '"bdr_vmaf"' in text
+        result.write_text(edit(text))
+        capsys.readouterr()
+        assert cli.main(["pareto", "--points", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {result}: not a ctp dse result" in err
+        assert message in err
 
     def test_config_error_leaves_no_out_directory(self, tmp_path, capsys):
         path = tmp_path / "p.csv"

@@ -58,6 +58,8 @@ class TestEvaluationRequest:
             EvaluationRequest(ctp, ("s01",), ())
         with pytest.raises(ConfigError, match="strictly increasing"):
             EvaluationRequest(ctp, ("s01",), (27, 22))
+        with pytest.raises(ConfigError, match="BD needs at least 4 qps, got 3"):
+            EvaluationRequest(ctp, ("s01",), (22, 27, 32))
 
 
 class TestIngest:
@@ -297,7 +299,7 @@ class TestSyntheticModel:
 
     def test_unknown_qp(self):
         params = make_params(3)
-        request = EvaluationRequest(default_ctp(make_registry(3)), ("s01",), (22, 25))
+        request = EvaluationRequest(default_ctp(make_registry(3)), ("s01",), (22, 25, 27, 32))
         with pytest.raises(ConfigError, match="25"):
             SyntheticModelEvaluator(params).evaluate(request)
 
