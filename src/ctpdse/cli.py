@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .curves import BdReport, QualityAxis, aggregate_reports, bd_report
+from .curves import BdReport, PreparedAnchor, QualityAxis, aggregate_reports, bd_report
 from .engine import (
     DEFAULT_MAX_ITERATIONS,
     STRATEGIES,
@@ -307,6 +307,7 @@ def cmd_bd(args) -> int:
         return "".join(f" {_pct(value):>10}" for axis in axes for value in report.pair(axis))
 
     anchor_curves = {s: table.curve(anchor_mask, s, qps) for s in sequences}
+    anchors = {s: PreparedAnchor(curve) for s, curve in anchor_curves.items()}
     header = f"{'ctp':<10} {'sequence':<16}" + "".join(
         f" {label:>10}" for axis in axes for label in (f"BDR-{axis.name}", f"BDDE-{axis.name}")
     )
@@ -318,7 +319,7 @@ def cmd_bd(args) -> int:
         reports = []
         for sequence in sequences:
             test_curve = table.curve(mask, sequence, qps)
-            report = bd_report(anchor_curves[sequence], test_curve)
+            report = bd_report(anchors[sequence], test_curve)
             reports.append(report)
             print(f"{mask:<10} {sequence:<16}" + cells(report))
         aggregate = aggregate_reports(reports)
@@ -447,6 +448,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(exc: Exception) -> None:
+    """One ``error:`` line; a ``ctp dse`` evaluation failure names its profile."""
+    failed = getattr(exc, "failed_ctp", None)
+    where = f"profile {serialize_ctp(failed)}: " if failed is not None else ""
+    print(f"error: {where}{exc}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -457,13 +465,13 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except MeasurementMissError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(exc)
         return 3
     except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(exc)
         return 2
     except CtpDseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(exc)
         return 4
 
 

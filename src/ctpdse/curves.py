@@ -18,6 +18,17 @@ when the two secants nearest the end differ in sign and the estimate
 exceeds that. Each interval's integral is the closed form of the cubic
 Hermite basis over the part of the interval inside the overlap.
 
+Every BD value of a run compares against the same anchor curve, so the
+anchor side is prepared once. A ``PreparedCurve`` holds the sorted
+quality, the log10 costs, the interval widths, the PCHIP slopes and each
+interval's integral over the whole interval; a ``PreparedAnchor`` holds
+one per BD field of a sequence. ``bd_delta`` adds the stored term of each
+interval that lies wholly inside the overlap and integrates only the cut
+intervals at the two ends. A stored term is the float the same formula
+gives inside the call, because the interval's ends map to exactly 0.0
+and 1.0, and the terms are added in node order as before, so reusing a
+prepared anchor changes no bit of any result.
+
 Only the piecewise-cubic form is provided; the older global third-order
 polynomial fit is deliberately not implemented. Quality values are used
 as ingested (PSNR is expected pre-combined across components); no pixel
@@ -176,12 +187,11 @@ def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
     return d
 
 
-def _pchip_integral(x: list[float], y: list[float], lo: float, hi: float) -> float:
-    """Integral over [lo, hi] of the PCHIP interpolant through (x, y)."""
-    h = [b - a for a, b in zip(x, x[1:])]
+def _pchip_slopes(h: list[float], y: list[float]) -> list[float]:
+    """Node slopes of the PCHIP interpolant with interval widths ``h``."""
     m = [(b - a) / w for a, b, w in zip(y, y[1:], h)]
     slopes = [_end_slope(h[0], h[1], m[0], m[1])]
-    for k in range(1, len(x) - 1):
+    for k in range(1, len(h)):
         m0, m1 = m[k - 1], m[k]
         if _sign(m0) * _sign(m1) > 0:
             w1, w2 = 2 * h[k] + h[k - 1], h[k] + 2 * h[k - 1]
@@ -189,59 +199,126 @@ def _pchip_integral(x: list[float], y: list[float], lo: float, hi: float) -> flo
         else:
             slopes.append(0.0)
     slopes.append(_end_slope(h[-1], h[-2], m[-1], m[-2]))
-
-    def area(k: int, t: float) -> float:
-        # Integral over [0, t] of the unit-interval Hermite basis of interval k.
-        t2 = t * t
-        t3 = t2 * t
-        t4 = t3 * t
-        return (
-            y[k] * (t4 / 2 - t3 + t)
-            + h[k] * slopes[k] * (t4 / 4 - 2 * t3 / 3 + t2 / 2)
-            + y[k + 1] * (t3 - t4 / 2)
-            + h[k] * slopes[k + 1] * (t4 / 4 - t3 / 3)
-        )
-
-    total = 0.0
-    for k, width in enumerate(h):
-        a = max(lo, x[k])
-        b = min(hi, x[k + 1])
-        if a < b:
-            total += width * (area(k, (b - x[k]) / width) - area(k, (a - x[k]) / width))
-    return total
+    return slopes
 
 
-def bd_delta(anchor: Sequence[tuple[float, float]], test: Sequence[tuple[float, float]]) -> float:
+def _area(y0: float, y1: float, d0: float, d1: float, t: float) -> float:
+    """Integral over [0, t] of the unit-interval cubic Hermite basis.
+
+    ``y0`` and ``y1`` are the end values, ``d0`` and ``d1`` the end
+    slopes times the interval width.
+    """
+    t2 = t * t
+    t3 = t2 * t
+    t4 = t3 * t
+    return (
+        y0 * (t4 / 2 - t3 + t)
+        + d0 * (t4 / 4 - 2 * t3 / 3 + t2 / 2)
+        + y1 * (t3 - t4 / 2)
+        + d1 * (t4 / 4 - t3 / 3)
+    )
+
+
+class PreparedCurve:
+    """One side of a BD integral: a validated curve ready to integrate.
+
+    ``quality`` is sorted ascending and ``log_cost`` holds log10 of the
+    matching costs. ``widths`` and ``slopes`` are the PCHIP interval
+    widths and node slopes, and ``full[k]`` is the integral over the whole
+    of interval k. ``lo``, ``hi`` and ``span`` give the quality range.
+    Build the anchor side once and pass it to every ``bd_delta`` call.
+    """
+
+    __slots__ = ("quality", "log_cost", "widths", "slopes", "full", "lo", "hi", "span")
+
+    def __init__(self, points: Sequence[tuple[float, float]], role: str):
+        x, y = _prepare(points, role)
+        self.quality, self.log_cost = x, y
+        self.widths = [b - a for a, b in zip(x, x[1:])]
+        self.slopes = _pchip_slopes(self.widths, y)
+        self.full = [self._piece(k, x[k], x[k + 1]) for k in range(len(self.widths))]
+        self.lo, self.hi = x[0], x[-1]
+        self.span = self.hi - self.lo
+
+    def _piece(self, k: int, a: float, b: float) -> float:
+        """Integral over [a, b], a part of interval k, of the interpolant."""
+        x0, y, slopes, width = self.quality[k], self.log_cost, self.slopes, self.widths[k]
+        y0, y1, d0, d1 = y[k], y[k + 1], width * slopes[k], width * slopes[k + 1]
+        return width * (_area(y0, y1, d0, d1, (b - x0) / width)
+                        - _area(y0, y1, d0, d1, (a - x0) / width))
+
+    def integral(self, lo: float, hi: float) -> float:
+        """Integral over [lo, hi] of the PCHIP interpolant through the nodes.
+
+        An interval wholly inside [lo, hi] adds its stored ``full`` term,
+        the same float as computing it here, so only the cut intervals at
+        the two ends cost work.
+        """
+        x = self.quality
+        total = 0.0
+        for k, full in enumerate(self.full):
+            a, b = x[k], x[k + 1]
+            if lo <= a and b <= hi:
+                total += full
+            else:
+                a = max(lo, a)
+                b = min(hi, b)
+                if a < b:
+                    total += self._piece(k, a, b)
+        return total
+
+
+def _prepared(curve, role: str) -> PreparedCurve:
+    return curve if isinstance(curve, PreparedCurve) else PreparedCurve(curve, role)
+
+
+def bd_delta(anchor: PreparedCurve | Sequence[tuple[float, float]],
+             test: PreparedCurve | Sequence[tuple[float, float]]) -> float:
     """Percent cost difference of ``test`` vs ``anchor`` at equal quality.
 
-    Both inputs are (cost, quality) pairs; point order does not matter.
-    Returns 100 * (10**d - 1) where d is the mean difference of the two
-    log10-cost interpolants over the common quality interval.
+    Each side is a ``PreparedCurve`` or (cost, quality) pairs in any
+    order, which are prepared here. Returns 100 * (10**d - 1) where d is
+    the mean difference of the two log10-cost interpolants over the
+    common quality interval.
     """
-    aq, ac = _prepare(anchor, "anchor")
-    tq, tc = _prepare(test, "test")
-    lo = max(aq[0], tq[0])
-    hi = min(aq[-1], tq[-1])
+    anchor = _prepared(anchor, "anchor")
+    test = _prepared(test, "test")
+    lo = max(anchor.lo, test.lo)
+    hi = min(anchor.hi, test.hi)
     if not lo < hi:
         raise CurveDataError(
-            f"empty quality overlap: anchor spans [{aq[0]:g}, {aq[-1]:g}], "
-            f"test spans [{tq[0]:g}, {tq[-1]:g}]"
+            f"empty quality overlap: anchor spans [{anchor.lo:g}, {anchor.hi:g}], "
+            f"test spans [{test.lo:g}, {test.hi:g}]"
         )
-    delta = (_pchip_integral(tq, tc, lo, hi) - _pchip_integral(aq, ac, lo, hi)) / (hi - lo)
+    delta = (test.integral(lo, hi) - anchor.integral(lo, hi)) / (hi - lo)
     try:
         return 100.0 * (10.0 ** delta - 1.0)
-    except OverflowError:  # costs some 300 decades apart; BdReport rejects the inf
-        return math.inf
+    except OverflowError:
+        raise CurveDataError(
+            f"costs too far apart: the mean log10 cost difference {delta:g} overflows"
+        ) from None
 
 
-def _overlap_fraction(anchor_q: Sequence[float], test_q: Sequence[float]) -> float:
-    lo = max(min(anchor_q), min(test_q))
-    hi = min(max(anchor_q), max(test_q))
-    span = max(anchor_q) - min(anchor_q)
-    return (hi - lo) / span if span > 0 else 0.0
+class PreparedAnchor:
+    """One sequence's anchor curve, prepared once for each BD field.
+
+    An invalid curve is rejected here, tagged with the first field it
+    fails, as ``bd_report`` tags its errors.
+    """
+
+    __slots__ = ("sequence", "fields")
+
+    def __init__(self, curve: RdeCurve):
+        self.sequence = curve.sequence
+        self.fields = {}
+        for name, cost, axis in BD_FIELDS:
+            try:
+                self.fields[name] = PreparedCurve(curve.axis(cost, axis.value), "anchor")
+            except CtpDseError as exc:
+                raise CurveDataError(f"{name} ({curve.sequence}): {exc}") from exc
 
 
-def bd_report(anchor: RdeCurve, test: RdeCurve) -> BdReport:
+def bd_report(anchor: PreparedAnchor, test: RdeCurve) -> BdReport:
     """All four BD metrics of ``test`` against ``anchor`` for one sequence."""
     if anchor.sequence != test.sequence:
         raise CurveDataError(
@@ -251,13 +328,14 @@ def bd_report(anchor: RdeCurve, test: RdeCurve) -> BdReport:
     warnings = []
     for name, cost, axis in BD_FIELDS:
         quality = axis.value
+        prepared = anchor.fields[name]
         try:
-            values[name] = bd_delta(anchor.axis(cost, quality), test.axis(cost, quality))
+            values[name] = bd_delta(prepared, test.axis(cost, quality))
         except CtpDseError as exc:
             raise CurveDataError(f"{name} ({test.sequence}): {exc}") from exc
-        anchor_q = [getattr(p, quality) for p in anchor.points]
         test_q = [getattr(p, quality) for p in test.points]
-        frac = _overlap_fraction(anchor_q, test_q)
+        # The share of the anchor's quality span that the two curves share.
+        frac = (min(prepared.hi, max(test_q)) - max(prepared.lo, min(test_q))) / prepared.span
         if frac < MIN_OVERLAP_FRACTION:
             warnings.append(
                 f"{name} ({test.sequence}): quality overlap is only {100 * frac:.1f}% "

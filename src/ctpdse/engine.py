@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .curves import (BD_FIELDS, BdReport, QualityAxis, RdeCurve,
+from .curves import (BD_FIELDS, BdReport, PreparedAnchor, QualityAxis, RdeCurve,
                      aggregate_reports, bd_report)
 from .errors import ConfigError, CtpDseError
 from .evaluators import EvaluationRequest, Evaluator
@@ -138,37 +138,38 @@ class EvaluationCache:
         self.config = config
         self.evaluator = evaluator
         self.reports: dict[Ctp, BdReport] = {}
-        self._anchor_curves: dict[str, RdeCurve] | None = None
+        self._anchors: dict[str, PreparedAnchor] | None = None
 
     def _curves(self, ctp: Ctp) -> dict[str, RdeCurve]:
         request = EvaluationRequest(ctp, self.config.sequences, self.config.qps)
         curves = {c.sequence: c for c in self.evaluator.evaluate(request)}
         missing = [s for s in self.config.sequences if s not in curves]
         if missing:
-            raise CtpDseError(
-                f"backend returned no curve for sequences {missing} "
-                f"(profile {serialize_ctp(ctp)})"
-            )
+            raise CtpDseError(f"backend returned no curve for sequences {missing}")
         return curves
 
     def bootstrap_anchor(self) -> BdReport:
-        """Evaluate the anchor; ``bd_report`` rejects a bad anchor curve before any candidate."""
+        """Evaluate and prepare the anchor; a bad anchor curve is rejected before any candidate."""
         anchor = self.config.anchor
-        self._anchor_curves = self._curves(anchor)
-        report = aggregate_reports(
-            bd_report(self._anchor_curves[s], self._anchor_curves[s])
-            for s in self.config.sequences
-        )
+        try:
+            curves = self._curves(anchor)
+            self._anchors = {s: PreparedAnchor(curves[s]) for s in self.config.sequences}
+            report = aggregate_reports(
+                bd_report(self._anchors[s], curves[s]) for s in self.config.sequences
+            )
+        except CtpDseError as exc:
+            exc.failed_ctp = anchor
+            raise
         self.reports[anchor] = report
         return report
 
     def compute(self, ctp: Ctp) -> BdReport:
         """Evaluate one profile against the anchor without touching the cache."""
-        assert self._anchor_curves is not None, "anchor must be bootstrapped first"
+        assert self._anchors is not None, "anchor must be bootstrapped first"
         try:
             curves = self._curves(ctp)
             return aggregate_reports(
-                bd_report(self._anchor_curves[s], curves[s]) for s in self.config.sequences
+                bd_report(self._anchors[s], curves[s]) for s in self.config.sequences
             )
         except CtpDseError as exc:
             exc.failed_ctp = ctp

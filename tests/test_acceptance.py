@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
 
-from ctpdse.curves import bd_delta, bd_report
+from ctpdse.curves import PreparedAnchor, PreparedCurve, bd_delta, bd_report
 from ctpdse.engine import (
     DseConfig,
     EvaluationCache,
@@ -98,7 +98,7 @@ def test_bd_analytic_cases():
         half = Ctp(registry, (False, True))  # drops the x2 energy factor
         (anchor_curve,) = evaluator.evaluate(EvaluationRequest(full, ("s01",), BASE_QPS))
         (test_curve,) = evaluator.evaluate(EvaluationRequest(half, ("s01",), BASE_QPS))
-        report = bd_report(anchor_curve, test_curve)
+        report = bd_report(PreparedAnchor(anchor_curve), test_curve)
         assert abs(report.bdde_psnr + 50.0) < 1e-9
         assert abs(report.bdde_vmaf + 50.0) < 1e-9
         assert report.bdr_psnr == 0.0 and report.bdr_vmaf == 0.0
@@ -140,8 +140,8 @@ def enumerate_vmaf_scores(params, registry):
     evaluator = SyntheticModelEvaluator(params)
     anchor = default_ctp(registry)
     (anchor_curve,) = evaluator.evaluate(EvaluationRequest(anchor, ("s01",), BASE_QPS))
-    anchor_rate = anchor_curve.axis("bitrate", "vmaf")
-    anchor_energy = anchor_curve.axis("energy", "vmaf")
+    anchor_rate = PreparedCurve(anchor_curve.axis("bitrate", "vmaf"), "anchor")
+    anchor_energy = PreparedCurve(anchor_curve.axis("energy", "vmaf"), "anchor")
     scores = {}
     for value in range(2 ** len(registry)):
         bits = tuple(bool(value >> i & 1) for i in range(len(registry)))

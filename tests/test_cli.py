@@ -173,6 +173,30 @@ class TestDse:
         assert code == 4
         assert "exited with 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("backend, code, message", [
+        ("external", 4, "error: profile 7: (s01, qp 22): command exited with 2"),
+        ("cached", 2, "error: profile 6: bdr_vmaf (s01): empty quality overlap"),
+    ], ids=["external", "cached"])
+    def test_evaluation_error_names_the_failing_profile(self, tmp_path, capsys, backend, code,
+                                                        message):
+        reg = tmp_path / "r.reg"
+        reg.write_text(REGISTRY_3)
+        if backend == "external":  # the anchor's first job fails
+            flags = ["--command-template",
+                     f'{sys.executable} -c "import sys; sys.exit(2)" '
+                     "{sequence} {qp} {ctp_mask} {out}", "--sequences", "s01"]
+        else:  # flip 6 has no VMAF in common with the anchor
+            rows = anchor_rows("7") + halved_energy_rows("5") + halved_energy_rows("3")
+            for row in halved_energy_rows("6"):
+                fields = row.split(",")
+                fields[5] = str(float(fields[5]) - 60.0)
+                rows.append(",".join(fields))
+            flags = ["--measurements", write_table(tmp_path / "m.csv", rows)]
+        assert cli.main(["dse", "--strategy", "e1", "--backend", backend, *flags,
+                         "--registry", str(reg), "--out", str(tmp_path / "run")]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(message)
+
     @pytest.mark.parametrize("samples, message", BAD_SAMPLES)
     def test_cached_bad_samples_exit_2_and_name_line(self, tmp_path, capsys, samples, message):
         reg = tmp_path / "r.reg"
@@ -467,6 +491,20 @@ class TestBd:
         assert message in captured.err
         assert "measurement:" not in captured.err
         assert captured.out == ""
+
+    def test_bad_anchor_exits_2_before_the_header(self, tmp_path, capsys):
+        reg = tmp_path / "r.reg"
+        reg.write_text(REGISTRY_3)
+        rows = anchor_rows("7")
+        rows[1] = rows[1].replace(",40.1,", ",37.4,")  # qp 27 repeats the PSNR of qp 32
+        table = write_table(tmp_path / "m.csv", rows + halved_energy_rows("6"))
+        code = cli.main(["bd", "--anchor", "7", "--test", "6",
+                         "--measurements", table, "--registry", str(reg)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: bdr_psnr (s01): anchor curve quality values are not "
+                                "strictly monotone (repeated quality near 37.4)\n")
 
     def test_missing_test_rows_exit_3(self, tmp_path, capsys):
         reg = tmp_path / "r.reg"

@@ -13,7 +13,10 @@ from scipy.interpolate import PchipInterpolator
 
 import ctpdse
 from ctpdse.curves import (
+    BdReport,
     CurveDataError,
+    PreparedAnchor,
+    PreparedCurve,
     RdeCurve,
     RdePoint,
     _prepare,
@@ -242,6 +245,110 @@ class TestBdDelta:
             bd_delta(pts, pts)
 
 
+@st.composite
+def anchor_and_tests(draw):
+    """One anchor curve and 1-8 test curves placed anywhere around it.
+
+    Each test's quality range starts and ends between 4 below the
+    anchor's first node and 4 above its last, so an overlap may cut anchor
+    intervals at one end, at both ends or at neither (the anchor lies
+    wholly inside the test), and may be empty.
+    """
+    def costs(n):
+        return draw(st.lists(st.sampled_from((10.0, 100.0)) | st.floats(1.0, 1e4),
+                             min_size=n, max_size=n))
+
+    steps = draw(st.lists(st.floats(0.5, 4.0), min_size=3, max_size=5))
+    quality = list(itertools.accumulate(steps, initial=30.0))
+    anchor = list(zip(costs(len(quality)), quality))
+    tests = []
+    for _ in range(draw(st.integers(1, 8))):
+        lo, hi = sorted(draw(st.lists(st.floats(26.0, quality[-1] + 4.0),
+                                      min_size=2, max_size=2, unique=True)))
+        if hi - lo < 0.1:
+            continue
+        inner = draw(st.lists(st.floats(0.05, 0.95), min_size=2, max_size=4, unique=True))
+        nodes = [lo, *(lo + f * (hi - lo) for f in sorted(inner)), hi]
+        tests.append(list(zip(costs(len(nodes)), nodes)))
+    return anchor, tests
+
+
+def per_call_bd(anchor, test):
+    """BD percent with every interval integrated in the call, as a reference."""
+    a, t = PreparedCurve(anchor, "anchor"), PreparedCurve(test, "test")
+    lo, hi = max(a.lo, t.lo), min(a.hi, t.hi)
+
+    def integral(curve):
+        total = 0.0
+        for k in range(len(curve.widths)):
+            left, right = max(lo, curve.quality[k]), min(hi, curve.quality[k + 1])
+            if left < right:
+                total += curve._piece(k, left, right)
+        return total
+
+    return 100.0 * (10.0 ** ((integral(t) - integral(a)) / (hi - lo)) - 1.0)
+
+
+def bd_or_error(anchor, test):
+    try:
+        return bd_delta(anchor, test)
+    except CurveDataError as exc:
+        return str(exc)
+
+
+ANCHOR_4 = [(100.0, 30.0), (60.0, 32.0), (40.0, 35.0), (20.0, 37.0)]
+
+
+class TestPreparedCurve:
+    @given(anchor_and_tests())
+    @example((ANCHOR_4, [  # inside the anchor: cuts anchor intervals 0 and 2
+        [(90.0, 30.5), (50.0, 33.0), (30.0, 36.5), (25.0, 36.8)],
+    ]))
+    @example((ANCHOR_4, [  # the anchor lies wholly inside the test
+        [(120.0, 29.0), (70.0, 31.5), (45.0, 34.0), (15.0, 38.0)],
+    ]))
+    def test_reused_anchor_gives_the_floats_of_a_fresh_one(self, case):
+        anchor, tests = case
+        prepared = PreparedCurve(anchor, "anchor")
+        for test in tests:
+            fresh = bd_or_error(PreparedCurve(anchor, "anchor"), test)
+            assert bd_or_error(prepared, test) == fresh
+            assert bd_or_error(anchor, test) == fresh
+            if isinstance(fresh, float):
+                assert fresh == per_call_bd(anchor, test)
+
+    def test_holds_sorted_nodes_and_full_interval_integrals(self):
+        curve = PreparedCurve(list(reversed(ANCHOR_4)), "anchor")
+        assert curve.quality == [30.0, 32.0, 35.0, 37.0]
+        assert curve.log_cost == [math.log10(c) for c, _ in ANCHOR_4]
+        assert curve.widths == [2.0, 3.0, 2.0]
+        assert (curve.lo, curve.hi, curve.span) == (30.0, 37.0, 7.0)
+        assert curve.full == [curve._piece(k, a, b) for k, (a, b)
+                              in enumerate(zip(curve.quality, curve.quality[1:]))]
+        assert math.fsum(curve.full) == pytest.approx(curve.integral(30.0, 37.0))
+
+    def test_too_few_points_rejected(self):
+        with pytest.raises(CurveDataError,
+                           match="^anchor curve has 3 points, need at least 4$"):
+            PreparedCurve(ANCHOR_4[:3], "anchor")
+
+    @pytest.mark.parametrize("axis, name", [("psnr", "bdr_psnr"), ("vmaf", "bdr_vmaf")])
+    def test_repeated_anchor_quality_is_tagged(self, axis, name):
+        good = make_curve()
+        points = list(good.points)
+        points[1] = RdePoint(27, points[1].bitrate,
+                             points[2].psnr if axis == "psnr" else points[1].psnr,
+                             points[2].vmaf if axis == "vmaf" else points[1].vmaf,
+                             points[1].energy)
+        repeated = getattr(points[2], axis)
+        with pytest.raises(CurveDataError) as err:
+            PreparedAnchor(RdeCurve("s01", good.ctp_id, tuple(points)))
+        assert str(err.value) == (
+            f"{name} (s01): anchor curve quality values are not strictly monotone "
+            f"(repeated quality near {repeated:g})"
+        )
+
+
 @pytest.mark.parametrize("module, absent", [
     ("ctpdse.cli", ("numpy", "scipy")),
     ("ctpdse.curves", ("numpy", "scipy")),
@@ -273,14 +380,14 @@ def test_synthetic_dse_loads_no_numeric_library(tmp_path):
 class TestBdReport:
     def test_self_report_is_zero(self):
         curve = make_curve()
-        report = bd_report(curve, curve)
+        report = bd_report(PreparedAnchor(curve), curve)
         assert (report.bdr_psnr, report.bdr_vmaf, report.bdde_psnr, report.bdde_vmaf) \
             == (0.0, 0.0, 0.0, 0.0)
 
     def test_halved_energy_only_touches_bdde(self):
         anchor = make_curve()
         test = make_curve(ctp_id="TEST", energy_mult=0.5)
-        report = bd_report(anchor, test)
+        report = bd_report(PreparedAnchor(anchor), test)
         assert report.bdr_psnr == 0.0
         assert report.bdr_vmaf == 0.0
         assert report.bdde_psnr == pytest.approx(-50.0, abs=1e-9)
@@ -290,7 +397,7 @@ class TestBdReport:
         anchor = make_curve()
         test = make_curve(ctp_id="TEST", rate_mult=1.2, energy_mult=0.8,
                           psnr_shift=-0.4, vmaf_shift=-1.0)
-        report = bd_report(anchor, test)
+        report = bd_report(PreparedAnchor(anchor), test)
         assert report.bdr_psnr == bd_delta(anchor.axis("bitrate", "psnr"),
                                            test.axis("bitrate", "psnr"))
         assert report.bdr_vmaf == bd_delta(anchor.axis("bitrate", "vmaf"),
@@ -302,33 +409,37 @@ class TestBdReport:
 
     def test_sequence_mismatch_rejected(self):
         with pytest.raises(CurveDataError, match="sequence mismatch"):
-            bd_report(make_curve(sequence="a"), make_curve(sequence="b"))
+            bd_report(PreparedAnchor(make_curve(sequence="a")), make_curve(sequence="b"))
 
     def test_error_tagged_with_metric_name(self):
         anchor = make_curve(vmaf_shift=-60.0)  # vmaf range 6..32
         test = make_curve(ctp_id="TEST")       # vmaf range 66..92, no overlap
         with pytest.raises(CurveDataError, match="bdr_vmaf"):
-            bd_report(anchor, test)
+            bd_report(PreparedAnchor(anchor), test)
 
     def test_costs_too_far_apart_rejected(self):
         # an energy ratio of 1e600 overflows 10 ** delta
         anchor = make_curve(energy_mult=1e-300)
         test = make_curve(ctp_id="TEST", energy_mult=1e300)
-        with pytest.raises(CurveDataError, match="not finite"):
-            bd_report(anchor, test)
+        with pytest.raises(CurveDataError,
+                           match=r"^bdde_psnr \(s01\): costs too far apart: .* overflows$"):
+            bd_report(PreparedAnchor(anchor), test)
+        # A report read back from result.json is checked by BdReport itself.
+        with pytest.raises(CurveDataError, match="BD value bdde_psnr is not finite"):
+            BdReport(0.0, 0.0, math.inf, 0.0)
 
     def test_thin_overlap_warns_on_report(self):
         anchor = make_curve()
         # psnr span is 7.9; shift so the common range is ~0.5 of it
         test = make_curve(ctp_id="TEST", psnr_shift=7.4, vmaf_shift=-5.0)
-        report = bd_report(anchor, test)
+        report = bd_report(PreparedAnchor(anchor), test)
         assert any("bdr_psnr" in w and "overlap" in w for w in report.warnings)
         assert any("bdde_psnr" in w for w in report.warnings)
 
 
 class TestAggregate:
     def _report(self, value):
-        return bd_report(make_curve(), make_curve(ctp_id="T", energy_mult=value))
+        return bd_report(PreparedAnchor(make_curve()), make_curve(ctp_id="T", energy_mult=value))
 
     def test_single_report_is_identity(self):
         report = self._report(0.5)
@@ -351,6 +462,7 @@ class TestAggregate:
 
     def test_warnings_merged_without_duplicates(self):
         anchor = make_curve()
-        warned = bd_report(anchor, make_curve(ctp_id="T", psnr_shift=7.4, vmaf_shift=-5.0))
+        test = make_curve(ctp_id="T", psnr_shift=7.4, vmaf_shift=-5.0)
+        warned = bd_report(PreparedAnchor(anchor), test)
         merged = aggregate_reports([warned, warned])
         assert merged.warnings == warned.warnings

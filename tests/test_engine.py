@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from ctpdse import evaluators
-from ctpdse.curves import BdReport, aggregate_reports, bd_report
+from ctpdse.curves import (BdReport, PreparedAnchor, RdeCurve, RdePoint, aggregate_reports,
+                           bd_report)
 from ctpdse.engine import (
     DseConfig,
     EvaluationCache,
@@ -57,8 +58,8 @@ def exhaustive_scores(params, registry, objective, axis=QualityAxis.VMAF, sequen
     """Score every profile by brute-force enumeration (small registries only)."""
     evaluator = SyntheticModelEvaluator(params)
     anchor = default_ctp(registry)
-    anchor_curves = {
-        c.sequence: c
+    anchors = {
+        c.sequence: PreparedAnchor(c)
         for c in evaluator.evaluate(EvaluationRequest(anchor, sequences, BASE_QPS))
     }
     scores = {}
@@ -67,7 +68,7 @@ def exhaustive_scores(params, registry, objective, axis=QualityAxis.VMAF, sequen
         ctp = Ctp(registry, bits)
         curves = evaluator.evaluate(EvaluationRequest(ctp, sequences, BASE_QPS))
         report = aggregate_reports(
-            bd_report(anchor_curves[c.sequence], c) for c in curves
+            bd_report(anchors[c.sequence], c) for c in curves
         )
         scores[ctp] = score(report, objective, axis)
     return scores
@@ -329,6 +330,18 @@ class SwitchAfter(CountingEvaluator):
         return super().evaluate(request)
 
 
+class RepeatedPsnr(CountingEvaluator):
+    """Gives the second point of every curve the PSNR of the third."""
+
+    def evaluate(self, request):
+        curves = []
+        for curve in super().evaluate(request):
+            p = list(curve.points)
+            p[1] = RdePoint(p[1].qp, p[1].bitrate, p[2].psnr, p[1].vmaf, p[1].energy)
+            curves.append(RdeCurve(curve.sequence, curve.ctp_id, tuple(p)))
+        return curves
+
+
 class TestCachingAndErrors:
     def test_no_profile_evaluated_twice(self):
         registry = make_registry(5)
@@ -364,6 +377,28 @@ class TestCachingAndErrors:
         # inside iteration 2 before the failing one
         assert len(err.value.partial_evaluated) == 5
         assert err.value.failed_ctp is not None
+        assert err.value.failed_ctp not in err.value.partial_evaluated
+
+    @pytest.mark.parametrize("failure", ["backend", "curve"])
+    def test_bootstrap_failure_names_the_anchor(self, failure):
+        registry = make_registry(3)
+        synthetic = SyntheticModelEvaluator(make_params(3))
+        if failure == "backend":
+            evaluator = FailAfter(synthetic, allowed_calls=0)
+            error, message = EvaluationError, "power meter went away"
+        else:
+            evaluator = RepeatedPsnr(synthetic)
+            error, message = ConfigError, r"^bdr_psnr \(s01\): anchor curve quality"
+        config = make_config(registry, "e1")
+        cache = EvaluationCache(config, evaluator)
+        with pytest.raises(error, match=message) as err:
+            cache.bootstrap_anchor()
+        assert err.value.failed_ctp == config.anchor
+        assert cache.reports == {}
+        with pytest.raises(error, match=message) as err:
+            run_dse(config, evaluator)
+        assert err.value.failed_ctp == config.anchor
+        assert err.value.partial_logs == () and err.value.partial_evaluated == {}
 
     def test_non_finite_external_sample_keeps_partial_state(self, tmp_path):
         rows = dict(RESULT_ROWS)
