@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import gc
 import json
 import os
 import sys
@@ -456,6 +457,9 @@ def _error(exc: Exception) -> None:
 
 
 def main(argv=None) -> int:
+    # The imports' objects live until exit; frozen, no later collection walks them, nor those at
+    # exit (about 10 ms a process). Cost: a reference cycle made before this is never freed.
+    gc.freeze()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

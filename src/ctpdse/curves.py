@@ -18,16 +18,21 @@ when the two secants nearest the end differ in sign and the estimate
 exceeds that. Each interval's integral is the closed form of the cubic
 Hermite basis over the part of the interval inside the overlap.
 
-Every BD value of a run compares against the same anchor curve, so the
-anchor side is prepared once. A ``PreparedCurve`` holds the sorted
-quality, the log10 costs, the interval widths, the PCHIP slopes and each
-interval's integral over the whole interval; a ``PreparedAnchor`` holds
-one per BD field of a sequence. ``bd_delta`` adds the stored term of each
-interval that lies wholly inside the overlap and integrates only the cut
-intervals at the two ends. A stored term is the float the same formula
-gives inside the call, because the interval's ends map to exactly 0.0
-and 1.0, and the terms are added in node order as before, so reusing a
-prepared anchor changes no bit of any result.
+Each side of a BD integral is a ``PchipCurve``: the sorted quality, the
+log10 costs, the interval widths and the PCHIP slopes. Every BD value of
+a run compares against the same anchor curve, so the anchor side is
+prepared once, as a ``PreparedCurve`` that also stores each interval's
+integral over the whole interval; a ``PreparedAnchor`` holds one per BD
+field of a sequence. The test side is prepared once per quality axis:
+``bd_report`` sorts and checks a test curve's quality nodes and takes
+their widths once for both costs on that axis, and stores no
+whole-interval terms. ``bd_delta`` integrates each test interval the
+overlap touches, adds the anchor's stored term for each anchor interval
+wholly inside the overlap and integrates only the anchor's cut intervals
+at the two ends. A whole interval's term is the float the stored one is,
+because the interval's ends map to exactly 0.0 and 1.0, and the terms are
+added in node order, so neither side's preparation changes a bit of any
+result.
 
 Only the piecewise-cubic form is provided; the older global third-order
 polynomial fit is deliberately not implemented. Quality values are used
@@ -72,6 +77,8 @@ BD_FIELDS = (
     ("bdde_psnr", "energy", QualityAxis.PSNR),
     ("bdde_vmaf", "energy", QualityAxis.VMAF),
 )
+# The RdePoint costs a BD field can compare, in BD_FIELDS order.
+_COSTS = tuple(dict.fromkeys(cost for _, cost, _ in BD_FIELDS))
 
 
 @dataclass(frozen=True)
@@ -151,26 +158,43 @@ class BdReport:
         return tuple(getattr(self, name) for name, _, quality in BD_FIELDS if quality is axis)
 
 
-def _prepare(points: Sequence[tuple[float, float]], role: str):
-    """Sort by quality, validate, return (quality, log10 cost) lists."""
-    if len(points) < MIN_CURVE_POINTS:
+def _sort_nodes(quality: Sequence[float], costs: Sequence[Sequence[float]], role: str):
+    """Validate one curve's nodes and sort them by quality.
+
+    ``quality`` holds one value per node and each list in ``costs`` one
+    cost per node. Returns the sorted quality and, in the same order, the
+    log10 of each cost list.
+    """
+    if len(quality) < MIN_CURVE_POINTS:
         raise CurveDataError(
-            f"{role} curve has {len(points)} points, need at least {MIN_CURVE_POINTS}"
+            f"{role} curve has {len(quality)} points, need at least {MIN_CURVE_POINTS}"
         )
-    pairs = [(float(cost), float(quality)) for cost, quality in points]
-    if not all(math.isfinite(cost) and math.isfinite(quality) for cost, quality in pairs):
+    quality = list(map(float, quality))
+    costs = [list(map(float, cost)) for cost in costs]
+    if not (all(map(math.isfinite, quality))
+            and all(math.isfinite(c) for cost in costs for c in cost)):
         raise CurveDataError(f"{role} curve contains non-finite values")
-    if any(cost <= 0 for cost, _ in pairs):
+    if any(c <= 0 for cost in costs for c in cost):
         raise CurveDataError(f"{role} curve has non-positive cost values")
-    pairs.sort(key=lambda pair: pair[1])
-    quality = [q for _, q in pairs]
+    order = sorted(range(len(quality)), key=quality.__getitem__)
+    quality = [quality[i] for i in order]
     for prev, cur in zip(quality, quality[1:]):
         if cur <= prev:
             raise CurveDataError(
                 f"{role} curve quality values are not strictly monotone "
                 f"(repeated quality near {prev:g})"
             )
-    return quality, [math.log10(cost) for cost, _ in pairs]
+    return quality, [[math.log10(cost[i]) for i in order] for cost in costs]
+
+
+def _prepare(points: Sequence[tuple[float, float]], role: str):
+    """Sort (cost, quality) pairs by quality, validate, return (quality, log10 cost) lists."""
+    quality, (log_cost,) = _sort_nodes([q for _, q in points], [[c for c, _ in points]], role)
+    return quality, log_cost
+
+
+def _widths(quality: list[float]) -> list[float]:
+    return [b - a for a, b in zip(quality, quality[1:])]
 
 
 def _sign(value: float) -> int:
@@ -219,25 +243,22 @@ def _area(y0: float, y1: float, d0: float, d1: float, t: float) -> float:
     )
 
 
-class PreparedCurve:
-    """One side of a BD integral: a validated curve ready to integrate.
+class PchipCurve:
+    """One side of a BD integral: log10 cost against quality, ready to integrate.
 
     ``quality`` is sorted ascending and ``log_cost`` holds log10 of the
     matching costs. ``widths`` and ``slopes`` are the PCHIP interval
-    widths and node slopes, and ``full[k]`` is the integral over the whole
-    of interval k. ``lo``, ``hi`` and ``span`` give the quality range.
-    Build the anchor side once and pass it to every ``bd_delta`` call.
+    widths and node slopes, and ``lo``, ``hi`` and ``span`` give the
+    quality range. A test curve's two costs on one quality axis share its
+    ``quality`` and ``widths`` lists.
     """
 
-    __slots__ = ("quality", "log_cost", "widths", "slopes", "full", "lo", "hi", "span")
+    __slots__ = ("quality", "log_cost", "widths", "slopes", "lo", "hi", "span")
 
-    def __init__(self, points: Sequence[tuple[float, float]], role: str):
-        x, y = _prepare(points, role)
-        self.quality, self.log_cost = x, y
-        self.widths = [b - a for a, b in zip(x, x[1:])]
-        self.slopes = _pchip_slopes(self.widths, y)
-        self.full = [self._piece(k, x[k], x[k + 1]) for k in range(len(self.widths))]
-        self.lo, self.hi = x[0], x[-1]
+    def __init__(self, quality: list[float], widths: list[float], log_cost: list[float]):
+        self.quality, self.widths, self.log_cost = quality, widths, log_cost
+        self.slopes = _pchip_slopes(widths, log_cost)
+        self.lo, self.hi = quality[0], quality[-1]
         self.span = self.hi - self.lo
 
     def _piece(self, k: int, a: float, b: float) -> float:
@@ -250,9 +271,41 @@ class PreparedCurve:
     def integral(self, lo: float, hi: float) -> float:
         """Integral over [lo, hi] of the PCHIP interpolant through the nodes.
 
-        An interval wholly inside [lo, hi] adds its stored ``full`` term,
-        the same float as computing it here, so only the cut intervals at
-        the two ends cost work.
+        Each interval the range touches is integrated in the call, over
+        its part inside [lo, hi], and the terms are added in node order.
+        The test side integrates this way and keeps nothing between calls.
+        """
+        x = self.quality
+        total = 0.0
+        for k in range(len(self.widths)):
+            a = max(lo, x[k])
+            b = min(hi, x[k + 1])
+            if a < b:
+                total += self._piece(k, a, b)
+        return total
+
+
+class PreparedCurve(PchipCurve):
+    """The anchor side of a BD integral, prepared once for many calls.
+
+    On top of the ``PchipCurve`` fields, ``full[k]`` is the integral over
+    the whole of interval k; only the anchor stores these terms. Build the
+    anchor side once and pass it to every ``bd_delta`` call.
+    """
+
+    __slots__ = ("full",)
+
+    def __init__(self, points: Sequence[tuple[float, float]], role: str):
+        x, y = _prepare(points, role)
+        super().__init__(x, _widths(x), y)
+        self.full = [self._piece(k, x[k], x[k + 1]) for k in range(len(self.widths))]
+
+    def integral(self, lo: float, hi: float) -> float:
+        """Integral over [lo, hi] of the PCHIP interpolant through the nodes.
+
+        As ``PchipCurve.integral``, except that an interval wholly inside
+        [lo, hi] adds its stored ``full`` term, the float the call would
+        compute for it, so only the cut intervals at the two ends cost work.
         """
         x = self.quality
         total = 0.0
@@ -268,15 +321,18 @@ class PreparedCurve:
         return total
 
 
-def _prepared(curve, role: str) -> PreparedCurve:
-    return curve if isinstance(curve, PreparedCurve) else PreparedCurve(curve, role)
+def _prepared(curve, role: str) -> PchipCurve:
+    if isinstance(curve, PchipCurve):
+        return curve
+    x, y = _prepare(curve, role)
+    return PchipCurve(x, _widths(x), y)
 
 
-def bd_delta(anchor: PreparedCurve | Sequence[tuple[float, float]],
-             test: PreparedCurve | Sequence[tuple[float, float]]) -> float:
+def bd_delta(anchor: PchipCurve | Sequence[tuple[float, float]],
+             test: PchipCurve | Sequence[tuple[float, float]]) -> float:
     """Percent cost difference of ``test`` vs ``anchor`` at equal quality.
 
-    Each side is a ``PreparedCurve`` or (cost, quality) pairs in any
+    Each side is a ``PchipCurve`` or (cost, quality) pairs in any
     order, which are prepared here. Returns 100 * (10**d - 1) where d is
     the mean difference of the two log10-cost interpolants over the
     common quality interval.
@@ -318,24 +374,42 @@ class PreparedAnchor:
                 raise CurveDataError(f"{name} ({curve.sequence}): {exc}") from exc
 
 
+def _test_axis(test: RdeCurve, axis: QualityAxis) -> dict[str, PchipCurve]:
+    """The test curve on one quality axis: one ``PchipCurve`` per cost over shared nodes."""
+    points, name = test.points, axis.value
+    quality, log_costs = _sort_nodes([getattr(p, name) for p in points],
+                                     [[getattr(p, cost) for p in points] for cost in _COSTS],
+                                     "test")
+    widths = _widths(quality)
+    return {cost: PchipCurve(quality, widths, y) for cost, y in zip(_COSTS, log_costs)}
+
+
 def bd_report(anchor: PreparedAnchor, test: RdeCurve) -> BdReport:
-    """All four BD metrics of ``test`` against ``anchor`` for one sequence."""
+    """All four BD metrics of ``test`` against ``anchor`` for one sequence.
+
+    The test curve is prepared once per quality axis, when the first field
+    on that axis needs it: its nodes are sorted and checked once for both
+    costs. So errors still come in ``BD_FIELDS`` order, each tagged with
+    its field. The thin-overlap share reads both prepared quality ranges.
+    """
     if anchor.sequence != test.sequence:
         raise CurveDataError(
             f"sequence mismatch: anchor is {anchor.sequence!r}, test is {test.sequence!r}"
         )
+    axes = {}
     values = {}
     warnings = []
     for name, cost, axis in BD_FIELDS:
-        quality = axis.value
         prepared = anchor.fields[name]
         try:
-            values[name] = bd_delta(prepared, test.axis(cost, quality))
+            if axis not in axes:
+                axes[axis] = _test_axis(test, axis)
+            curve = axes[axis][cost]
+            values[name] = bd_delta(prepared, curve)
         except CtpDseError as exc:
             raise CurveDataError(f"{name} ({test.sequence}): {exc}") from exc
-        test_q = [getattr(p, quality) for p in test.points]
         # The share of the anchor's quality span that the two curves share.
-        frac = (min(prepared.hi, max(test_q)) - max(prepared.lo, min(test_q))) / prepared.span
+        frac = (min(prepared.hi, curve.hi) - max(prepared.lo, curve.lo)) / prepared.span
         if frac < MIN_OVERLAP_FRACTION:
             warnings.append(
                 f"{name} ({test.sequence}): quality overlap is only {100 * frac:.1f}% "

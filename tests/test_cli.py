@@ -657,6 +657,20 @@ def test_measurement_runs_load_no_numeric_library(tmp_path, command):
     assert run.stderr.count("measurement: ") == 16
 
 
+def test_main_freezes_the_import_time_objects(tmp_path):
+    # A fresh interpreter starts with nothing frozen; after `main` the
+    # objects the imports made sit in the permanent generation, so the
+    # collector, the interpreter's last collections included, skips them.
+    argv = ["dse", "--strategy", "ea", "--backend", "synthetic", "--seed", "7",
+            "--max-iter", "1", "--out", str(tmp_path / "run")]
+    env = dict(os.environ, PYTHONPATH=str(Path(ctpdse.__file__).parents[1]))
+    code = (f"import gc; from ctpdse import cli; before = gc.get_freeze_count(); "
+            f"code = cli.main({argv!r}); print(code, before, gc.get_freeze_count() > 0)")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.splitlines()[-1] == "0 0 True"
+
+
 class TestVersion:
     def test_version_flag(self, capsys):
         assert cli.main(["--version"]) == 0

@@ -13,13 +13,17 @@ from scipy.interpolate import PchipInterpolator
 
 import ctpdse
 from ctpdse.curves import (
+    BD_FIELDS,
+    MIN_OVERLAP_FRACTION,
     BdReport,
     CurveDataError,
     PreparedAnchor,
     PreparedCurve,
+    QualityAxis,
     RdeCurve,
     RdePoint,
     _prepare,
+    _test_axis,
     aggregate_reports,
     bd_delta,
     bd_report,
@@ -273,6 +277,49 @@ def anchor_and_tests(draw):
     return anchor, tests
 
 
+@st.composite
+def anchor_and_test_curve(draw):
+    """An anchor ``RdeCurve`` and one test curve placed anywhere around it.
+
+    On each quality axis the test's range starts and ends between 4 below
+    the anchor's first node and 4 above its last, and its nodes fall on
+    the qps in any order. Some tests repeat a quality value on one axis or
+    on both.
+    """
+    n = draw(st.integers(4, 6))
+    qps = (22, 27, 32, 37, 42, 47)[:n]
+
+    def falling():
+        costs = draw(st.lists(st.floats(1.0, 1e4), min_size=n, max_size=n, unique=True))
+        return sorted(costs, reverse=True)
+
+    def rising(start, max_step):
+        steps = draw(st.lists(st.floats(0.5, max_step), min_size=n - 1, max_size=n - 1))
+        return list(itertools.accumulate(steps, initial=start))
+
+    def around(nodes, floor, ceiling):
+        lo, hi = sorted(draw(st.lists(st.floats(max(floor, nodes[0] - 4.0),
+                                                min(ceiling, nodes[-1] + 4.0)),
+                                      min_size=2, max_size=2, unique=True)))
+        inner = draw(st.lists(st.floats(0.05, 0.95), min_size=n - 2, max_size=n - 2,
+                              unique=True))
+        return draw(st.permutations([lo, *(lo + f * (hi - lo) for f in sorted(inner)), hi]))
+
+    psnr, vmaf = rising(30.0, 4.0), rising(40.0, 10.0)
+    test_psnr, test_vmaf = around(psnr, -math.inf, math.inf), around(vmaf, 0.0, 100.0)
+    repeat = draw(st.sampled_from(("", "psnr", "vmaf", "both")))
+    if repeat in ("psnr", "both"):
+        test_psnr[1] = test_psnr[0]
+    if repeat in ("vmaf", "both"):
+        test_vmaf[1] = test_vmaf[0]
+
+    def curve(ctp_id, psnr, vmaf):
+        return RdeCurve("s01", ctp_id, tuple(map(RdePoint, qps, falling(), psnr, vmaf,
+                                                    falling())))
+
+    return (curve("A", psnr[::-1], vmaf[::-1]), curve("T", test_psnr, test_vmaf))
+
+
 def per_call_bd(anchor, test):
     """BD percent with every interval integrated in the call, as a reference."""
     a, t = PreparedCurve(anchor, "anchor"), PreparedCurve(test, "test")
@@ -294,6 +341,28 @@ def bd_or_error(anchor, test):
         return bd_delta(anchor, test)
     except CurveDataError as exc:
         return str(exc)
+
+
+def separate_fields_report(anchor, test):
+    """``bd_report`` with each field on its own raw pairs, as before the axes were shared.
+
+    Returns the first field's tagged error, or the four values and the
+    thin-overlap warnings.
+    """
+    values, warnings = {}, []
+    for name, cost, axis in BD_FIELDS:
+        pairs, test_pairs = anchor.axis(cost, axis.value), test.axis(cost, axis.value)
+        value = bd_or_error(pairs, test_pairs)
+        if isinstance(value, str):
+            return f"{name} ({test.sequence}): {value}"
+        values[name] = value
+        anchor_q, test_q = [q for _, q in pairs], [q for _, q in test_pairs]
+        frac = ((min(max(anchor_q), max(test_q)) - max(min(anchor_q), min(test_q)))
+                / (max(anchor_q) - min(anchor_q)))
+        if frac < MIN_OVERLAP_FRACTION:
+            warnings.append(f"{name} ({test.sequence}): quality overlap is only "
+                            f"{100 * frac:.1f}% of the anchor span")
+    return values, tuple(warnings)
 
 
 ANCHOR_4 = [(100.0, 30.0), (60.0, 32.0), (40.0, 35.0), (20.0, 37.0)]
@@ -345,6 +414,56 @@ class TestPreparedCurve:
             PreparedAnchor(RdeCurve("s01", good.ctp_id, tuple(points)))
         assert str(err.value) == (
             f"{name} (s01): anchor curve quality values are not strictly monotone "
+            f"(repeated quality near {repeated:g})"
+        )
+
+    @given(anchor_and_test_curve())
+    @example((make_curve(), make_curve(ctp_id="TEST", psnr_shift=7.2, vmaf_shift=-24.0)))
+    def test_shared_test_axis_gives_the_floats_of_separate_fields(self, case):
+        # The example's overlaps are thin on both axes, so it warns four times.
+        anchor, test = case
+        prepared = PreparedAnchor(anchor)
+        expected = separate_fields_report(anchor, test)
+        try:
+            report = bd_report(prepared, test)
+        except CurveDataError as exc:
+            assert str(exc) == expected
+            return
+        assert not isinstance(expected, str)
+        values, warnings = expected
+        for name, cost, axis in BD_FIELDS:
+            pairs, test_pairs = anchor.axis(cost, axis.value), test.axis(cost, axis.value)
+            value = getattr(report, name)
+            assert value == values[name]
+            assert value == bd_delta(prepared.fields[name], test_pairs)
+            assert value == per_call_bd(pairs, test_pairs)
+        assert report.warnings == warnings
+
+    def test_test_axis_shares_its_nodes_and_stores_no_full_terms(self):
+        curves = _test_axis(make_curve(), QualityAxis.PSNR)
+        rate, energy = curves["bitrate"], curves["energy"]
+        assert rate.quality == [34.6, 37.4, 40.1, 42.5]
+        assert rate.quality is energy.quality and rate.widths is energy.widths
+        assert rate.log_cost == [math.log10(c) for c in (1400.0, 2500.0, 4500.0, 8000.0)]
+        assert energy.log_cost == [math.log10(c) for c in (45.0, 65.0, 90.0, 120.0)]
+        assert not isinstance(rate, PreparedCurve)
+
+    @pytest.mark.parametrize("axes, name", [
+        (("psnr",), "bdr_psnr"), (("vmaf",), "bdr_vmaf"), (("psnr", "vmaf"), "bdr_psnr"),
+    ], ids=["psnr", "vmaf", "both"])
+    def test_repeated_test_quality_is_tagged(self, axes, name):
+        good = make_curve(ctp_id="TEST")
+        points = list(good.points)
+        second, third = points[1], points[2]
+        points[1] = RdePoint(27, second.bitrate,
+                             third.psnr if "psnr" in axes else second.psnr,
+                             third.vmaf if "vmaf" in axes else second.vmaf,
+                             second.energy)
+        repeated = getattr(third, axes[0])
+        with pytest.raises(CurveDataError) as err:
+            bd_report(PreparedAnchor(make_curve()), RdeCurve("s01", good.ctp_id, tuple(points)))
+        assert str(err.value) == (
+            f"{name} (s01): test curve quality values are not strictly monotone "
             f"(repeated quality near {repeated:g})"
         )
 
