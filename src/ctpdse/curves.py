@@ -18,20 +18,20 @@ when the two secants nearest the end differ in sign and the estimate
 exceeds that. Each interval's integral is the closed form of the cubic
 Hermite basis over the part of the interval inside the overlap.
 
-Each side of a BD integral is a ``PchipCurve``: the sorted quality, the
-log10 costs, the interval widths and the PCHIP slopes. Every BD value of
-a run compares against the same anchor curve, so the anchor side is
-prepared once, as a ``PreparedCurve`` that also stores each interval's
-integral over the whole interval; a ``PreparedAnchor`` holds one per BD
-field of a sequence. The test side is prepared once per quality axis:
-``bd_report`` sorts and checks a test curve's quality nodes and takes
-their widths once for both costs on that axis, and stores no
-whole-interval terms. ``bd_delta`` integrates each test interval the
-overlap touches, adds the anchor's stored term for each anchor interval
-wholly inside the overlap and integrates only the anchor's cut intervals
-at the two ends. A whole interval's term is the float the stored one is,
-because the interval's ends map to exactly 0.0 and 1.0, and the terms are
-added in node order, so neither side's preparation changes a bit of any
+Both sides of a BD integral are a ``NodeSet``: one curve on one quality
+axis, holding the sorted quality, the interval widths and, for each cost,
+its log10 values and PCHIP slopes. The width-only weights of the slope
+rules are computed once for all costs. A ``PreparedAnchor`` holds the
+anchor's node set for each axis, built once per run; ``bd_report`` builds
+the test's node set once per axis, finds the overlap once, and runs one
+test pass and one anchor pass of ``NodeSet.integrals``, which integrates
+all of a node set's costs over the overlap in one loop. The loop computes
+the Hermite weights of a cut end once and shares them among the costs; a
+whole interval uses the weights at 1. A whole interval's term is the
+float that integrating that interval on its own gives, because the
+interval's ends map to exactly 0.0 and 1.0 (and the weights at 0.0 are
+all zero), and each side adds its terms in node order. So no side stores
+any per-interval term, and sharing the weights changes no bit of any
 result.
 
 Only the piecewise-cubic form is provided; the older global third-order
@@ -45,6 +45,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter, sub, truediv
 from typing import Iterable, Sequence
 
 from .errors import ConfigError, CtpDseError
@@ -79,6 +80,8 @@ BD_FIELDS = (
 )
 # The RdePoint costs a BD field can compare, in BD_FIELDS order.
 _COSTS = tuple(dict.fromkeys(cost for _, cost, _ in BD_FIELDS))
+# Reads a point's quality on each axis and then its costs in _COSTS order.
+_NODE_FIELDS = {axis: attrgetter(axis.value, *_COSTS) for axis in QualityAxis}
 
 
 @dataclass(frozen=True)
@@ -158,187 +161,144 @@ class BdReport:
         return tuple(getattr(self, name) for name, _, quality in BD_FIELDS if quality is axis)
 
 
-def _sort_nodes(quality: Sequence[float], costs: Sequence[Sequence[float]], role: str):
-    """Validate one curve's nodes and sort them by quality.
+def _end_slope(num: float, h0: float, den: float, m0: float, m1: float) -> float:
+    """One-sided three-point slope at an end node, clamped to keep the shape.
 
-    ``quality`` holds one value per node and each list in ``costs`` one
-    cost per node. Returns the sorted quality and, in the same order, the
-    log10 of each cost list.
+    ``h0`` is the end interval's width and ``m0`` its secant, ``m1`` the
+    next secant; ``num`` is 2 * h0 + h1 and ``den`` h0 + h1, with ``h1``
+    the next interval's width.
     """
-    if len(quality) < MIN_CURVE_POINTS:
-        raise CurveDataError(
-            f"{role} curve has {len(quality)} points, need at least {MIN_CURVE_POINTS}"
-        )
-    quality = list(map(float, quality))
-    costs = [list(map(float, cost)) for cost in costs]
-    if not (all(map(math.isfinite, quality))
-            and all(math.isfinite(c) for cost in costs for c in cost)):
-        raise CurveDataError(f"{role} curve contains non-finite values")
-    if any(c <= 0 for cost in costs for c in cost):
-        raise CurveDataError(f"{role} curve has non-positive cost values")
-    order = sorted(range(len(quality)), key=quality.__getitem__)
-    quality = [quality[i] for i in order]
-    for prev, cur in zip(quality, quality[1:]):
-        if cur <= prev:
-            raise CurveDataError(
-                f"{role} curve quality values are not strictly monotone "
-                f"(repeated quality near {prev:g})"
-            )
-    return quality, [[math.log10(cost[i]) for i in order] for cost in costs]
-
-
-def _prepare(points: Sequence[tuple[float, float]], role: str):
-    """Sort (cost, quality) pairs by quality, validate, return (quality, log10 cost) lists."""
-    quality, (log_cost,) = _sort_nodes([q for _, q in points], [[c for c, _ in points]], role)
-    return quality, log_cost
-
-
-def _widths(quality: list[float]) -> list[float]:
-    return [b - a for a, b in zip(quality, quality[1:])]
-
-
-def _sign(value: float) -> int:
-    return (value > 0) - (value < 0)
-
-
-def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
-    """One-sided three-point slope at an end node, clamped to keep the shape."""
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if _sign(d) != _sign(m0):
+    d = (num * m0 - h0 * m1) / den
+    sign = (m0 > 0) - (m0 < 0)
+    if (d > 0) - (d < 0) != sign:
         return 0.0
-    if _sign(m0) != _sign(m1) and abs(d) > 3 * abs(m0):
+    if (m1 > 0) - (m1 < 0) != sign and abs(d) > 3 * abs(m0):
         return 3 * m0
     return d
 
 
-def _pchip_slopes(h: list[float], y: list[float]) -> list[float]:
-    """Node slopes of the PCHIP interpolant with interval widths ``h``."""
-    m = [(b - a) / w for a, b, w in zip(y, y[1:], h)]
-    slopes = [_end_slope(h[0], h[1], m[0], m[1])]
-    for k in range(1, len(h)):
-        m0, m1 = m[k - 1], m[k]
-        if _sign(m0) * _sign(m1) > 0:
-            w1, w2 = 2 * h[k] + h[k - 1], h[k] + 2 * h[k - 1]
-            slopes.append(1.0 / ((w1 / m0 + w2 / m1) / (w1 + w2)))
-        else:
-            slopes.append(0.0)
-    slopes.append(_end_slope(h[-1], h[-2], m[-1], m[-2]))
-    return slopes
+def _pchip_slopes(h: list[float], costs: list[list[float]]) -> list[list[float]]:
+    """Node slopes of the PCHIP interpolant through each list in ``costs``.
+
+    The weights that depend on the interval widths ``h`` alone are
+    computed once for all lists.
+    """
+    # Interior node k weighs its secants by 2 * h[k] + h[k - 1] and
+    # h[k] + 2 * h[k - 1] (Fritsch & Butland).
+    inner = []
+    for before, after in zip(h, h[1:]):
+        w1, w2 = 2 * after + before, after + 2 * before
+        inner.append((w1, w2, w1 + w2))
+    h0, h1, hn, hm = h[0], h[1], h[-1], h[-2]
+    num0, den0, numn, denn = 2 * h0 + h1, h0 + h1, 2 * hn + hm, hn + hm
+    all_slopes = []
+    for y in costs:
+        m = list(map(truediv, map(sub, y[1:], y), h))
+        slopes = [_end_slope(num0, h0, den0, m[0], m[1])]
+        for (w1, w2, total), m0, m1 in zip(inner, m, m[1:]):
+            # Zero unless both secants have the same sign.
+            if m0 > 0 < m1 or m0 < 0 > m1:
+                slopes.append(1.0 / ((w1 / m0 + w2 / m1) / total))
+            else:
+                slopes.append(0.0)
+        slopes.append(_end_slope(numn, hn, denn, m[-1], m[-2]))
+        all_slopes.append(slopes)
+    return all_slopes
 
 
-def _area(y0: float, y1: float, d0: float, d1: float, t: float) -> float:
-    """Integral over [0, t] of the unit-interval cubic Hermite basis.
+def _weights(t: float) -> tuple[float, float, float, float]:
+    """Weights of y0, d0, y1 and d1 in the integral over [0, t] of the unit cubic Hermite basis.
 
-    ``y0`` and ``y1`` are the end values, ``d0`` and ``d1`` the end
-    slopes times the interval width.
+    ``y0`` and ``y1`` are the end values, ``d0`` and ``d1`` the end slopes
+    times the interval width.
     """
     t2 = t * t
     t3 = t2 * t
     t4 = t3 * t
-    return (
-        y0 * (t4 / 2 - t3 + t)
-        + d0 * (t4 / 4 - 2 * t3 / 3 + t2 / 2)
-        + y1 * (t3 - t4 / 2)
-        + d1 * (t4 / 4 - t3 / 3)
-    )
+    return t4 / 2 - t3 + t, t4 / 4 - 2 * t3 / 3 + t2 / 2, t3 - t4 / 2, t4 / 4 - t3 / 3
 
 
-class PchipCurve:
-    """One side of a BD integral: log10 cost against quality, ready to integrate.
+# The weights over a whole interval. Over [0, 0] every weight is zero.
+_WHOLE = _weights(1.0)
 
-    ``quality`` is sorted ascending and ``log_cost`` holds log10 of the
-    matching costs. ``widths`` and ``slopes`` are the PCHIP interval
-    widths and node slopes, and ``lo``, ``hi`` and ``span`` give the
-    quality range. A test curve's two costs on one quality axis share its
-    ``quality`` and ``widths`` lists.
+
+class NodeSet:
+    """One curve on one quality axis: the nodes and each cost, ready to integrate.
+
+    ``quality`` is sorted ascending and ``widths`` holds the interval
+    widths. For each cost, ``log_costs`` holds log10 of its values at the
+    nodes and ``slopes`` its PCHIP node slopes. ``lo``, ``hi`` and
+    ``span`` give the quality range.
     """
 
-    __slots__ = ("quality", "log_cost", "widths", "slopes", "lo", "hi", "span")
+    __slots__ = ("quality", "widths", "log_costs", "slopes", "lo", "hi", "span")
 
-    def __init__(self, quality: list[float], widths: list[float], log_cost: list[float]):
-        self.quality, self.widths, self.log_cost = quality, widths, log_cost
-        self.slopes = _pchip_slopes(widths, log_cost)
-        self.lo, self.hi = quality[0], quality[-1]
+    def __init__(self, quality: Sequence[float], costs: Sequence[Sequence[float]], role: str):
+        """Sort one curve's nodes by quality and check that no quality repeats.
+
+        ``quality`` holds one value per node and each list in ``costs``
+        one cost per node: at least ``MIN_CURVE_POINTS`` finite floats,
+        the costs positive, as ``RdeCurve`` guarantees and ``_pair_nodes``
+        checks. ``role`` names the curve in the error.
+        """
+        order = sorted(range(len(quality)), key=quality.__getitem__)
+        x = self.quality = list(map(quality.__getitem__, order))
+        # The difference of two finite floats is zero only when they are equal.
+        h = self.widths = list(map(sub, x[1:], x))
+        if min(h) <= 0:
+            prev = next(a for a, w in zip(x, h) if w <= 0)
+            raise CurveDataError(
+                f"{role} curve quality values are not strictly monotone "
+                f"(repeated quality near {prev:g})"
+            )
+        self.log_costs = [list(map(math.log10, map(cost.__getitem__, order))) for cost in costs]
+        self.slopes = _pchip_slopes(h, self.log_costs)
+        self.lo, self.hi = x[0], x[-1]
         self.span = self.hi - self.lo
 
-    def _piece(self, k: int, a: float, b: float) -> float:
-        """Integral over [a, b], a part of interval k, of the interpolant."""
-        x0, y, slopes, width = self.quality[k], self.log_cost, self.slopes, self.widths[k]
-        y0, y1, d0, d1 = y[k], y[k + 1], width * slopes[k], width * slopes[k + 1]
-        return width * (_area(y0, y1, d0, d1, (b - x0) / width)
-                        - _area(y0, y1, d0, d1, (a - x0) / width))
+    @classmethod
+    def of_curve(cls, curve: RdeCurve, axis: QualityAxis, role: str) -> NodeSet:
+        """The curve's costs, in ``_COSTS`` order, against one quality axis."""
+        quality, *costs = zip(*map(_NODE_FIELDS[axis], curve.points))
+        return cls(quality, costs, role)
 
-    def integral(self, lo: float, hi: float) -> float:
-        """Integral over [lo, hi] of the PCHIP interpolant through the nodes.
+    def integrals(self, lo: float, hi: float) -> list[float]:
+        """Integral over [lo, hi] of each cost's PCHIP interpolant, in ``log_costs`` order.
 
-        Each interval the range touches is integrated in the call, over
-        its part inside [lo, hi], and the terms are added in node order.
-        The test side integrates this way and keeps nothing between calls.
+        [lo, hi] lies within the nodes' range. Each interval the range
+        touches adds its term in node order. A cut end's Hermite weights
+        are computed once and serve every cost; a whole interval uses the
+        weights at 1. The weights at 0 are all zero, so a term whose
+        interval starts inside the range subtracts nothing.
         """
         x = self.quality
-        total = 0.0
-        for k in range(len(self.widths)):
-            a = max(lo, x[k])
-            b = min(hi, x[k + 1])
-            if a < b:
-                total += self._piece(k, a, b)
-        return total
+        # The intervals the range touches, each with the weights at its
+        # right end and, where lo cuts it, at its left end.
+        pieces = []
+        for k, w in enumerate(self.widths):
+            a = x[k]
+            if a >= hi:
+                break
+            b = x[k + 1]
+            if b > lo:
+                pieces.append((k, w, _WHOLE if b <= hi else _weights((hi - a) / w),
+                               _weights((lo - a) / w) if lo > a else None))
+        totals = []
+        for y, s in zip(self.log_costs, self.slopes):
+            total = 0.0
+            for k, w, (r0, r1, r2, r3), left in pieces:
+                y0, y1, d0, d1 = y[k], y[k + 1], w * s[k], w * s[k + 1]
+                area = y0 * r0 + d0 * r1 + y1 * r2 + d1 * r3
+                if left:
+                    l0, l1, l2, l3 = left
+                    area -= y0 * l0 + d0 * l1 + y1 * l2 + d1 * l3
+                total += w * area
+            totals.append(total)
+        return totals
 
 
-class PreparedCurve(PchipCurve):
-    """The anchor side of a BD integral, prepared once for many calls.
-
-    On top of the ``PchipCurve`` fields, ``full[k]`` is the integral over
-    the whole of interval k; only the anchor stores these terms. Build the
-    anchor side once and pass it to every ``bd_delta`` call.
-    """
-
-    __slots__ = ("full",)
-
-    def __init__(self, points: Sequence[tuple[float, float]], role: str):
-        x, y = _prepare(points, role)
-        super().__init__(x, _widths(x), y)
-        self.full = [self._piece(k, x[k], x[k + 1]) for k in range(len(self.widths))]
-
-    def integral(self, lo: float, hi: float) -> float:
-        """Integral over [lo, hi] of the PCHIP interpolant through the nodes.
-
-        As ``PchipCurve.integral``, except that an interval wholly inside
-        [lo, hi] adds its stored ``full`` term, the float the call would
-        compute for it, so only the cut intervals at the two ends cost work.
-        """
-        x = self.quality
-        total = 0.0
-        for k, full in enumerate(self.full):
-            a, b = x[k], x[k + 1]
-            if lo <= a and b <= hi:
-                total += full
-            else:
-                a = max(lo, a)
-                b = min(hi, b)
-                if a < b:
-                    total += self._piece(k, a, b)
-        return total
-
-
-def _prepared(curve, role: str) -> PchipCurve:
-    if isinstance(curve, PchipCurve):
-        return curve
-    x, y = _prepare(curve, role)
-    return PchipCurve(x, _widths(x), y)
-
-
-def bd_delta(anchor: PchipCurve | Sequence[tuple[float, float]],
-             test: PchipCurve | Sequence[tuple[float, float]]) -> float:
-    """Percent cost difference of ``test`` vs ``anchor`` at equal quality.
-
-    Each side is a ``PchipCurve`` or (cost, quality) pairs in any
-    order, which are prepared here. Returns 100 * (10**d - 1) where d is
-    the mean difference of the two log10-cost interpolants over the
-    common quality interval.
-    """
-    anchor = _prepared(anchor, "anchor")
-    test = _prepared(test, "test")
+def _overlap(anchor: NodeSet, test: NodeSet) -> tuple[float, float]:
+    """The quality range both node sets cover."""
     lo = max(anchor.lo, test.lo)
     hi = min(anchor.hi, test.hi)
     if not lo < hi:
@@ -346,7 +306,11 @@ def bd_delta(anchor: PchipCurve | Sequence[tuple[float, float]],
             f"empty quality overlap: anchor spans [{anchor.lo:g}, {anchor.hi:g}], "
             f"test spans [{test.lo:g}, {test.hi:g}]"
         )
-    delta = (test.integral(lo, hi) - anchor.integral(lo, hi)) / (hi - lo)
+    return lo, hi
+
+
+def _percent(delta: float) -> float:
+    """A mean log10 cost difference as a percent cost difference."""
     try:
         return 100.0 * (10.0 ** delta - 1.0)
     except OverflowError:
@@ -355,67 +319,100 @@ def bd_delta(anchor: PchipCurve | Sequence[tuple[float, float]],
         ) from None
 
 
-class PreparedAnchor:
-    """One sequence's anchor curve, prepared once for each BD field.
+def _pair_nodes(points: Sequence[tuple[float, float]], role: str) -> NodeSet:
+    """The ``NodeSet`` of (cost, quality) pairs, checked for what ``RdeCurve`` guarantees."""
+    quality, cost = [q for _, q in points], [c for c, _ in points]
+    if len(quality) < MIN_CURVE_POINTS:
+        raise CurveDataError(
+            f"{role} curve has {len(quality)} points, need at least {MIN_CURVE_POINTS}"
+        )
+    quality, cost = list(map(float, quality)), list(map(float, cost))
+    if not all(map(math.isfinite, quality + cost)):
+        raise CurveDataError(f"{role} curve contains non-finite values")
+    if min(cost) <= 0:
+        raise CurveDataError(f"{role} curve has non-positive cost values")
+    return NodeSet(quality, [cost], role)
 
-    An invalid curve is rejected here, tagged with the first field it
-    fails, as ``bd_report`` tags its errors.
+
+def bd_delta(anchor: Sequence[tuple[float, float]],
+             test: Sequence[tuple[float, float]]) -> float:
+    """Percent cost difference of ``test`` vs ``anchor`` at equal quality.
+
+    Each side is (cost, quality) pairs in any order. Returns
+    100 * (10**d - 1) where d is the mean difference of the two
+    log10-cost interpolants over the common quality interval.
+    """
+    anchor, test = _pair_nodes(anchor, "anchor"), _pair_nodes(test, "test")
+    lo, hi = _overlap(anchor, test)
+    (test_total,), (anchor_total,) = test.integrals(lo, hi), anchor.integrals(lo, hi)
+    return _percent((test_total - anchor_total) / (hi - lo))
+
+
+# The BD field names of each quality axis, in ``_COSTS`` order (rate rows
+# precede energy rows), with the axes in the order they first appear.
+_AXIS_FIELDS = {axis: [name for name, _, quality in BD_FIELDS if quality is axis]
+                for axis in dict.fromkeys(axis for _, _, axis in BD_FIELDS)}
+
+
+class PreparedAnchor:
+    """One sequence's anchor curve as a ``NodeSet`` per quality axis, built once per run.
+
+    An invalid curve is rejected here, tagged with the first field of the
+    axis it fails on, as ``bd_report`` tags its errors.
     """
 
-    __slots__ = ("sequence", "fields")
+    __slots__ = ("sequence", "axes")
 
     def __init__(self, curve: RdeCurve):
         self.sequence = curve.sequence
-        self.fields = {}
-        for name, cost, axis in BD_FIELDS:
+        self.axes = {}
+        for axis, names in _AXIS_FIELDS.items():
             try:
-                self.fields[name] = PreparedCurve(curve.axis(cost, axis.value), "anchor")
+                self.axes[axis] = NodeSet.of_curve(curve, axis, "anchor")
             except CtpDseError as exc:
-                raise CurveDataError(f"{name} ({curve.sequence}): {exc}") from exc
-
-
-def _test_axis(test: RdeCurve, axis: QualityAxis) -> dict[str, PchipCurve]:
-    """The test curve on one quality axis: one ``PchipCurve`` per cost over shared nodes."""
-    points, name = test.points, axis.value
-    quality, log_costs = _sort_nodes([getattr(p, name) for p in points],
-                                     [[getattr(p, cost) for p in points] for cost in _COSTS],
-                                     "test")
-    widths = _widths(quality)
-    return {cost: PchipCurve(quality, widths, y) for cost, y in zip(_COSTS, log_costs)}
+                raise CurveDataError(f"{names[0]} ({curve.sequence}): {exc}") from exc
 
 
 def bd_report(anchor: PreparedAnchor, test: RdeCurve) -> BdReport:
     """All four BD metrics of ``test`` against ``anchor`` for one sequence.
 
-    The test curve is prepared once per quality axis, when the first field
-    on that axis needs it: its nodes are sorted and checked once for both
-    costs. So errors still come in ``BD_FIELDS`` order, each tagged with
-    its field. The thin-overlap share reads both prepared quality ranges.
+    Each quality axis takes one pass: the test's nodes are sorted and
+    checked once, the overlap and its share of the anchor span are found
+    once, and one test pass and one anchor pass integrate both costs. An
+    error belongs to the field it stops: a node or overlap error to the
+    axis's first field, an overflow to its own. The first field in
+    ``BD_FIELDS`` order with an error raises it, tagged with the field;
+    warnings come in that order too.
     """
     if anchor.sequence != test.sequence:
         raise CurveDataError(
             f"sequence mismatch: anchor is {anchor.sequence!r}, test is {test.sequence!r}"
         )
-    axes = {}
-    values = {}
-    warnings = []
-    for name, cost, axis in BD_FIELDS:
-        prepared = anchor.fields[name]
+    values, errors, warnings = {}, {}, {}
+    for axis, names in _AXIS_FIELDS.items():
+        nodes = anchor.axes[axis]
         try:
-            if axis not in axes:
-                axes[axis] = _test_axis(test, axis)
-            curve = axes[axis][cost]
-            values[name] = bd_delta(prepared, curve)
+            test_nodes = NodeSet.of_curve(test, axis, "test")
+            lo, hi = _overlap(nodes, test_nodes)
         except CtpDseError as exc:
-            raise CurveDataError(f"{name} ({test.sequence}): {exc}") from exc
+            errors[names[0]] = exc
+            continue
         # The share of the anchor's quality span that the two curves share.
-        frac = (min(prepared.hi, curve.hi) - max(prepared.lo, curve.lo)) / prepared.span
-        if frac < MIN_OVERLAP_FRACTION:
-            warnings.append(
-                f"{name} ({test.sequence}): quality overlap is only {100 * frac:.1f}% "
-                "of the anchor span"
-            )
-    return BdReport(warnings=tuple(warnings), **values)
+        frac = (hi - lo) / nodes.span
+        for name, test_total, anchor_total in zip(names, test_nodes.integrals(lo, hi),
+                                                  nodes.integrals(lo, hi)):
+            try:
+                values[name] = _percent((test_total - anchor_total) / (hi - lo))
+            except CtpDseError as exc:
+                errors[name] = exc
+            if frac < MIN_OVERLAP_FRACTION:
+                warnings[name] = (f"{name} ({test.sequence}): quality overlap is only "
+                                  f"{100 * frac:.1f}% of the anchor span")
+    if errors:
+        name = next(name for name, _, _ in BD_FIELDS if name in errors)
+        raise CurveDataError(f"{name} ({test.sequence}): {errors[name]}") from errors[name]
+    return BdReport(warnings=tuple(warnings[name] for name, _, _ in BD_FIELDS
+                                   if name in warnings) if warnings else (), **values)
 
 
 def aggregate_reports(reports: Iterable[BdReport]) -> BdReport:

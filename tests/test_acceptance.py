@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
 
-from ctpdse.curves import PreparedAnchor, PreparedCurve, bd_delta, bd_report
+from ctpdse.curves import PreparedAnchor, bd_delta, bd_report
 from ctpdse.engine import (
     DseConfig,
     EvaluationCache,
@@ -140,8 +140,8 @@ def enumerate_vmaf_scores(params, registry):
     evaluator = SyntheticModelEvaluator(params)
     anchor = default_ctp(registry)
     (anchor_curve,) = evaluator.evaluate(EvaluationRequest(anchor, ("s01",), BASE_QPS))
-    anchor_rate = PreparedCurve(anchor_curve.axis("bitrate", "vmaf"), "anchor")
-    anchor_energy = PreparedCurve(anchor_curve.axis("energy", "vmaf"), "anchor")
+    anchor_rate = anchor_curve.axis("bitrate", "vmaf")
+    anchor_energy = anchor_curve.axis("energy", "vmaf")
     scores = {}
     for value in range(2 ** len(registry)):
         bits = tuple(bool(value >> i & 1) for i in range(len(registry)))

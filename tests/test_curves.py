@@ -17,13 +17,11 @@ from ctpdse.curves import (
     MIN_OVERLAP_FRACTION,
     BdReport,
     CurveDataError,
+    NodeSet,
     PreparedAnchor,
-    PreparedCurve,
     QualityAxis,
     RdeCurve,
     RdePoint,
-    _prepare,
-    _test_axis,
     aggregate_reports,
     bd_delta,
     bd_report,
@@ -221,11 +219,9 @@ class TestBdDelta:
     def test_interpolant_recovers_nodes(self):
         # the closed-form integration rests on the interpolant passing
         # exactly through the measured points
-        quality, log_cost = _prepare(
-            [(1400.0, 34.6), (2500.0, 37.4), (4500.0, 40.1), (8000.0, 42.5)], "anchor"
-        )
-        spline = PchipInterpolator(quality, log_cost)
-        assert np.array_equal(spline(quality), log_cost)
+        nodes = NodeSet([40.1, 34.6, 42.5, 37.4], [[4500.0, 1400.0, 8000.0, 2500.0]], "anchor")
+        spline = PchipInterpolator(nodes.quality, nodes.log_costs[0])
+        assert np.array_equal(spline(nodes.quality), nodes.log_costs[0])
 
     def test_too_few_points(self):
         pts3 = [(1400.0, 34.6), (2500.0, 37.4), (4500.0, 40.1)]
@@ -320,20 +316,83 @@ def anchor_and_test_curve(draw):
     return (curve("A", psnr[::-1], vmaf[::-1]), curve("T", test_psnr, test_vmaf))
 
 
+# A reference copy of the closed form, one curve per call and one cost per
+# curve, that shares no code with the kernel: the slopes and Hermite
+# pieces are computed per interval and per cost, and each interval the
+# overlap touches is integrated over its part inside the overlap.
+
+def _sign(value):
+    return (value > 0) - (value < 0)
+
+
+def reference_end_slope(h0, h1, m0, m1):
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if _sign(d) != _sign(m0):
+        return 0.0
+    if _sign(m0) != _sign(m1) and abs(d) > 3 * abs(m0):
+        return 3 * m0
+    return d
+
+
+def reference_slopes(h, y):
+    m = [(b - a) / w for a, b, w in zip(y, y[1:], h)]
+    slopes = [reference_end_slope(h[0], h[1], m[0], m[1])]
+    for k in range(1, len(h)):
+        m0, m1 = m[k - 1], m[k]
+        if _sign(m0) * _sign(m1) > 0:
+            w1, w2 = 2 * h[k] + h[k - 1], h[k] + 2 * h[k - 1]
+            slopes.append(1.0 / ((w1 / m0 + w2 / m1) / (w1 + w2)))
+        else:
+            slopes.append(0.0)
+    slopes.append(reference_end_slope(h[-1], h[-2], m[-1], m[-2]))
+    return slopes
+
+
+def reference_area(y0, y1, d0, d1, t):
+    t2 = t * t
+    t3 = t2 * t
+    t4 = t3 * t
+    return (
+        y0 * (t4 / 2 - t3 + t)
+        + d0 * (t4 / 4 - 2 * t3 / 3 + t2 / 2)
+        + y1 * (t3 - t4 / 2)
+        + d1 * (t4 / 4 - t3 / 3)
+    )
+
+
+def reference_curve(points):
+    """Sorted quality, log10 costs, widths and slopes of (cost, quality) pairs."""
+    points = sorted(points, key=lambda p: p[1])
+    x = [float(q) for _, q in points]
+    y = [math.log10(c) for c, _ in points]
+    h = [b - a for a, b in zip(x, x[1:])]
+    return x, y, h, reference_slopes(h, y)
+
+
+def reference_piece(curve, k, a, b):
+    """Integral over [a, b], a part of interval k, of the reference interpolant."""
+    x, y, h, d = curve
+    ends = (y[k], y[k + 1], h[k] * d[k], h[k] * d[k + 1])
+    return h[k] * (reference_area(*ends, (b - x[k]) / h[k])
+                   - reference_area(*ends, (a - x[k]) / h[k]))
+
+
+def reference_integral(curve, lo, hi):
+    x = curve[0]
+    total = 0.0
+    for k in range(len(x) - 1):
+        left, right = max(lo, x[k]), min(hi, x[k + 1])
+        if left < right:
+            total += reference_piece(curve, k, left, right)
+    return total
+
+
 def per_call_bd(anchor, test):
-    """BD percent with every interval integrated in the call, as a reference."""
-    a, t = PreparedCurve(anchor, "anchor"), PreparedCurve(test, "test")
-    lo, hi = max(a.lo, t.lo), min(a.hi, t.hi)
-
-    def integral(curve):
-        total = 0.0
-        for k in range(len(curve.widths)):
-            left, right = max(lo, curve.quality[k]), min(hi, curve.quality[k + 1])
-            if left < right:
-                total += curve._piece(k, left, right)
-        return total
-
-    return 100.0 * (10.0 ** ((integral(t) - integral(a)) / (hi - lo)) - 1.0)
+    """BD percent of (cost, quality) pairs by the reference closed form."""
+    a, t = reference_curve(anchor), reference_curve(test)
+    lo, hi = max(a[0][0], t[0][0]), min(a[0][-1], t[0][-1])
+    delta = (reference_integral(t, lo, hi) - reference_integral(a, lo, hi)) / (hi - lo)
+    return 100.0 * (10.0 ** delta - 1.0)
 
 
 def bd_or_error(anchor, test):
@@ -378,28 +437,46 @@ class TestPreparedCurve:
     ]))
     def test_reused_anchor_gives_the_floats_of_a_fresh_one(self, case):
         anchor, tests = case
-        prepared = PreparedCurve(anchor, "anchor")
+
+        def nodes(points, role):
+            return NodeSet([q for _, q in points], [[c for c, _ in points]], role)
+
+        reused = nodes(anchor, "anchor")
         for test in tests:
-            fresh = bd_or_error(PreparedCurve(anchor, "anchor"), test)
-            assert bd_or_error(prepared, test) == fresh
-            assert bd_or_error(anchor, test) == fresh
-            if isinstance(fresh, float):
-                assert fresh == per_call_bd(anchor, test)
+            fresh = bd_or_error(anchor, test)
+            if isinstance(fresh, str):
+                continue
+            assert fresh == per_call_bd(anchor, test)
+            test_nodes = nodes(test, "test")
+            lo, hi = max(reused.lo, test_nodes.lo), min(reused.hi, test_nodes.hi)
+            assert reused.integrals(lo, hi) == nodes(anchor, "anchor").integrals(lo, hi)
+            assert reused.integrals(lo, hi) == [
+                reference_integral(reference_curve(anchor), lo, hi)]
 
     def test_holds_sorted_nodes_and_full_interval_integrals(self):
-        curve = PreparedCurve(list(reversed(ANCHOR_4)), "anchor")
-        assert curve.quality == [30.0, 32.0, 35.0, 37.0]
-        assert curve.log_cost == [math.log10(c) for c, _ in ANCHOR_4]
-        assert curve.widths == [2.0, 3.0, 2.0]
-        assert (curve.lo, curve.hi, curve.span) == (30.0, 37.0, 7.0)
-        assert curve.full == [curve._piece(k, a, b) for k, (a, b)
-                              in enumerate(zip(curve.quality, curve.quality[1:]))]
-        assert math.fsum(curve.full) == pytest.approx(curve.integral(30.0, 37.0))
+        # A whole interval's term is the reference's piece from 0 to 1,
+        # and the terms are added in node order, so the integral over the
+        # whole range is their plain sum, bit for bit.
+        quality = [37.0, 35.0, 32.0, 30.0]
+        falling, rising = [60.0, 120.0, 180.0, 300.0], [100.0, 60.0, 40.0, 20.0]
+        nodes = NodeSet(quality, [falling, rising], "anchor")
+        assert nodes.quality == [30.0, 32.0, 35.0, 37.0]
+        assert nodes.log_costs == [[math.log10(c) for c in reversed(falling)],
+                                   [math.log10(c) for c in reversed(rising)]]
+        assert nodes.widths == [2.0, 3.0, 2.0]
+        assert (nodes.lo, nodes.hi, nodes.span) == (30.0, 37.0, 7.0)
+        intervals = list(zip(nodes.quality, nodes.quality[1:]))
+        for j, costs in enumerate((falling, rising)):
+            curve = reference_curve(list(zip(costs, quality)))
+            assert nodes.slopes[j] == curve[3]
+            full = [reference_piece(curve, k, a, b) for k, (a, b) in enumerate(intervals)]
+            assert [nodes.integrals(a, b)[j] for a, b in intervals] == full
+            assert nodes.integrals(30.0, 37.0)[j] == full[0] + full[1] + full[2]
 
     def test_too_few_points_rejected(self):
         with pytest.raises(CurveDataError,
                            match="^anchor curve has 3 points, need at least 4$"):
-            PreparedCurve(ANCHOR_4[:3], "anchor")
+            bd_delta(ANCHOR_4[:3], ANCHOR_4)
 
     @pytest.mark.parametrize("axis, name", [("psnr", "bdr_psnr"), ("vmaf", "bdr_vmaf")])
     def test_repeated_anchor_quality_is_tagged(self, axis, name):
@@ -435,18 +512,21 @@ class TestPreparedCurve:
             pairs, test_pairs = anchor.axis(cost, axis.value), test.axis(cost, axis.value)
             value = getattr(report, name)
             assert value == values[name]
-            assert value == bd_delta(prepared.fields[name], test_pairs)
             assert value == per_call_bd(pairs, test_pairs)
         assert report.warnings == warnings
 
     def test_test_axis_shares_its_nodes_and_stores_no_full_terms(self):
-        curves = _test_axis(make_curve(), QualityAxis.PSNR)
-        rate, energy = curves["bitrate"], curves["energy"]
-        assert rate.quality == [34.6, 37.4, 40.1, 42.5]
-        assert rate.quality is energy.quality and rate.widths is energy.widths
-        assert rate.log_cost == [math.log10(c) for c in (1400.0, 2500.0, 4500.0, 8000.0)]
-        assert energy.log_cost == [math.log10(c) for c in (45.0, 65.0, 90.0, 120.0)]
-        assert not isinstance(rate, PreparedCurve)
+        # One node set holds both costs of an axis; its slopes are each
+        # cost's own, and it keeps no per-interval integrals.
+        curve = make_curve()
+        nodes = NodeSet.of_curve(curve, QualityAxis.PSNR, "test")
+        assert nodes.quality == [34.6, 37.4, 40.1, 42.5]
+        assert nodes.log_costs == [[math.log10(c) for c in (1400.0, 2500.0, 4500.0, 8000.0)],
+                                   [math.log10(c) for c in (45.0, 65.0, 90.0, 120.0)]]
+        assert nodes.slopes == [reference_curve(curve.axis(cost, "psnr"))[3]
+                                for cost in ("bitrate", "energy")]
+        assert set(NodeSet.__slots__) == {"quality", "widths", "log_costs", "slopes",
+                                          "lo", "hi", "span"}
 
     @pytest.mark.parametrize("axes, name", [
         (("psnr",), "bdr_psnr"), (("vmaf",), "bdr_vmaf"), (("psnr", "vmaf"), "bdr_psnr"),
@@ -546,6 +626,28 @@ class TestBdReport:
         # A report read back from result.json is checked by BdReport itself.
         with pytest.raises(CurveDataError, match="BD value bdde_psnr is not finite"):
             BdReport(0.0, 0.0, math.inf, 0.0)
+
+    def test_errors_keep_field_order_across_axes(self):
+        # bdde_psnr overflows and the VMAF ranges do not meet; bdr_vmaf
+        # comes first in BD_FIELDS, so its error is the one raised.
+        qps, rate, psnr = (22, 27, 32, 37), (8000.0, 4500.0, 2500.0, 1400.0), \
+            (42.5, 40.1, 37.4, 34.6)
+
+        def curve(ctp_id, vmaf, energy):
+            return RdeCurve("s01", ctp_id, tuple(map(RdePoint, qps, rate, psnr, vmaf, energy)))
+
+        anchor = curve("A", (90.0, 80.0, 70.0, 60.0), (1e-300, 1e-301, 1e-302, 1e-303))
+        test = curve("T", (40.0, 30.0, 20.0, 10.0), (1e300, 1e299, 1e298, 1e297))
+        with pytest.raises(CurveDataError) as err:
+            bd_report(PreparedAnchor(anchor), test)
+        assert str(err.value) == ("bdr_vmaf (s01): empty quality overlap: anchor spans "
+                                  "[60, 90], test spans [10, 40]")
+
+    def test_thin_overlap_warnings_keep_field_order(self):
+        anchor = make_curve()
+        test = make_curve(ctp_id="TEST", psnr_shift=7.2, vmaf_shift=-24.0)
+        report = bd_report(PreparedAnchor(anchor), test)
+        assert [w.split()[0] for w in report.warnings] == [name for name, _, _ in BD_FIELDS]
 
     def test_thin_overlap_warns_on_report(self):
         anchor = make_curve()

@@ -1,16 +1,23 @@
-"""Byte-identity gate: the eight seed-7 synthetic walks keep their output files.
+"""Byte-identity gate: the eight seed-7 synthetic walks keep their output files,
+and ``ctp bd`` keeps its output on a table drawn from the seed-7 model.
 
-The digests were taken from the program before the anchor curve was
-prepared once per run (commit 6834e88). Any change to a BD float, the
-walk, the Pareto selection or the rendering of these files shows here.
-A change that means to move these bytes must say so and update the table.
+The walk digests were taken from the program before the anchor curve was
+prepared once per run (commit 6834e88), the ``ctp bd`` digests before BD
+integrated a node set's costs in one loop (commit df3d9c2). Any change
+to a BD float, the walk, the Pareto selection or the rendering of these
+outputs shows here. A change that means to move these bytes must say so
+and update the digests.
 """
 
 import hashlib
+import random
 
 import pytest
 
 from ctpdse import cli
+from ctpdse.evaluators import (CSV_HEADER, EvaluationRequest, SyntheticModelEvaluator,
+                               SyntheticModelParams)
+from ctpdse.profiles import Ctp, default_ctp, default_registry, serialize_ctp
 
 FILES = ("result.json", "points.csv", "front.csv", "summary.txt")
 
@@ -75,3 +82,59 @@ def test_seed_7_walk_keeps_its_bytes(tmp_path, capsys, strategy, axis):
     capsys.readouterr()
     digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in FILES)
     assert dict(zip(FILES, digests)) == dict(zip(FILES, SEED_7_DIGESTS[strategy, axis]))
+
+
+BD_SEQUENCES = ("s01", "s02")
+BD_QPS = (22, 27, 32, 37)
+BD_TESTS = 20
+# Mask of the table's thin-overlap profile: the anchor's rates and
+# energies at a PSNR moved up by 95% of the anchor's PSNR span.
+THIN_MASK = "00000000"
+
+# sha256 of (stdout, stderr) of ``ctp bd --axis both`` on ``write_bd_table``.
+BD_DIGESTS = (
+    "50fbb5ea459fc362bc1dfe34ac56f5c221b520d32b4a87660e19c0a6500bfab6",
+    "baa6b487173bd1da814a282a92325b1ec6f0975efa074d9d4a0b06dafb205b40",
+)
+
+
+def write_bd_table(path):
+    """The anchor, ``BD_TESTS`` random profiles and the thin-overlap one, from the seed-7 model.
+
+    Floats are written by ``repr``, so ingest reads back the model's
+    floats. Returns the test masks in table order.
+    """
+    registry = default_registry()
+    evaluate = SyntheticModelEvaluator(
+        SyntheticModelParams.random(registry, BD_SEQUENCES, BD_QPS, seed=7)).evaluate
+    rng = random.Random("bd-table-7")
+    profiles = [default_ctp(registry)] + [
+        Ctp(registry, tuple(rng.random() < 0.5 for _ in registry.tools))
+        for _ in range(BD_TESTS)
+    ]
+    rows = [",".join(CSV_HEADER)]
+    anchor_curves = []
+    for ctp in profiles:
+        curves = evaluate(EvaluationRequest(ctp, BD_SEQUENCES, BD_QPS))
+        anchor_curves = anchor_curves or curves
+        rows += [f"{serialize_ctp(ctp)},{c.sequence},{p.qp},{p.bitrate!r},{p.psnr!r},"
+                 f"{p.vmaf!r},{p.energy!r}," for c in curves for p in c.points]
+    for curve in anchor_curves:
+        psnr = [p.psnr for p in curve.points]
+        shift = 0.95 * (max(psnr) - min(psnr))
+        rows += [f"{THIN_MASK},{curve.sequence},{p.qp},{p.bitrate!r},{p.psnr + shift!r},"
+                 f"{p.vmaf!r},{p.energy!r}," for p in curve.points]
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return [serialize_ctp(ctp) for ctp in profiles[1:]] + [THIN_MASK]
+
+
+def test_seed_7_bd_table_keeps_its_bytes(tmp_path, capsys):
+    table = tmp_path / "m.csv"
+    tests = write_bd_table(table)
+    argv = ["bd", "--measurements", str(table), "--axis", "both"]
+    for mask in tests:
+        argv += ["--test", mask]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert "warning: 00000000: bdr_psnr (s01): quality overlap is only" in err
+    assert tuple(hashlib.sha256(text.encode()).hexdigest() for text in (out, err)) == BD_DIGESTS
