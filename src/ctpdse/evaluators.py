@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
-from .csvrows import data_rows, parse_float
+from .csvrows import data_rows, not_utf8, parse_float
 from .curves import MIN_CURVE_POINTS, CurveDataError, RdeCurve, RdePoint
 from .errors import ConfigError, EvaluationError, MeasurementMissError
 from .profiles import Ctp, ToolRegistry, serialize_ctp
@@ -488,11 +488,14 @@ class ExternalCommandEvaluator:
     averaged. At most ``max_parallel`` jobs run at once;
     energy-measurement jobs default to serial, matching a single-machine
     power-meter setup.
+
+    A job has no time limit: it runs until its command exits. Every way a
+    job can fail, a command that cannot be launched included, raises one
+    ``EvaluationError`` tagged with the job's (sequence, qp).
     """
 
     command_template: str
     max_parallel: int = 1
-    timeout: float | None = None
 
     def __post_init__(self):
         if "{out}" not in self.command_template:
@@ -550,15 +553,10 @@ class ExternalCommandEvaluator:
     def _run_job(self, out: str, mask: str, sequence: str, qp: int) -> RdePoint:
         argv = self._substitute(sequence=sequence, qp=qp, ctp_mask=mask, out=out)
         try:
-            proc = subprocess.run(
-                argv, capture_output=True, text=True, timeout=self.timeout
-            )
-        except FileNotFoundError as exc:
+            # Output that is not text in the locale's encoding stays readable in the error.
+            proc = subprocess.run(argv, capture_output=True, text=True, errors="backslashreplace")
+        except OSError as exc:
             raise EvaluationError(f"({sequence}, qp {qp}): cannot launch {argv[0]!r}: {exc}") from None
-        except subprocess.TimeoutExpired:
-            raise EvaluationError(
-                f"({sequence}, qp {qp}): command timed out after {self.timeout} s"
-            ) from None
         if proc.returncode != 0:
             raise EvaluationError(
                 f"({sequence}, qp {qp}): command exited with {proc.returncode}; "
@@ -572,6 +570,10 @@ class ExternalCommandEvaluator:
         except OSError as exc:
             raise EvaluationError(
                 f"({sequence}, qp {qp}): command produced no result file: {exc}"
+            ) from None
+        except UnicodeDecodeError as exc:
+            raise EvaluationError(
+                f"({sequence}, qp {qp}): cannot parse result file: {not_utf8(path, exc)}"
             ) from None
         try:
             rows = [fields for _, fields in data_rows(text.splitlines(), RESULT_HEADER, path)]

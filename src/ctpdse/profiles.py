@@ -13,6 +13,7 @@ import string
 from dataclasses import dataclass
 from typing import Iterable
 
+from .csvrows import not_utf8
 from .errors import ConfigError
 
 CATEGORIES = ("Intra", "Inter", "TransformQuant", "InLoopFilter", "Other")
@@ -208,21 +209,24 @@ def load_registry(path) -> ToolRegistry:
     """Read a registry file: one ``name,category,default(0|1)`` line per tool."""
     tools = []
     with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = [f.strip() for f in line.split(",")]
-            if len(fields) != 3:
-                raise RegistryFormatError(
-                    f"{path}:{lineno}: expected 'name,category,default', got {line!r}"
-                )
-            name, category, default = fields
-            if default not in ("0", "1"):
-                raise RegistryFormatError(
-                    f"{path}:{lineno}: default flag must be 0 or 1, got {default!r}"
-                )
-            tools.append(ToolDescriptor(name, category, default == "1"))
+        try:
+            for lineno, raw in enumerate(handle, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                fields = [f.strip() for f in line.split(",")]
+                if len(fields) != 3:
+                    raise RegistryFormatError(
+                        f"{path}:{lineno}: expected 'name,category,default', got {line!r}"
+                    )
+                name, category, default = fields
+                if default not in ("0", "1"):
+                    raise RegistryFormatError(
+                        f"{path}:{lineno}: default flag must be 0 or 1, got {default!r}"
+                    )
+                tools.append(ToolDescriptor(name, category, default == "1"))
+        except UnicodeDecodeError as exc:
+            raise RegistryFormatError(not_utf8(path, exc)) from None
     try:
         return ToolRegistry(tools)
     except RegistryFormatError as exc:

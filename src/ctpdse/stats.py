@@ -5,14 +5,21 @@ Student-t confidence interval of its repeated samples is tight relative to
 the mean. The gate has one setting: ``DEFAULT_CONFIDENCE`` and
 ``DEFAULT_REL_HALF_WIDTH``, which every verdict's description echoes.
 
-Sample statistics are exact until one final rounding. A finite float is
-an integer over a power of two, so a series is written as integers over
-one common power-of-two denominator and summed, with their squares,
-exactly in ``int`` arithmetic. The mean is then one correctly rounded
-``int / int`` division, and the standard deviation the correctly rounded
-square root of the exact sample variance. These are the floats that
-``statistics.mean`` and ``statistics.stdev`` give on Python 3.11 and
+``exact_mean`` and ``exact_stdev`` are exact until one final rounding. A
+finite float is an integer over a power of two, so a series is written as
+integers over one common power-of-two denominator and summed, with their
+squares, exactly in ``int`` arithmetic. The mean is then one correctly
+rounded ``int / int`` division, and the standard deviation the correctly
+rounded square root of the exact sample variance. These are the floats
+that ``statistics.mean`` and ``statistics.stdev`` give on Python 3.11 and
 later, computed without ``Fraction`` normalisation.
+
+The gate's own mean is not ``exact_mean``: ``ci_check`` takes
+``math.fsum(samples) / n``, the correctly rounded sum divided by the
+count, which rounds twice and can differ from ``exact_mean`` by one ulp.
+That mean is ``MeasurementSeries.mean``, and the external backend uses it
+as a point's energy, so it stays as it is: another mean would change the
+output bytes of external runs.
 
 The Student-t quantile is exact in the same sense. For an integer number
 of degrees of freedom the CDF has a finite closed form (Abramowitz and
@@ -200,10 +207,11 @@ class Verdict(enum.Enum):
 def ci_check(samples: Sequence[float]) -> tuple[Verdict, float, float]:
     """Two-sided Student-t interval test on repeated readings.
 
-    Returns (verdict, mean, half_width). The verdict is PASS when the
-    half-width at ``DEFAULT_CONFIDENCE`` is at most ``DEFAULT_REL_HALF_WIDTH``
-    times the mean, FAIL when it is wider, and INSUFFICIENT for fewer than
-    two samples (half-width is then infinite).
+    Returns (verdict, mean, half_width); the mean is ``math.fsum(samples) / n``
+    (see the module docstring). The verdict is PASS when the half-width at
+    ``DEFAULT_CONFIDENCE`` is at most ``DEFAULT_REL_HALF_WIDTH`` times the
+    mean, FAIL when it is wider, and INSUFFICIENT for fewer than two
+    samples (half-width is then infinite).
     """
     if not samples:
         raise ConfigError("ci_check requires at least one sample")
@@ -226,7 +234,11 @@ def ci_check(samples: Sequence[float]) -> tuple[Verdict, float, float]:
 
 @dataclass(frozen=True)
 class MeasurementSeries:
-    """Raw samples of one decode job together with their validation verdict."""
+    """Raw samples of one decode job together with their validation verdict.
+
+    ``mean`` and ``half_width`` are those of ``ci_check``: ``mean`` is
+    ``math.fsum(samples) / n``, which can be one ulp from ``exact_mean``.
+    """
 
     samples: tuple[float, ...]
     verdict: Verdict

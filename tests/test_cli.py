@@ -9,6 +9,8 @@ import pytest
 
 import ctpdse
 from ctpdse import cli, evaluators
+from ctpdse.curves import BD_FIELDS
+from ctpdse.engine import report_from_dict
 from ctpdse.profiles import default_registry, parse_ctp, serialize_ctp
 
 from conftest import BENCHMARK_POINTS
@@ -223,6 +225,42 @@ class TestDse:
         ])
         assert code == 4
         assert "(s01, qp 27)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exists, reason", [
+        (False, "[Errno 2] No such file or directory"),
+        (True, "[Errno 13] Permission denied"),
+    ], ids=["missing", "not-executable"])
+    def test_unlaunchable_command_exits_4_and_names_the_profile(self, tmp_path, capsys,
+                                                                exists, reason):
+        script = tmp_path / "notexec.sh"
+        if exists:
+            script.write_text("#!/bin/sh\n")
+            script.chmod(0o644)
+        code = cli.main([
+            "dse", "--strategy", "c1", "--backend", "external", "--sequences", "s01",
+            "--command-template", f"{script} {{out}}", "--out", str(tmp_path / "run"),
+        ])
+        assert code == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: profile 3FFFFFFF: (s01, qp 22): cannot launch '{script}': "
+                       f"{reason}: '{script}'"]
+
+    def test_external_results_that_form_no_curve_exit_4(self, tmp_path, capsys):
+        reg = tmp_path / "r.reg"
+        reg.write_text(REGISTRY_3)
+        rows = dict(RESULT_ROWS)
+        rows[27] = "27,9000.0,40.1,86.5,90.0,90;90;90;90;90"  # above qp 22's 8000 kbps
+        write_result_fixtures(tmp_path, rows=rows)
+        code = cli.main([
+            "dse", "--strategy", "e1", "--backend", "external",
+            "--command-template", copy_template(tmp_path), "--sequences", "s01",
+            "--registry", str(reg), "--out", str(tmp_path / "run"),
+        ])
+        assert code == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "error: profile 7: external results for 's01' do not form a valid curve: "
+            "curve (7, s01): bitrate not strictly decreasing with qp at qp 27"
+        ]
 
     @pytest.mark.parametrize("backend", ["synthetic", "external"])
     def test_repeated_sequence_exits_2_before_any_job(self, tmp_path, capsys, monkeypatch,
@@ -627,6 +665,35 @@ class TestPareto:
         assert f"error: {result}: not a ctp dse result" in err
         assert message in err
 
+    def test_round_trip_keeps_report_warnings(self, tmp_path, capsys):
+        reg = tmp_path / "r.reg"
+        reg.write_text(REGISTRY_3)
+        rows = anchor_rows("7") + halved_energy_rows("5") + halved_energy_rows("3")
+        for row in halved_energy_rows("6"):  # VMAF 42-68 against the anchor's 66-92
+            fields = row.split(",")
+            fields[5] = str(float(fields[5]) - 24.0)
+            rows.append(",".join(fields))
+        run_dir = tmp_path / "run"
+        assert cli.main(["dse", "--strategy", "e1", "--backend", "cached", "--max-iter", "1",
+                         "--measurements", write_table(tmp_path / "m.csv", rows),
+                         "--registry", str(reg), "--out", str(run_dir)]) == 0
+        document = json.loads((run_dir / "result.json").read_text())
+        entry = document["evaluated"]["6"]
+        assert [w.split()[0] for w in entry["warnings"]] == ["bdr_vmaf", "bdde_vmaf"]
+        (candidate,) = [c for c in document["iterations"][0]["candidates"] if c["ctp"] == "6"]
+        assert candidate["report"] == entry
+        report = report_from_dict(entry)
+        assert {**{name: getattr(report, name) for name, _, _ in BD_FIELDS},
+                "warnings": list(report.warnings)} == entry
+
+        out_dir = tmp_path / "sel"
+        capsys.readouterr()
+        assert cli.main(["pareto", "--points", str(run_dir), "--out", str(out_dir)]) == 0
+        assert capsys.readouterr().err == ""
+        for name in ("points.csv", "front.csv"):
+            assert ((out_dir / name).read_text().splitlines()[1:]
+                    == (run_dir / name).read_text().splitlines()[1:])
+
     def test_config_error_leaves_no_out_directory(self, tmp_path, capsys):
         path = tmp_path / "p.csv"
         path.write_text("bdr,bdde\n")
@@ -637,6 +704,34 @@ class TestPareto:
 
     def test_directory_without_result_exits_2(self, tmp_path, capsys):
         assert cli.main(["pareto", "--points", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("reader", ["result-file", "measurements", "points", "registry"])
+def test_input_that_is_not_utf8_is_one_error_line(tmp_path, capsys, reader):
+    bad = b"\xff\xfe" + HEADER_LINE.encode() + b"\n"
+    reg = tmp_path / "r.reg"
+    reg.write_text(REGISTRY_3)
+    path = tmp_path / "bad.csv"
+    path.write_bytes(bad)
+    if reader == "result-file":
+        write_result_fixtures(tmp_path)
+        (tmp_path / "s01_22.csv").write_bytes(bad)
+        argv = ["dse", "--strategy", "e1", "--backend", "external", "--sequences", "s01",
+                "--command-template", copy_template(tmp_path), "--registry", str(reg),
+                "--out", str(tmp_path / "run")]
+        code, line = 4, (r"error: profile 7: \(s01, qp 22\): cannot parse result file: "
+                         r"\S+job0\.csv: not UTF-8 text \(invalid start byte\)")
+    else:
+        argv = {
+            "measurements": ["bd", "--test", "6", "--registry", str(reg),
+                             "--measurements", str(path)],
+            "points": ["pareto", "--points", str(path)],
+            "registry": ["show", "--registry", str(path)],
+        }[reader]
+        code, line = 2, re.escape(f"error: {path}: not UTF-8 text (invalid start byte)")
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and re.fullmatch(line, err[0])
 
 
 @pytest.mark.parametrize("command", [

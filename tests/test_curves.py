@@ -244,6 +244,17 @@ class TestBdDelta:
         with pytest.raises(CurveDataError, match="cost"):
             bd_delta(pts, pts)
 
+    @pytest.mark.parametrize("role", ["anchor", "test"])
+    @pytest.mark.parametrize("value, at", [(math.nan, 0), (math.inf, 1), (-math.inf, 1)],
+                             ids=["nan-cost", "inf-quality", "minus-inf-quality"])
+    def test_non_finite_value_rejected(self, role, value, at):
+        pts = [(1400.0, 34.6), (2500.0, 37.4), (4500.0, 40.1), (8000.0, 42.5)]
+        bad = list(pts)
+        bad[2] = (value, 40.1) if at == 0 else (4500.0, value)
+        pair = (bad, pts) if role == "anchor" else (pts, bad)
+        with pytest.raises(CurveDataError, match=f"^{role} curve contains non-finite values$"):
+            bd_delta(*pair)
+
 
 @st.composite
 def anchor_and_tests(draw):

@@ -22,7 +22,7 @@ from ctpdse.engine import (
     score,
     strategy_code,
 )
-from ctpdse.errors import ConfigError, EvaluationError
+from ctpdse.errors import ConfigError, CtpDseError, EvaluationError
 from ctpdse.evaluators import (
     EvaluationRequest,
     ExternalCommandEvaluator,
@@ -415,6 +415,38 @@ class TestCachingAndErrors:
         assert len(err.value.partial_logs) == 1
         assert len(err.value.partial_evaluated) == 5
         assert err.value.failed_ctp is not None
+
+    def test_unlaunchable_external_command_keeps_partial_state(self, tmp_path):
+        script = tmp_path / "enc.sh"
+        script.write_text("#!/bin/sh\n")
+        script.chmod(0o644)
+        external = ExternalCommandEvaluator(f"{script} {{out}}")
+        registry = make_registry(3)
+        params = make_params(3, energy_mult=(1.5, 1.2, 1.0))
+        # synthetic for iteration 1 and one flip of iteration 2, then external
+        evaluator = SwitchAfter(SyntheticModelEvaluator(params), external, allowed_calls=5)
+        config = make_config(registry, "e1")
+        with pytest.raises(EvaluationError,
+                           match=r"^\(s01, qp 22\): cannot launch .*Permission denied") as err:
+            run_dse(config, evaluator)
+        assert len(err.value.partial_logs) == 1
+        assert len(err.value.partial_evaluated) == 5
+        assert config.anchor in err.value.partial_evaluated
+        assert err.value.failed_ctp is not None
+        assert err.value.failed_ctp not in err.value.partial_evaluated
+
+    def test_backend_missing_a_sequence_names_it(self):
+        class DropsLastCurve(CountingEvaluator):
+            def evaluate(self, request):
+                return super().evaluate(request)[:-1]
+
+        params = make_params(3, sequences=("s01", "s02"))
+        config = make_config(make_registry(3), "e1", sequences=("s01", "s02"))
+        with pytest.raises(CtpDseError,
+                           match=r"^backend returned no curve for sequences \['s02'\]$") as err:
+            run_dse(config, DropsLastCurve(SyntheticModelEvaluator(params)))
+        assert err.value.failed_ctp == config.anchor
+        assert err.value.partial_evaluated == {}
 
     def test_external_walk_launches_each_job_once(self, monkeypatch):
         lock = threading.Lock()

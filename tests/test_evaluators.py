@@ -437,6 +437,29 @@ class TestExternalCommand:
         with pytest.raises(EvaluationError, match="cannot parse"):
             ExternalCommandEvaluator(copy_template(tmp_path)).evaluate(request)
 
+    def test_two_result_rows_rejected(self, tmp_path):
+        rows = dict(RESULT_ROWS)
+        rows[22] = RESULT_ROWS[22] + "\n" + RESULT_ROWS[22]
+        write_result_fixtures(tmp_path, rows=rows)
+        request = EvaluationRequest(default_ctp(make_registry(3)), ("s01",), BASE_QPS)
+        with pytest.raises(EvaluationError,
+                           match=r"^\(s01, qp 22\): cannot parse result file: expected exactly "
+                                 r"one data row"):
+            ExternalCommandEvaluator(copy_template(tmp_path)).evaluate(request)
+
+    def test_output_that_is_not_utf8_keeps_the_job(self, tmp_path):
+        write_result_fixtures(tmp_path)
+        request = EvaluationRequest(default_ctp(make_registry(3)), ("s01",), BASE_QPS)
+        chatty = copy_template(tmp_path).replace(
+            "import shutil,sys;", "import shutil,sys; sys.stdout.buffer.write(b'\\xff');")
+        (curve,) = ExternalCommandEvaluator(chatty).evaluate(request)
+        assert [p.bitrate for p in curve.points] == [8000.0, 4500.0, 2500.0, 1400.0]
+        failing = (f'{sys.executable} -c "import sys; sys.stdout.buffer.write(b\'\\xff\'); '
+                   f'sys.exit(3)" {{out}}')
+        with pytest.raises(EvaluationError,
+                           match=r"\(s01, qp 22\): command exited with 3; stdout: '\\\\xff'"):
+            ExternalCommandEvaluator(failing).evaluate(request)
+
     def test_energy_disagreeing_with_samples_rejected(self, tmp_path):
         rows = dict(RESULT_ROWS)
         rows[22] = "22,8000.0,42.5,92.0,999.0,120;120;120"
