@@ -120,15 +120,20 @@ def cmd_show(args) -> int:
     return 0
 
 
-def _sequences_and_qps(args):
-    """``--sequences`` and ``--qps`` as given and checked, each None when absent."""
+def _run_setup(args):
+    """Checked ``--sequences`` and ``--qps`` (each None when absent), the registry and the anchor.
+
+    The flags are checked before the registry is read, and the registry before the anchor.
+    """
     sequences = _split_csv(args.sequences) if args.sequences else None
     qps = _parse_qps(args.qps) if args.qps else None
     if sequences:
         check_sequences(sequences)
     if qps:
         check_qps(qps)
-    return sequences, qps
+    registry = _load_registry(args)
+    anchor = parse_ctp(args.anchor, registry) if args.anchor else default_ctp(registry)
+    return sequences, qps, registry, anchor
 
 
 def _table_inputs(args, anchor, sequences, qps):
@@ -153,34 +158,28 @@ def _table_inputs(args, anchor, sequences, qps):
 
 def _resolve_run_inputs(args, registry, anchor, sequences, qps):
     """Build the evaluator plus the effective sequence/qp lists."""
-    backend = args.backend
     inputs: dict[str, str] = {}
 
-    if backend == "cached":
+    if args.backend == "cached":
         if not args.measurements:
             raise ConfigError("--backend cached requires --measurements")
         inputs["measurements"] = file_digest(args.measurements)
         table, sequences, qps = _table_inputs(args, anchor, sequences, qps)
         return CachedTableEvaluator(table), sequences, qps, inputs
 
-    if backend == "synthetic":
+    if args.backend == "synthetic":
         sequences = sequences or DEFAULT_SYNTH_SEQUENCES
         qps = qps or DEFAULT_QPS
         params = SyntheticModelParams.random(registry, sequences, qps, seed=args.seed)
         return SyntheticModelEvaluator(params), sequences, qps, inputs
 
-    if backend == "external":
-        if not args.command_template:
-            raise ConfigError("--backend external requires --command-template")
-        if sequences is None:
-            raise ConfigError("--backend external requires --sequences")
-        qps = qps or DEFAULT_QPS
-        evaluator = ExternalCommandEvaluator(
-            args.command_template, max_parallel=args.max_parallel
-        )
-        return evaluator, sequences, qps, inputs
-
-    raise ConfigError(f"unknown backend {backend!r}")
+    # argparse's choices leave only the external backend.
+    if not args.command_template:
+        raise ConfigError("--backend external requires --command-template")
+    if sequences is None:
+        raise ConfigError("--backend external requires --sequences")
+    evaluator = ExternalCommandEvaluator(args.command_template, max_parallel=args.max_parallel)
+    return evaluator, sequences, qps or DEFAULT_QPS, inputs
 
 
 def _summary(comment, config, args, result, selection) -> str:
@@ -227,9 +226,7 @@ def _summary(comment, config, args, result, selection) -> str:
 def cmd_dse(args) -> int:
     out = _check_out(args.out)
     criteria = SelectionCriteria(args.lbe_threshold)
-    sequences, qps = _sequences_and_qps(args)
-    registry = _load_registry(args)
-    anchor = parse_ctp(args.anchor, registry) if args.anchor else default_ctp(registry)
+    sequences, qps, registry, anchor = _run_setup(args)
     objective, flip_policy = parse_strategy(args.strategy)
     evaluator, sequences, qps, inputs = _resolve_run_inputs(args, registry, anchor,
                                                             sequences, qps)
@@ -293,9 +290,7 @@ def cmd_dse(args) -> int:
 
 
 def cmd_bd(args) -> int:
-    sequences, qps = _sequences_and_qps(args)
-    registry = _load_registry(args)
-    anchor = parse_ctp(args.anchor, registry) if args.anchor else default_ctp(registry)
+    sequences, qps, registry, anchor = _run_setup(args)
     tests = [parse_ctp(text, registry) for text in args.test]
     table, sequences, qps = _table_inputs(args, anchor, sequences, qps)
     anchor_mask = serialize_ctp(anchor)
@@ -307,8 +302,7 @@ def cmd_bd(args) -> int:
     def cells(report: BdReport) -> str:
         return "".join(f" {_pct(value):>10}" for axis in axes for value in report.pair(axis))
 
-    anchor_curves = {s: table.curve(anchor_mask, s, qps) for s in sequences}
-    anchors = {s: PreparedAnchor(curve) for s, curve in anchor_curves.items()}
+    anchors = {s: PreparedAnchor(table.curve(anchor_mask, s, qps)) for s in sequences}
     header = f"{'ctp':<10} {'sequence':<16}" + "".join(
         f" {label:>10}" for axis in axes for label in (f"BDR-{axis.name}", f"BDDE-{axis.name}")
     )
@@ -359,16 +353,16 @@ def cmd_pareto(args) -> int:
         raise ConfigError(f"{source}: no points to select from")
     selection = select_profiles(points, criteria)
 
-    manifest = build_manifest(
-        "pareto",
-        {
-            "axis": axis.value,
-            "lbe_threshold": args.lbe_threshold,
-            "source": source.name,
-        },
-        {"points": file_digest(source if source.is_file() else source / "result.json")},
-    )
     if out is not None:
+        manifest = build_manifest(
+            "pareto",
+            {
+                "axis": axis.value,
+                "lbe_threshold": args.lbe_threshold,
+                "source": source.name,
+            },
+            {"points": file_digest(source if source.is_file() else source / "result.json")},
+        )
         comment = f"manifest: {manifest_digest(manifest)}"
         out.mkdir(parents=True, exist_ok=True)
         _write_outputs(out, {

@@ -17,8 +17,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .curves import (BD_FIELDS, BdReport, PreparedAnchor, QualityAxis, RdeCurve,
-                     aggregate_reports, bd_report)
+from .curves import (BD_FIELDS, BdReport, PreparedAnchor, QualityAxis, aggregate_reports,
+                     bd_report)
 from .errors import ConfigError, CtpDseError
 from .evaluators import EvaluationRequest, Evaluator
 from .profiles import Ctp, flip_tool, serialize_ctp
@@ -140,40 +140,36 @@ class EvaluationCache:
         self.reports: dict[Ctp, BdReport] = {}
         self._anchors: dict[str, PreparedAnchor] | None = None
 
-    def _curves(self, ctp: Ctp) -> dict[str, RdeCurve]:
-        request = EvaluationRequest(ctp, self.config.sequences, self.config.qps)
-        curves = {c.sequence: c for c in self.evaluator.evaluate(request)}
-        missing = [s for s in self.config.sequences if s not in curves]
-        if missing:
-            raise CtpDseError(f"backend returned no curve for sequences {missing}")
-        return curves
+    def _evaluate(self, ctp: Ctp) -> BdReport:
+        """Evaluate one profile and aggregate its BD reports against the anchor.
+
+        The first call evaluates the anchor, whose curves it prepares. Every
+        error raised here carries the profile as ``failed_ctp``.
+        """
+        sequences = self.config.sequences
+        try:
+            request = EvaluationRequest(ctp, sequences, self.config.qps)
+            curves = {c.sequence: c for c in self.evaluator.evaluate(request)}
+            missing = [s for s in sequences if s not in curves]
+            if missing:
+                raise CtpDseError(f"backend returned no curve for sequences {missing}")
+            if self._anchors is None:
+                self._anchors = {s: PreparedAnchor(curves[s]) for s in sequences}
+            return aggregate_reports(bd_report(self._anchors[s], curves[s]) for s in sequences)
+        except CtpDseError as exc:
+            exc.failed_ctp = ctp
+            raise
 
     def bootstrap_anchor(self) -> BdReport:
         """Evaluate and prepare the anchor; a bad anchor curve is rejected before any candidate."""
         anchor = self.config.anchor
-        try:
-            curves = self._curves(anchor)
-            self._anchors = {s: PreparedAnchor(curves[s]) for s in self.config.sequences}
-            report = aggregate_reports(
-                bd_report(self._anchors[s], curves[s]) for s in self.config.sequences
-            )
-        except CtpDseError as exc:
-            exc.failed_ctp = anchor
-            raise
-        self.reports[anchor] = report
-        return report
+        self.reports[anchor] = self._evaluate(anchor)
+        return self.reports[anchor]
 
     def compute(self, ctp: Ctp) -> BdReport:
         """Evaluate one profile against the anchor without touching the cache."""
         assert self._anchors is not None, "anchor must be bootstrapped first"
-        try:
-            curves = self._curves(ctp)
-            return aggregate_reports(
-                bd_report(self._anchors[s], curves[s]) for s in self.config.sequences
-            )
-        except CtpDseError as exc:
-            exc.failed_ctp = ctp
-            raise
+        return self._evaluate(ctp)
 
     def report(self, ctp: Ctp) -> BdReport:
         if ctp not in self.reports:
@@ -181,12 +177,7 @@ class EvaluationCache:
         return self.reports[ctp]
 
 
-def run_iteration(
-    reference: Ctp,
-    config: DseConfig,
-    cache: EvaluationCache,
-    index: int = 1,
-) -> IterationLog:
+def run_iteration(reference: Ctp, cache: EvaluationCache, index: int = 1) -> IterationLog:
     """Evaluate all single flips of ``reference`` and pick the next reference.
 
     Flips are evaluated one after another, and each report is cached as
@@ -194,8 +185,9 @@ def run_iteration(
     A candidate improves when its score is strictly below the reference
     score; equal scores never flip. The All policy applies every improving
     flip at once, the One policy only the lowest-scoring one (ties break
-    to the lowest registry index).
+    to the lowest registry index). The walk's settings are ``cache.config``.
     """
+    config = cache.config
     reference_score = score(cache.report(reference), config.objective, config.quality_axis)
     candidates = []
     for j, tool in enumerate(reference.registry.tools):
@@ -250,7 +242,7 @@ def run_dse(config: DseConfig, evaluator: Evaluator) -> DseResult:
         reference = config.anchor
         termination = TerminationReason.MAX_ITERATIONS
         for index in range(1, config.max_iterations + 1):
-            log = run_iteration(reference, config, cache, index=index)
+            log = run_iteration(reference, cache, index=index)
             logs.append(log)
             if log.next_reference in seen:
                 termination = TerminationReason.REPEATED_REFERENCE
@@ -261,7 +253,6 @@ def run_dse(config: DseConfig, evaluator: Evaluator) -> DseResult:
         # multi-flip profile no iteration evaluated.
         cache.report(logs[-1].next_reference)
     except CtpDseError as exc:
-        exc.failed_ctp = getattr(exc, "failed_ctp", None)
         exc.partial_logs = tuple(logs)
         exc.partial_evaluated = dict(cache.reports)
         raise

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import re
 import shlex
+import string
 import subprocess
 import tempfile
 import threading
@@ -472,15 +473,23 @@ class SyntheticModelEvaluator:
         return curves
 
 
+def _field_names(text: str):
+    """The field names of format string ``text``, those nested in a format spec included."""
+    for _, name, spec, _ in string.Formatter().parse(text):
+        if name is not None:
+            yield name
+            yield from _field_names(spec)
+
+
 @dataclass
 class ExternalCommandEvaluator:
     """Runs one child process per (sequence, qp) and parses its result file.
 
     The command template must contain an ``{out}`` placeholder naming the
     result file; ``{sequence}``, ``{qp}`` and ``{ctp_mask}`` are available
-    too. The template is split into argv once, and placeholders are
-    substituted inside each argument, so a value with spaces or quotes
-    stays one argument. The result file is a one-row CSV with header
+    too, and no other name, attribute or index is. The template is split
+    into argv once, and placeholders are substituted inside each argument,
+    so a value with spaces or quotes stays one argument. The result file is a one-row CSV with header
     ``qp,bitrate_kbps,psnr_db,vmaf,energy_j,energy_samples``, checked like
     a table row by ``parse_measurement``. When energy samples are present
     they must pass the CI gate before their mean becomes the point's
@@ -498,8 +507,6 @@ class ExternalCommandEvaluator:
     max_parallel: int = 1
 
     def __post_init__(self):
-        if "{out}" not in self.command_template:
-            raise ConfigError("command template must contain an {out} placeholder")
         if self.max_parallel < 1:
             raise ConfigError(f"max_parallel must be >= 1, got {self.max_parallel}")
         try:
@@ -507,11 +514,17 @@ class ExternalCommandEvaluator:
         except ValueError as exc:
             raise ConfigError(f"command template cannot be split into arguments: {exc}") from None
         try:
+            names = {name for token in self._argv for name in _field_names(token)}
+            unknown = sorted(names - {"sequence", "qp", "ctp_mask", "out"})
+            if unknown:
+                raise ConfigError(f"command template has an unknown placeholder {{{unknown[0]}}}; "
+                                  "a placeholder is one of {sequence}, {qp}, {ctp_mask}, {out}")
+            if "out" not in names:
+                raise ConfigError("command template must contain an {out} placeholder")
+            # Only a format spec or a conversion can still fail.
             self._substitute(sequence="s", qp=0, ctp_mask="0", out="out")
-        except (KeyError, IndexError, ValueError) as exc:
-            raise ConfigError(
-                f"command template has an unknown placeholder: {exc}"
-            ) from None
+        except ValueError as exc:
+            raise ConfigError(f"command template has a malformed placeholder: {exc}") from None
 
     def _substitute(self, **values) -> list[str]:
         return [token.format(**values) for token in self._argv]
@@ -565,18 +578,19 @@ class ExternalCommandEvaluator:
         return self._parse_result(out, sequence, qp)
 
     def _parse_result(self, path: str, sequence: str, qp: int) -> RdePoint:
+        # Errors name the file ``{out}``: its temporary directory is gone before they print.
         try:
             text = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
             raise EvaluationError(
-                f"({sequence}, qp {qp}): command produced no result file: {exc}"
+                f"({sequence}, qp {qp}): command produced no result file: {{out}}: {exc.strerror}"
             ) from None
         except UnicodeDecodeError as exc:
             raise EvaluationError(
-                f"({sequence}, qp {qp}): cannot parse result file: {not_utf8(path, exc)}"
+                f"({sequence}, qp {qp}): cannot parse result file: {not_utf8('{out}', exc)}"
             ) from None
         try:
-            rows = [fields for _, fields in data_rows(text.splitlines(), RESULT_HEADER, path)]
+            rows = [fields for _, fields in data_rows(text.splitlines(), RESULT_HEADER, "{out}")]
             if len(rows) != 1:
                 raise ConfigError("expected exactly one data row")
             point, series = parse_measurement(rows[0])

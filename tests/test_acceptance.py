@@ -215,7 +215,7 @@ def iteration_one(params, registry, strategy):
     evaluator = SyntheticModelEvaluator(params)
     cache = EvaluationCache(config, evaluator)
     cache.bootstrap_anchor()
-    return run_iteration(config.anchor, config, cache)
+    return run_iteration(config.anchor, cache)
 
 
 def test_strategy_differentiation():

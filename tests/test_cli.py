@@ -245,6 +245,52 @@ class TestDse:
         assert err == [f"error: profile 3FFFFFFF: (s01, qp 22): cannot launch '{script}': "
                        f"{reason}: '{script}'"]
 
+    def test_missing_result_file_is_named_by_its_placeholder(self, tmp_path, capsys):
+        code = cli.main([
+            "dse", "--strategy", "c1", "--backend", "external", "--sequences", "s01",
+            "--command-template", f'{sys.executable} -c "pass" {{out}}',
+            "--out", str(tmp_path / "run"),
+        ])
+        assert code == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: profile 3FFFFFFF: (s01, qp 22): command produced no result "
+                       "file: {out}: No such file or directory"]
+        assert "ctpdse-ext-" not in err[0]
+
+    @pytest.mark.parametrize("template, message", [
+        ("echo {out} {sequence.x}", "unknown placeholder {sequence.x}"),
+        ("touch {out} {qp[0]}", "unknown placeholder {qp[0]}"),
+        ("touch {{out}}", "must contain an {out} placeholder"),
+    ], ids=["attribute", "index", "escaped-out"])
+    def test_bad_command_template_exits_2_before_any_job(self, tmp_path, capsys, monkeypatch,
+                                                         template, message):
+        launched = []
+        monkeypatch.setattr(evaluators.subprocess, "run",
+                            lambda argv, **kwargs: launched.append(argv))
+        out = tmp_path / "run"
+        code = cli.main([
+            "dse", "--strategy", "c1", "--backend", "external", "--sequences", "s01",
+            "--command-template", template, "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: command template ")
+        assert message in err[0]
+        assert launched == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--sequences", "s01"], "--backend external requires --command-template"),
+        (["--command-template", "enc {out}"], "--backend external requires --sequences"),
+    ], ids=["no-template", "no-sequences"])
+    def test_external_without_a_required_flag_exits_2(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "run"
+        code = cli.main(["dse", "--strategy", "c1", "--backend", "external", *flags,
+                         "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_external_results_that_form_no_curve_exit_4(self, tmp_path, capsys):
         reg = tmp_path / "r.reg"
         reg.write_text(REGISTRY_3)
@@ -487,6 +533,19 @@ class TestBd:
         assert code == 2
         assert "no qps for anchor 7 on 'nope'" in capsys.readouterr().err
 
+    def test_anchor_without_rows_exits_2(self, tmp_path, capsys):
+        reg = tmp_path / "r.reg"
+        reg.write_text(REGISTRY_3)
+        table = self._table(tmp_path)
+        code = cli.main([
+            "bd", "--anchor", "3", "--test", "6",
+            "--measurements", table, "--registry", str(reg),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: measurement table has no rows for anchor 3; pass --sequences explicitly\n"
+        )
+
     @pytest.mark.parametrize("samples, message", BAD_SAMPLES)
     def test_bad_samples_exit_2_and_name_line(self, tmp_path, capsys, samples, message):
         reg = tmp_path / "r.reg"
@@ -720,7 +779,7 @@ def test_input_that_is_not_utf8_is_one_error_line(tmp_path, capsys, reader):
                 "--command-template", copy_template(tmp_path), "--registry", str(reg),
                 "--out", str(tmp_path / "run")]
         code, line = 4, (r"error: profile 7: \(s01, qp 22\): cannot parse result file: "
-                         r"\S+job0\.csv: not UTF-8 text \(invalid start byte\)")
+                         r"\{out\}: not UTF-8 text \(invalid start byte\)")
     else:
         argv = {
             "measurements": ["bd", "--test", "6", "--registry", str(reg),
@@ -732,6 +791,7 @@ def test_input_that_is_not_utf8_is_one_error_line(tmp_path, capsys, reader):
     assert cli.main(argv) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and re.fullmatch(line, err[0])
+    assert "ctpdse-ext-" not in err[0]  # the job's temporary directory is gone by now
 
 
 @pytest.mark.parametrize("command", [

@@ -129,7 +129,7 @@ class TestRunIteration:
             evaluator = SyntheticModelEvaluator(params)
             cache = EvaluationCache(config, evaluator)
             cache.bootstrap_anchor()
-            log = run_iteration(config.anchor, config, cache)
+            log = run_iteration(config.anchor, cache)
             assert log.flipped_tools == (0,)
             assert log.next_reference.bits == (False, True, True)
 
@@ -140,13 +140,13 @@ class TestRunIteration:
         evaluator = SyntheticModelEvaluator(params)
         cache = EvaluationCache(config_all, evaluator)
         cache.bootstrap_anchor()
-        log_all = run_iteration(config_all.anchor, config_all, cache)
+        log_all = run_iteration(config_all.anchor, cache)
         assert log_all.flipped_tools == (0, 1)
 
         config_one = make_config(registry, "e1")
         cache = EvaluationCache(config_one, evaluator)
         cache.bootstrap_anchor()
-        log_one = run_iteration(config_one.anchor, config_one, cache)
+        log_one = run_iteration(config_one.anchor, cache)
         assert log_one.flipped_tools == (0,)  # -33.3% beats -16.7%
 
     def test_tie_breaks_to_lowest_index(self):
@@ -156,7 +156,7 @@ class TestRunIteration:
         evaluator = SyntheticModelEvaluator(params)
         cache = EvaluationCache(config, evaluator)
         cache.bootstrap_anchor()
-        log = run_iteration(config.anchor, config, cache)
+        log = run_iteration(config.anchor, cache)
         scores = {c.tool_index: c.score for c in log.candidates}
         assert scores[0] == scores[1]
         assert log.flipped_tools == (0,)
@@ -168,7 +168,7 @@ class TestRunIteration:
         evaluator = SyntheticModelEvaluator(params)
         cache = EvaluationCache(config, evaluator)
         cache.bootstrap_anchor()
-        log = run_iteration(config.anchor, config, cache)
+        log = run_iteration(config.anchor, cache)
         assert log.flipped_tools == ()
         assert log.next_reference == config.anchor
 
@@ -179,7 +179,7 @@ class TestRunIteration:
         evaluator = SyntheticModelEvaluator(params)
         cache = EvaluationCache(config, evaluator)
         cache.bootstrap_anchor()
-        log = run_iteration(config.anchor, config, cache)
+        log = run_iteration(config.anchor, cache)
         assert [c.tool_index for c in log.candidates] == list(range(5))
         assert {c.tool_name for c in log.candidates} == {t.name for t in registry.tools}
 
@@ -190,7 +190,7 @@ class TestRunIteration:
         evaluator = SyntheticModelEvaluator(params)
         cache = EvaluationCache(config, evaluator)
         cache.bootstrap_anchor()
-        log = run_iteration(config.anchor, config, cache)
+        log = run_iteration(config.anchor, cache)
         improved = {c.tool_index for c in log.candidates if c.improved}
         assert set(log.flipped_tools) <= improved
 
@@ -545,7 +545,7 @@ class TestStrategyDivergence:
         config_e = make_config(registry, "e1")
         cache = EvaluationCache(config_e, evaluator)
         cache.bootstrap_anchor()
-        log_e = run_iteration(config_e.anchor, config_e, cache)
+        log_e = run_iteration(config_e.anchor, cache)
         assert log_e.flipped_tools == (0,)
         by_index = {c.tool_index: c for c in log_e.candidates}
         assert by_index[0].report.bdde_vmaf == pytest.approx(100 * (1 / 1.5 - 1), rel=1e-9)
@@ -556,15 +556,15 @@ class TestStrategyDivergence:
         config_c = make_config(registry, "c1")
         cache = EvaluationCache(config_c, evaluator)
         cache.bootstrap_anchor()
-        log_c = run_iteration(config_c.anchor, config_c, cache)
+        log_c = run_iteration(config_c.anchor, cache)
         assert log_c.flipped_tools == (1,)
 
         config_ea = make_config(registry, "ea")
         cache = EvaluationCache(config_ea, evaluator)
         cache.bootstrap_anchor()
-        assert run_iteration(config_ea.anchor, config_ea, cache).flipped_tools == (0, 1)
+        assert run_iteration(config_ea.anchor, cache).flipped_tools == (0, 1)
 
         config_ca = make_config(registry, "ca")
         cache = EvaluationCache(config_ca, evaluator)
         cache.bootstrap_anchor()
-        assert run_iteration(config_ca.anchor, config_ca, cache).flipped_tools == (1,)
+        assert run_iteration(config_ca.anchor, cache).flipped_tools == (1,)

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 import threading
@@ -26,6 +27,7 @@ from ctpdse.profiles import Ctp, default_ctp, default_registry, serialize_ctp
 from conftest import BASE_QPS, make_baseline, make_params, make_registry
 
 HEADER_LINE = ",".join(CSV_HEADER)
+TWELVE_QPS = tuple(range(22, 56, 3))
 
 
 def write_measurements(path, rows):
@@ -67,6 +69,14 @@ class TestIngest:
         table = ingest_measurements(write_measurements(tmp_path / "m.csv", []))
         assert table.rows == {}
         assert table.sequences_for("3FFFFFFF") == ()
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n\n"], ids=["empty", "comment"])
+    def test_file_without_header_rejected(self, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: empty file, "
+                                              f"expected header {HEADER_LINE}$"):
+            ingest_measurements(path)
 
     def test_four_rows_give_one_curve(self, tmp_path):
         mask = "3FFFFFFF"
@@ -331,6 +341,19 @@ class TestSyntheticModel:
                 dq_vmaf=(0.0, 0.0),
             )
 
+    @pytest.mark.parametrize("mult", [0.0, -1.05])
+    def test_non_positive_interaction_rejected(self, mult):
+        with pytest.raises(ConfigError, match=r"interaction \(0, 1\) multiplier must be > 0"):
+            make_params(2, interactions=((0, 1, mult),))
+
+    @pytest.mark.parametrize("table", ["rate", "energy"])
+    def test_non_positive_baseline_rejected(self, table):
+        tables = {"rate": (8000.0, 4500.0), "psnr": (42.5, 40.1), "vmaf": (92.0, 86.5),
+                  "energy": (120.0, 90.0)}
+        tables[table] = (tables[table][0], 0.0)
+        with pytest.raises(ConfigError, match="baseline rate and energy values must be > 0"):
+            SequenceBaseline((22, 27), *tables.values())
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed must be >= 0, got -3"):
             SyntheticModelParams.random(make_registry(4), ("s01",), BASE_QPS, seed=-3)
@@ -351,6 +374,9 @@ class TestSyntheticModel:
     # One and two tools have fewer pairs than the model draws interactions for.
     @example(seed=5, tools=1, sequences=1, qps=BASE_QPS)
     @example(seed=5, tools=2, sequences=1, qps=BASE_QPS)
+    # Twelve qps take the last VMAF value below 5, so the model rescales the curve.
+    @example(seed=0, tools=30, sequences=2, qps=TWELVE_QPS)
+    @example(seed=7, tools=30, sequences=2, qps=TWELVE_QPS)
     def test_random_matches_numpy_default_rng(self, seed, tools, sequences, qps):
         registry = make_registry(tools)
         names = tuple(f"s{i:02d}" for i in range(sequences))
@@ -484,6 +510,34 @@ class TestExternalCommand:
         request = EvaluationRequest(default_ctp(make_registry(3)), ("s01",), BASE_QPS)
         with pytest.raises(ConfigError, match="placeholder"):
             ExternalCommandEvaluator("encode {output} {out}").evaluate(request)
+
+    # Attribute, index and escaped-``{out}`` templates are checked through `ctp dse`.
+    @pytest.mark.parametrize("template, message", [
+        ("enc {qp:{ctp_mask.x}} {out}", "unknown placeholder {ctp_mask.x}"),
+        ("enc {} {out}", "unknown placeholder {}"),
+        ("enc {qp!z} {out}", "malformed placeholder: Unknown conversion specifier z"),
+        ("enc {out", "malformed placeholder: expected '}' before end of string"),
+    ], ids=["nested", "positional", "conversion", "unclosed"])
+    def test_template_fields_checked_when_built(self, template, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ExternalCommandEvaluator(template)
+
+    def test_format_spec_is_applied(self, monkeypatch):
+        launched = []
+
+        def fake_run(argv, **kwargs):
+            launched.append(argv)
+            return subprocess.CompletedProcess(argv, 1, "", "")
+
+        monkeypatch.setattr(evaluators.subprocess, "run", fake_run)
+        request = EvaluationRequest(default_ctp(make_registry(3)), ("s01",), BASE_QPS)
+        with pytest.raises(EvaluationError):
+            ExternalCommandEvaluator("enc {qp:03d} {out}").evaluate(request)
+        assert launched[0][1] == "022"
+
+    def test_max_parallel_below_one_rejected(self):
+        with pytest.raises(ConfigError, match="max_parallel must be >= 1, got 0"):
+            ExternalCommandEvaluator("enc {out}", max_parallel=0)
 
     def test_unbalanced_quote_rejected(self):
         with pytest.raises(ConfigError, match="split"):

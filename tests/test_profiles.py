@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -216,6 +218,13 @@ class TestRegistryFiles:
         path = tmp_path / "r.reg"
         path.write_text("A,Intra,yes\n")
         with pytest.raises(RegistryFormatError, match=":1"):
+            load_registry(path)
+
+    def test_duplicate_tool_names_the_file(self, tmp_path):
+        path = tmp_path / "r.reg"
+        path.write_text("A,Intra,1\nA,Other,0\n")
+        with pytest.raises(RegistryFormatError,
+                           match=f"^{re.escape(str(path))}: duplicate tool name 'A'$"):
             load_registry(path)
 
     def test_registry_text_is_canonical(self):
