@@ -111,12 +111,13 @@ def cmd_show(args) -> int:
         profile = parse_ctp(args.profile, registry)
     else:
         profile = default_ctp(registry)
-    enabled = sum(profile.bits)
+    mask = profile.mask
+    enabled = mask.bit_count()
     print(f"registry {len(registry)} tools  digest {registry_digest(registry)}")
     print(f"profile {serialize_ctp(profile)}  ({enabled} of {len(registry)} tools enabled)")
     print(f"{'bit':>3}  {'tool':<10} {'category':<15} state")
-    for i, (tool, bit) in enumerate(zip(registry.tools, profile.bits)):
-        print(f"{i:>3}  {tool.name:<10} {tool.category:<15} {'on' if bit else 'off'}")
+    for i, tool in enumerate(registry.tools):
+        print(f"{i:>3}  {tool.name:<10} {tool.category:<15} {'on' if mask >> i & 1 else 'off'}")
     return 0
 
 
@@ -137,22 +138,32 @@ def _run_setup(args):
 
 
 def _table_inputs(args, anchor, sequences, qps):
-    """Ingest ``--measurements``; sequences and qps default to the anchor's rows."""
+    """Ingest ``--measurements``; sequences and qps default to the anchor's rows.
+
+    Every sequence must have anchor rows. Without ``--qps``, the qps are the anchor's qps,
+    which must be the same on every sequence.
+    """
     table = ingest_measurements(args.measurements)
     for line in table.diagnostics:
         print(f"measurement: {line}", file=sys.stderr)
     mask = serialize_ctp(anchor)
-    sequences = sequences or table.sequences_for(mask)
+    ladders = table.qps_by_sequence(mask)
+    sequences = sequences or tuple(ladders)
     if not sequences:
-        raise ConfigError(
-            f"measurement table has no rows for anchor {mask}; pass --sequences explicitly"
-        )
-    qps = qps or table.qps_for(mask, sequences[0])
+        raise ConfigError(f"measurement table has no rows for anchor {mask}")
+    for sequence in sequences:
+        if sequence not in ladders:
+            raise ConfigError(f"measurement table has no rows for anchor {mask} on {sequence!r}")
     if not qps:
-        raise ConfigError(
-            f"measurement table has no qps for anchor {mask} on "
-            f"{sequences[0]!r}; pass --qps explicitly"
-        )
+        qps = ladders[sequences[0]]
+        for sequence in sequences:
+            if ladders[sequence] != qps:
+                raise ConfigError(
+                    f"anchor {mask} has qps {','.join(map(str, qps))} on {sequences[0]!r} but "
+                    f"{','.join(map(str, ladders[sequence]))} on {sequence!r}; "
+                    f"pass --qps explicitly"
+                )
+        check_qps(qps)
     return table, sequences, qps
 
 

@@ -136,10 +136,6 @@ class RdeCurve:
                     f"decreasing with qp at qp {cur.qp}"
                 )
 
-    def axis(self, cost: str, quality: str) -> list[tuple[float, float]]:
-        """(cost, quality) pairs for one metric combination."""
-        return [(getattr(p, cost), getattr(p, quality)) for p in self.points]
-
 
 @dataclass(frozen=True)
 class BdReport:

@@ -27,6 +27,7 @@ only decides what a CI verdict means.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import shlex
 import string
@@ -143,11 +144,12 @@ class MeasurementTable:
         points = tuple(self.rows[(ctp_id, sequence, qp)] for qp in qps)
         return RdeCurve(sequence, ctp_id, points)
 
-    def sequences_for(self, ctp_id: str) -> tuple[str, ...]:
-        return tuple(sorted({s for c, s, _ in self.rows if c == ctp_id}))
-
-    def qps_for(self, ctp_id: str, sequence: str) -> tuple[int, ...]:
-        return tuple(sorted({q for c, s, q in self.rows if c == ctp_id and s == sequence}))
+    def qps_by_sequence(self, ctp_id: str) -> dict[str, tuple[int, ...]]:
+        """The sorted qps of ``ctp_id``'s rows, keyed by sequence in sorted order."""
+        ladders: dict[str, tuple[int, ...]] = {}
+        for _, sequence, qp in sorted(key for key in self.rows if key[0] == ctp_id):
+            ladders[sequence] = ladders.get(sequence, ()) + (qp,)
+        return ladders
 
 
 def ingest_measurements(path) -> MeasurementTable:
@@ -294,6 +296,14 @@ class _Pcg64:
     def uniforms(self, low: float, high: float, size: int) -> tuple[float, ...]:
         return tuple(self.uniform(low, high) for _ in range(size))
 
+    def ladder(self, first: tuple[float, float], step: tuple[float, float], apply,
+               steps: int) -> list[float]:
+        """A draw in ``first``, then ``steps`` draws in ``step``, each applied to the last value."""
+        values = [self.uniform(*first)]
+        for _ in range(steps):
+            values.append(apply(values[-1], self.uniform(*step)))
+        return values
+
     def bounded(self, top: int) -> int:
         """A uniform integer in ``[0, top]``, for ``top < 2**32 - 1``."""
         if top == 0:
@@ -379,28 +389,17 @@ class SyntheticModelParams:
         rng = _Pcg64(seed)
         n = len(registry)
         qps = tuple(int(q) for q in qps)
+        steps = len(qps) - 1
         baselines = {}
         for sequence in sequences:
-            steps = len(qps) - 1
-            rate0 = rng.uniform(4000.0, 16000.0)
-            rate = [rate0]
-            for _ in range(steps):
-                rate.append(rate[-1] / rng.uniform(1.6, 2.1))
-            psnr0 = rng.uniform(41.0, 44.0)
-            psnr = [psnr0]
-            for _ in range(steps):
-                psnr.append(psnr[-1] - rng.uniform(1.8, 3.0))
-            vmaf0 = rng.uniform(82.0, 92.0)
-            vmaf = [vmaf0]
-            for _ in range(steps):
-                vmaf.append(vmaf[-1] - rng.uniform(6.0, 10.0))
+            rate = rng.ladder((4000.0, 16000.0), (1.6, 2.1), operator.truediv, steps)
+            psnr = rng.ladder((41.0, 44.0), (1.8, 3.0), operator.sub, steps)
+            vmaf = rng.ladder((82.0, 92.0), (6.0, 10.0), operator.sub, steps)
             if vmaf[-1] < 5.0:
+                vmaf0 = vmaf[0]
                 scale = (vmaf0 - 5.0) / (vmaf0 - vmaf[-1])
                 vmaf = [vmaf0 - (vmaf0 - v) * scale for v in vmaf]
-            energy0 = rng.uniform(60.0, 160.0)
-            energy = [energy0]
-            for _ in range(steps):
-                energy.append(energy[-1] / rng.uniform(1.25, 1.5))
+            energy = rng.ladder((60.0, 160.0), (1.25, 1.5), operator.truediv, steps)
             baselines[sequence] = SequenceBaseline(
                 qps, tuple(rate), tuple(psnr), tuple(vmaf), tuple(energy)
             )
@@ -443,7 +442,7 @@ class SyntheticModelEvaluator:
                 f"model has {params.tool_count} tools but profile registry has "
                 f"{len(request.ctp.registry)}"
             )
-        bits = request.ctp.bits
+        bits = [request.ctp.mask >> i & 1 for i in range(params.tool_count)]
         rate_factor = math.prod(m for m, b in zip(params.rate_mult, bits) if b)
         energy_factor = math.prod(m for m, b in zip(params.energy_mult, bits) if b)
         for j, k, mult in params.interactions:

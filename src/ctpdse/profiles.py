@@ -1,9 +1,9 @@
 """Coding-tool registry and binary coding-tool profiles (CTPs).
 
-A CTP is a fixed-length bit vector over a registered, ordered tool set:
-bit i tells whether the encoder may use tool i. Profiles have two text
-forms: a hex bitmask (bit 0 = first registry tool = least significant
-bit) and an ``off:``-prefixed list of disabled tool names.
+A CTP is its hex mask, held as an integer over a registered, ordered
+tool set: bit i (least significant first) tells whether the encoder may
+use registry tool i. Profiles have two text forms: that mask in hex and
+an ``off:``-prefixed list of disabled tool names.
 """
 
 from __future__ import annotations
@@ -129,16 +129,16 @@ def default_registry() -> ToolRegistry:
 
 @dataclass(frozen=True)
 class Ctp:
-    """A coding-tool profile: one boolean per registry tool, nothing else."""
+    """A coding-tool profile: its mask over the registry, bit i = tool i."""
 
     registry: ToolRegistry
-    bits: tuple[bool, ...]
+    mask: int
 
     def __post_init__(self):
-        if len(self.bits) != len(self.registry):
+        if not 0 <= self.mask < 1 << len(self.registry):
             raise ConfigError(
-                f"profile has {len(self.bits)} bits but registry has "
-                f"{len(self.registry)} tools"
+                f"profile mask {self.mask:#x} is out of range for a "
+                f"{len(self.registry)}-tool registry"
             )
 
     def __repr__(self) -> str:
@@ -147,27 +147,21 @@ class Ctp:
 
 def default_ctp(registry: ToolRegistry) -> Ctp:
     """Profile holding each tool's default-enabled flag (the anchor profile)."""
-    return Ctp(registry, tuple(t.default_enabled for t in registry.tools))
+    return Ctp(registry, sum(1 << i for i, t in enumerate(registry.tools) if t.default_enabled))
 
 
 def flip_tool(ctp: Ctp, index: int) -> Ctp:
     """Return a copy of ``ctp`` with exactly the bit at ``index`` toggled."""
-    if not 0 <= index < len(ctp.bits):
+    if not 0 <= index < len(ctp.registry):
         raise IndexError(
             f"tool index {index} out of range for registry of {len(ctp.registry)} tools"
         )
-    bits = list(ctp.bits)
-    bits[index] = not bits[index]
-    return Ctp(ctp.registry, tuple(bits))
+    return Ctp(ctp.registry, ctp.mask ^ 1 << index)
 
 
 def serialize_ctp(ctp: Ctp) -> str:
     """Canonical hex bitmask, bit 0 = first registry tool (least significant)."""
-    value = 0
-    for i, bit in enumerate(ctp.bits):
-        if bit:
-            value |= 1 << i
-    return f"{value:0{ctp.registry.mask_width}X}"
+    return f"{ctp.mask:0{ctp.registry.mask_width}X}"
 
 
 def parse_ctp(text: str, registry: ToolRegistry) -> Ctp:
@@ -178,12 +172,12 @@ def parse_ctp(text: str, registry: ToolRegistry) -> Ctp:
     """
     text = text.strip()
     if text.startswith("off:"):
-        bits = [True] * len(registry)
+        mask = (1 << len(registry)) - 1
         body = text[len("off:"):]
         if body:
             for name in body.split(","):
-                bits[registry.index_of(name.strip())] = False
-        return Ctp(registry, tuple(bits))
+                mask &= ~(1 << registry.index_of(name.strip()))
+        return Ctp(registry, mask)
     if "off:" in text or "," in text:
         raise ProfileFormatError(
             f"profile text {text!r} mixes the hex-mask and off-list forms"
@@ -202,7 +196,7 @@ def parse_ctp(text: str, registry: ToolRegistry) -> Ctp:
         raise ProfileFormatError(
             f"hex mask {text!r} sets bits beyond the {len(registry)}-tool registry"
         )
-    return Ctp(registry, tuple(bool(value >> i & 1) for i in range(len(registry))))
+    return Ctp(registry, value)
 
 
 def load_registry(path) -> ToolRegistry:

@@ -23,7 +23,7 @@ from ctpdse.engine import (
 )
 from ctpdse.evaluators import EvaluationRequest, SyntheticModelEvaluator, SyntheticModelParams
 from ctpdse.pareto import SelectionCriteria, pareto_front, select_profiles
-from ctpdse.profiles import Ctp, default_ctp
+from ctpdse.profiles import Ctp, default_ctp, flip_tool
 from ctpdse import cli
 
 from conftest import BASE_QPS, make_params, make_registry
@@ -95,7 +95,7 @@ def test_bd_analytic_cases():
         params = make_params(2, energy_mult=(2.0, 1.0))
         evaluator = SyntheticModelEvaluator(params)
         full = default_ctp(registry)
-        half = Ctp(registry, (False, True))  # drops the x2 energy factor
+        half = Ctp(registry, 0b10)  # drops the x2 energy factor
         (anchor_curve,) = evaluator.evaluate(EvaluationRequest(full, ("s01",), BASE_QPS))
         (test_curve,) = evaluator.evaluate(EvaluationRequest(half, ("s01",), BASE_QPS))
         report = bd_report(PreparedAnchor(anchor_curve), test_curve)
@@ -140,25 +140,22 @@ def enumerate_vmaf_scores(params, registry):
     evaluator = SyntheticModelEvaluator(params)
     anchor = default_ctp(registry)
     (anchor_curve,) = evaluator.evaluate(EvaluationRequest(anchor, ("s01",), BASE_QPS))
-    anchor_rate = anchor_curve.axis("bitrate", "vmaf")
-    anchor_energy = anchor_curve.axis("energy", "vmaf")
+    anchor_rate = [(p.bitrate, p.vmaf) for p in anchor_curve.points]
+    anchor_energy = [(p.energy, p.vmaf) for p in anchor_curve.points]
     scores = {}
     for value in range(2 ** len(registry)):
-        bits = tuple(bool(value >> i & 1) for i in range(len(registry)))
-        ctp = Ctp(registry, bits)
+        ctp = Ctp(registry, value)
         (curve,) = evaluator.evaluate(EvaluationRequest(ctp, ("s01",), BASE_QPS))
         scores[ctp] = (
-            bd_delta(anchor_rate, curve.axis("bitrate", "vmaf")),
-            bd_delta(anchor_energy, curve.axis("energy", "vmaf")),
+            bd_delta(anchor_rate, [(p.bitrate, p.vmaf) for p in curve.points]),
+            bd_delta(anchor_energy, [(p.energy, p.vmaf) for p in curve.points]),
         )
     return scores
 
 
 def single_flip_neighbours(ctp):
-    for j in range(len(ctp.bits)):
-        yield Ctp(ctp.registry, tuple(
-            not b if i == j else b for i, b in enumerate(ctp.bits)
-        ))
+    for j in range(len(ctp.registry)):
+        yield flip_tool(ctp, j)
 
 
 def test_greedy_desk_scale():

@@ -531,7 +531,7 @@ class TestBd:
             "--measurements", table, "--registry", str(reg),
         ])
         assert code == 2
-        assert "no qps for anchor 7 on 'nope'" in capsys.readouterr().err
+        assert "no rows for anchor 7 on 'nope'" in capsys.readouterr().err
 
     def test_anchor_without_rows_exits_2(self, tmp_path, capsys):
         reg = tmp_path / "r.reg"
@@ -543,7 +543,7 @@ class TestBd:
         ])
         assert code == 2
         assert capsys.readouterr().err == (
-            "error: measurement table has no rows for anchor 3; pass --sequences explicitly\n"
+            "error: measurement table has no rows for anchor 3\n"
         )
 
     @pytest.mark.parametrize("samples, message", BAD_SAMPLES)
@@ -612,6 +612,47 @@ class TestBd:
             "--measurements", table, "--registry", str(reg),
         ])
         assert code == 3
+
+
+def uneven_ladder_table(tmp_path):
+    """Registry with three tools; anchor 7 has qps 22 to 32 on s01 and 22 to 37 on s02."""
+    reg = tmp_path / "r.reg"
+    reg.write_text(REGISTRY_3)
+    rows = anchor_rows("7", "s01")[:3] + anchor_rows("7", "s02")
+    rows += halved_energy_rows("6", "s01") + halved_energy_rows("6", "s02")
+    return str(reg), write_table(tmp_path / "m.csv", rows)
+
+
+TABLE_RULE_CASES = [
+    pytest.param("s01,s02", "anchor 7 has qps 22,27,32 on 's01' but 22,27,32,37 on 's02'; "
+                 "pass --qps explicitly", id="uneven-ladders"),
+    pytest.param("s02,s01", "anchor 7 has qps 22,27,32,37 on 's02' but 22,27,32 on 's01'; "
+                 "pass --qps explicitly", id="uneven-ladders-reversed"),
+    pytest.param("nope,s01", "measurement table has no rows for anchor 7 on 'nope'",
+                 id="unknown-first"),
+    pytest.param("s01,nope", "measurement table has no rows for anchor 7 on 'nope'",
+                 id="unknown-last"),
+    pytest.param("s01", "BD needs at least 4 qps, got 3", id="short-ladder"),
+]
+
+
+@pytest.mark.parametrize("command", ["bd", "dse"])
+@pytest.mark.parametrize("sequences, message", TABLE_RULE_CASES)
+def test_table_run_checks_every_sequence_alike(tmp_path, capsys, command, sequences, message):
+    """Every requested sequence needs anchor rows, and the derived qps are the same on each."""
+    reg, table = uneven_ladder_table(tmp_path)
+    out = tmp_path / "run"
+    flags = {
+        "bd": ["bd", "--anchor", "7", "--test", "6"],
+        "dse": ["dse", "--strategy", "e1", "--backend", "cached", "--out", str(out)],
+    }[command]
+    code = cli.main([*flags, "--measurements", table, "--registry", reg,
+                     "--sequences", sequences])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 class TestPareto:

@@ -106,6 +106,11 @@ def make_curve(ctp_id="3FFFFFFF", sequence="s01", rate_mult=1.0, energy_mult=1.0
     return RdeCurve(sequence, ctp_id, points)
 
 
+def axis_pairs(curve, cost, quality):
+    """The (cost, quality) pairs of ``curve``'s points, in qp order."""
+    return [(getattr(p, cost), getattr(p, quality)) for p in curve.points]
+
+
 class TestPointValidation:
     def test_zero_bitrate_rejected(self):
         with pytest.raises(CurveDataError, match="bitrate"):
@@ -421,7 +426,7 @@ def separate_fields_report(anchor, test):
     """
     values, warnings = {}, []
     for name, cost, axis in BD_FIELDS:
-        pairs, test_pairs = anchor.axis(cost, axis.value), test.axis(cost, axis.value)
+        pairs, test_pairs = axis_pairs(anchor, cost, axis.value), axis_pairs(test, cost, axis.value)
         value = bd_or_error(pairs, test_pairs)
         if isinstance(value, str):
             return f"{name} ({test.sequence}): {value}"
@@ -520,7 +525,7 @@ class TestPreparedCurve:
         assert not isinstance(expected, str)
         values, warnings = expected
         for name, cost, axis in BD_FIELDS:
-            pairs, test_pairs = anchor.axis(cost, axis.value), test.axis(cost, axis.value)
+            pairs, test_pairs = axis_pairs(anchor, cost, axis.value), axis_pairs(test, cost, axis.value)
             value = getattr(report, name)
             assert value == values[name]
             assert value == per_call_bd(pairs, test_pairs)
@@ -534,7 +539,7 @@ class TestPreparedCurve:
         assert nodes.quality == [34.6, 37.4, 40.1, 42.5]
         assert nodes.log_costs == [[math.log10(c) for c in (1400.0, 2500.0, 4500.0, 8000.0)],
                                    [math.log10(c) for c in (45.0, 65.0, 90.0, 120.0)]]
-        assert nodes.slopes == [reference_curve(curve.axis(cost, "psnr"))[3]
+        assert nodes.slopes == [reference_curve(axis_pairs(curve, cost, "psnr"))[3]
                                 for cost in ("bitrate", "energy")]
         assert set(NodeSet.__slots__) == {"quality", "widths", "log_costs", "slopes",
                                           "lo", "hi", "span"}
@@ -608,14 +613,14 @@ class TestBdReport:
         test = make_curve(ctp_id="TEST", rate_mult=1.2, energy_mult=0.8,
                           psnr_shift=-0.4, vmaf_shift=-1.0)
         report = bd_report(PreparedAnchor(anchor), test)
-        assert report.bdr_psnr == bd_delta(anchor.axis("bitrate", "psnr"),
-                                           test.axis("bitrate", "psnr"))
-        assert report.bdr_vmaf == bd_delta(anchor.axis("bitrate", "vmaf"),
-                                           test.axis("bitrate", "vmaf"))
-        assert report.bdde_psnr == bd_delta(anchor.axis("energy", "psnr"),
-                                            test.axis("energy", "psnr"))
-        assert report.bdde_vmaf == bd_delta(anchor.axis("energy", "vmaf"),
-                                            test.axis("energy", "vmaf"))
+        assert report.bdr_psnr == bd_delta(axis_pairs(anchor, "bitrate", "psnr"),
+                                           axis_pairs(test, "bitrate", "psnr"))
+        assert report.bdr_vmaf == bd_delta(axis_pairs(anchor, "bitrate", "vmaf"),
+                                           axis_pairs(test, "bitrate", "vmaf"))
+        assert report.bdde_psnr == bd_delta(axis_pairs(anchor, "energy", "psnr"),
+                                            axis_pairs(test, "energy", "psnr"))
+        assert report.bdde_vmaf == bd_delta(axis_pairs(anchor, "energy", "vmaf"),
+                                            axis_pairs(test, "energy", "vmaf"))
 
     def test_sequence_mismatch_rejected(self):
         with pytest.raises(CurveDataError, match="sequence mismatch"):

@@ -64,8 +64,7 @@ def exhaustive_scores(params, registry, objective, axis=QualityAxis.VMAF, sequen
     }
     scores = {}
     for value in range(2 ** len(registry)):
-        bits = tuple(bool(value >> i & 1) for i in range(len(registry)))
-        ctp = Ctp(registry, bits)
+        ctp = Ctp(registry, value)
         curves = evaluator.evaluate(EvaluationRequest(ctp, sequences, BASE_QPS))
         report = aggregate_reports(
             bd_report(anchors[c.sequence], c) for c in curves
@@ -131,7 +130,7 @@ class TestRunIteration:
             cache.bootstrap_anchor()
             log = run_iteration(config.anchor, cache)
             assert log.flipped_tools == (0,)
-            assert log.next_reference.bits == (False, True, True)
+            assert log.next_reference.mask == 0b110
 
     def test_two_improvers_all_versus_one(self):
         registry = make_registry(3)
@@ -211,7 +210,7 @@ class TestRunDse:
         _, result = run_strategy(params, registry, strategy)
         assert len(result.logs) == 2
         assert result.termination_reason is TerminationReason.REPEATED_REFERENCE
-        assert result.terminal_reference.bits == (False, True, True)
+        assert result.terminal_reference.mask == 0b110
 
     def test_all_policy_overshoot_is_recorded_and_cycle_broken(self):
         # disabling either interacting tool alone helps, disabling both
@@ -229,7 +228,7 @@ class TestRunDse:
         registry = make_registry(3)
         params = make_params(3, energy_mult=(0.6, 0.6, 1.0), interactions=((0, 1, 2.0),))
         _, result = run_strategy(params, registry, "e1")
-        assert result.terminal_reference.bits == (False, True, True)
+        assert result.terminal_reference.mask == 0b110
         scores = [log.reference_score for log in result.logs]
         assert scores == sorted(scores, reverse=True)
         assert result.logs[-1].flipped_tools == ()
@@ -253,9 +252,7 @@ class TestRunDse:
         scores = exhaustive_scores(params, registry, Objective.ENERGY)
         terminal = result.terminal_reference
         for j in range(4):
-            neighbour = Ctp(registry, tuple(
-                not b if i == j else b for i, b in enumerate(terminal.bits)
-            ))
+            neighbour = Ctp(registry, terminal.mask ^ 1 << j)
             assert scores[neighbour] >= scores[terminal]
 
     def test_max_iterations_guard_reached(self):

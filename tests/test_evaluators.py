@@ -68,7 +68,7 @@ class TestIngest:
     def test_header_only_gives_empty_table(self, tmp_path):
         table = ingest_measurements(write_measurements(tmp_path / "m.csv", []))
         assert table.rows == {}
-        assert table.sequences_for("3FFFFFFF") == ()
+        assert table.qps_by_sequence("3FFFFFFF") == {}
 
     @pytest.mark.parametrize("text", ["", "# only a comment\n\n"], ids=["empty", "comment"])
     def test_file_without_header_rejected(self, tmp_path, text):
@@ -242,7 +242,7 @@ class TestSyntheticModel:
         registry = make_registry(4)
         params = make_params(4, rate_mult=(1.2,) * 4, energy_mult=(1.1,) * 4)
         evaluator = SyntheticModelEvaluator(params)
-        off = Ctp(registry, (False,) * 4)
+        off = Ctp(registry, 0b0000)
         (curve,) = evaluator.evaluate(EvaluationRequest(off, ("s01",), BASE_QPS))
         baseline = make_baseline()
         assert tuple(p.bitrate for p in curve.points) == baseline.rate
@@ -257,7 +257,7 @@ class TestSyntheticModel:
             interactions=((0, 1, 1.07),),
         )
         evaluator = SyntheticModelEvaluator(params)
-        both = Ctp(registry, (True, True, False))
+        both = Ctp(registry, 0b011)
         (curve,) = evaluator.evaluate(EvaluationRequest(both, ("s01",), BASE_QPS))
         baseline = make_baseline()
         for point, base in zip(curve.points, baseline.energy):
@@ -268,7 +268,7 @@ class TestSyntheticModel:
         params = make_params(3, energy_mult=(1.10, 1.25, 1.0),
                              interactions=((0, 1, 1.07),))
         evaluator = SyntheticModelEvaluator(params)
-        only_first = Ctp(registry, (True, False, False))
+        only_first = Ctp(registry, 0b001)
         (curve,) = evaluator.evaluate(EvaluationRequest(only_first, ("s01",), BASE_QPS))
         baseline = make_baseline()
         for point, base in zip(curve.points, baseline.energy):
@@ -290,8 +290,8 @@ class TestSyntheticModel:
             params = SyntheticModelParams.random(registry, ("s01",), BASE_QPS, seed=seed)
             evaluator = SyntheticModelEvaluator(params)
             for _ in range(16):
-                bits = tuple(bool(b) for b in rng.integers(0, 2, size=n))
-                request = EvaluationRequest(Ctp(registry, bits), ("s01",), BASE_QPS)
+                mask = sum(int(b) << i for i, b in enumerate(rng.integers(0, 2, size=n)))
+                request = EvaluationRequest(Ctp(registry, mask), ("s01",), BASE_QPS)
                 (curve,) = evaluator.evaluate(request)  # RdeCurve validates invariants
                 assert all(0.0 <= p.vmaf <= 100.0 for p in curve.points)
 
@@ -317,10 +317,7 @@ class TestSyntheticModel:
         registry = make_registry(6)
         params = SyntheticModelParams.random(registry, ("s01",), BASE_QPS, seed=8)
         evaluator = SyntheticModelEvaluator(params)
-        profiles = [
-            Ctp(registry, tuple(bool(v >> i & 1) for i in range(6)))
-            for v in range(16)
-        ]
+        profiles = [Ctp(registry, v) for v in range(16)]
         requests = [EvaluationRequest(p, ("s01",), BASE_QPS) for p in profiles]
         serial = [evaluator.evaluate(r) for r in requests]
         with ThreadPoolExecutor(max_workers=8) as pool:

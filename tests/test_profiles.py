@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ctpdse.errors import ConfigError
 from ctpdse.profiles import (
     Ctp,
     ProfileFormatError,
@@ -82,7 +83,7 @@ class TestDefaultCtp:
     def test_all_enabled_registry_gives_ones(self):
         registry = default_registry()
         ctp = default_ctp(registry)
-        assert ctp.bits == (True,) * 30
+        assert ctp.mask == 2**30 - 1
         assert serialize_ctp(ctp) == "3FFFFFFF"
 
     def test_mixed_defaults(self):
@@ -91,20 +92,20 @@ class TestDefaultCtp:
             ToolDescriptor("B", "Other", False),
             ToolDescriptor("C", "Other", True),
         ])
-        assert default_ctp(registry).bits == (True, False, True)
+        assert default_ctp(registry).mask == 0b101
 
 
 class TestFlip:
     def test_single_bit_flip(self):
         registry = make_registry(3)
-        ctp = Ctp(registry, (False, False, False))
-        assert flip_tool(ctp, 1).bits == (False, True, False)
+        ctp = Ctp(registry, 0b000)
+        assert flip_tool(ctp, 1).mask == 0b010
 
     def test_input_unchanged(self):
         registry = make_registry(3)
-        ctp = Ctp(registry, (False, False, False))
+        ctp = Ctp(registry, 0b000)
         flip_tool(ctp, 0)
-        assert ctp.bits == (False, False, False)
+        assert ctp.mask == 0b000
 
     def test_out_of_range_names_registry_size(self):
         ctp = default_ctp(make_registry(5))
@@ -117,13 +118,13 @@ class TestFlip:
         registry = default_registry()
         anchor = default_ctp(registry)
         flipped = flip_tool(anchor, registry.index_of("DMVR"))
-        distance = sum(a != b for a, b in zip(anchor.bits, flipped.bits))
+        distance = (anchor.mask ^ flipped.mask).bit_count()
         assert distance == 1
 
     @given(st.integers(min_value=0, max_value=2**8 - 1), st.integers(min_value=0, max_value=7))
     def test_flip_is_an_involution_and_never_identity(self, value, index):
         registry = make_registry(8)
-        ctp = Ctp(registry, tuple(bool(value >> i & 1) for i in range(8)))
+        ctp = Ctp(registry, value)
         once = flip_tool(ctp, index)
         assert once != ctp
         assert flip_tool(once, index) == ctp
@@ -132,23 +133,23 @@ class TestFlip:
 class TestParseSerialize:
     def test_off_empty_is_all_ones(self):
         ctp = parse_ctp("off:", default_registry())
-        assert ctp.bits == (True,) * 30
+        assert ctp.mask == 2**30 - 1
 
     def test_off_list_clears_named_bits(self):
         registry = default_registry()
         ctp = parse_ctp("off:DMVR,SAO", registry)
-        expected = list(default_ctp(registry).bits)
-        expected[registry.index_of("DMVR")] = False
-        expected[registry.index_of("SAO")] = False
-        assert ctp.bits == tuple(expected)
+        expected = default_ctp(registry).mask
+        expected &= ~(1 << registry.index_of("DMVR"))
+        expected &= ~(1 << registry.index_of("SAO"))
+        assert ctp.mask == expected
 
     def test_full_hex_mask_is_all_ones(self):
         registry = default_registry()
         ctp = parse_ctp("3FFFFFFF", registry)
         # independent oracle: print the mask value as a bit string
         bitstring = format(int("3FFFFFFF", 16), "030b")[::-1]
-        assert ctp.bits == tuple(ch == "1" for ch in bitstring)
-        assert all(ctp.bits)
+        assert [ctp.mask >> i & 1 for i in range(30)] == [int(ch) for ch in bitstring]
+        assert ctp.mask.bit_count() == 30
 
     def test_mask_is_case_insensitive_on_input(self):
         registry = default_registry()
@@ -184,7 +185,7 @@ class TestParseSerialize:
     @given(st.integers(min_value=0, max_value=2**30 - 1))
     def test_serialize_parse_round_trip(self, value):
         registry = default_registry()
-        ctp = Ctp(registry, tuple(bool(value >> i & 1) for i in range(30)))
+        ctp = Ctp(registry, value)
         text = serialize_ctp(ctp)
         assert len(text) == 8
         assert parse_ctp(text, registry) == ctp
@@ -237,12 +238,20 @@ class TestCtpModel:
         a = default_ctp(make_registry(4))
         b = default_ctp(make_registry(4))
         assert a == b  # equal registries
-        c = Ctp(make_registry(4), (True, True, True, False))
+        c = Ctp(make_registry(4), 0b0111)
         assert a != c
 
     def test_wrong_bit_count_rejected(self):
-        with pytest.raises(Exception, match="bits"):
-            Ctp(make_registry(4), (True, True))
+        with pytest.raises(ConfigError, match="^profile mask 0x10 is out of range for a "
+                                              "4-tool registry$"):
+            Ctp(make_registry(4), 0b10000)
+        with pytest.raises(ConfigError, match="^profile mask -0x1 is out of range"):
+            Ctp(make_registry(4), -1)
+
+    def test_reprs_name_the_mask_and_the_tool_count(self):
+        registry = default_registry()
+        assert repr(parse_ctp("off:DMVR", registry)) == "Ctp(3FFFFDFF)"
+        assert repr(registry) == "ToolRegistry(30 tools)"
 
     def test_hashable_for_cache_keys(self):
         registry = make_registry(4)

@@ -109,7 +109,7 @@ def write_bd_table(path):
         SyntheticModelParams.random(registry, BD_SEQUENCES, BD_QPS, seed=7)).evaluate
     rng = random.Random("bd-table-7")
     profiles = [default_ctp(registry)] + [
-        Ctp(registry, tuple(rng.random() < 0.5 for _ in registry.tools))
+        Ctp(registry, sum((rng.random() < 0.5) << i for i in range(len(registry))))
         for _ in range(BD_TESTS)
     ]
     rows = [",".join(CSV_HEADER)]
