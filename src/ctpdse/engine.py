@@ -135,16 +135,18 @@ class EvaluationCache:
     """
 
     def __init__(self, config: DseConfig, evaluator: Evaluator):
+        """Evaluate and prepare the anchor; a bad anchor curve is rejected before any candidate."""
         self.config = config
         self.evaluator = evaluator
-        self.reports: dict[Ctp, BdReport] = {}
         self._anchors: dict[str, PreparedAnchor] | None = None
+        self.reports: dict[Ctp, BdReport] = {config.anchor: self._evaluate(config.anchor)}
 
     def _evaluate(self, ctp: Ctp) -> BdReport:
         """Evaluate one profile and aggregate its BD reports against the anchor.
 
-        The first call evaluates the anchor, whose curves it prepares. Every
-        error raised here carries the profile as ``failed_ctp``.
+        The constructor's call evaluates the anchor, whose curves it
+        prepares. Every error raised here carries the profile as
+        ``failed_ctp``.
         """
         sequences = self.config.sequences
         try:
@@ -160,15 +162,8 @@ class EvaluationCache:
             exc.failed_ctp = ctp
             raise
 
-    def bootstrap_anchor(self) -> BdReport:
-        """Evaluate and prepare the anchor; a bad anchor curve is rejected before any candidate."""
-        anchor = self.config.anchor
-        self.reports[anchor] = self._evaluate(anchor)
-        return self.reports[anchor]
-
     def compute(self, ctp: Ctp) -> BdReport:
         """Evaluate one profile against the anchor without touching the cache."""
-        assert self._anchors is not None, "anchor must be bootstrapped first"
         return self._evaluate(ctp)
 
     def report(self, ctp: Ctp) -> BdReport:
@@ -231,13 +226,15 @@ def run_dse(config: DseConfig, evaluator: Evaluator) -> DseResult:
 
     Termination checks the next reference against every previous reference
     (anchor included), which also breaks cycles the All policy can enter.
-    On an evaluation failure the raised error carries ``failed_ctp``,
-    ``partial_logs`` and ``partial_evaluated`` so a caller can resume.
+    On an evaluation failure the raised error carries the failed profile
+    as ``failed_ctp``, the finished iterations as ``partial_logs`` and the
+    reports evaluated so far as ``partial_evaluated``.
     """
-    cache = EvaluationCache(config, evaluator)
     logs: list[IterationLog] = []
+    evaluated: dict[Ctp, BdReport] = {}
     try:
-        cache.bootstrap_anchor()
+        cache = EvaluationCache(config, evaluator)
+        evaluated = cache.reports
         seen = {config.anchor}
         reference = config.anchor
         termination = TerminationReason.MAX_ITERATIONS
@@ -254,11 +251,11 @@ def run_dse(config: DseConfig, evaluator: Evaluator) -> DseResult:
         cache.report(logs[-1].next_reference)
     except CtpDseError as exc:
         exc.partial_logs = tuple(logs)
-        exc.partial_evaluated = dict(cache.reports)
+        exc.partial_evaluated = dict(evaluated)
         raise
     return DseResult(
         logs=tuple(logs),
-        evaluated=dict(cache.reports),
+        evaluated=dict(evaluated),
         terminal_reference=logs[-1].next_reference,
         termination_reason=termination,
     )

@@ -211,7 +211,6 @@ def iteration_one(params, registry, strategy):
     )
     evaluator = SyntheticModelEvaluator(params)
     cache = EvaluationCache(config, evaluator)
-    cache.bootstrap_anchor()
     return run_iteration(config.anchor, cache)
 
 

@@ -333,7 +333,7 @@ class TestDse:
         assert not out.exists()
 
     @pytest.mark.parametrize("backend", ["cached", "synthetic", "external"])
-    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("value", ["0", "-1", "²"])
     def test_max_parallel_below_one_exits_2(self, tmp_path, capsys, backend, value):
         out = tmp_path / "run"
         code = cli.main([
@@ -411,8 +411,10 @@ class TestDse:
         (["--qps", "22,27,32"], "BD needs at least 4 qps, got 3"),
         (["--sequences", "s01,s01"], "sequence names must not repeat, got ('s01', 's01')"),
         (["--max-iter", "0"], "argument --max-iter: must be an integer >= 1, got '0'"),
+        (["--max-iter", "²"], "argument --max-iter: must be an integer >= 1, got '²'"),
         (["--lbe-threshold", "0"], "lbe_bdr_threshold must be finite and > 0, got 0.0"),
-    ], ids=["three-qps", "repeated-sequence", "max-iter", "lbe-threshold"])
+    ], ids=["three-qps", "repeated-sequence", "max-iter", "max-iter-superscript",
+            "lbe-threshold"])
     def test_cached_bad_argument_exits_2_before_ingest(self, tmp_path, capsys, flags,
                                                        message):
         reg, table = gated_table(tmp_path)

@@ -1,13 +1,16 @@
+import os
 import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
 
 import pytest
 
+import ctpdse
 from ctpdse import evaluators
-from ctpdse.curves import (BdReport, PreparedAnchor, RdeCurve, RdePoint, aggregate_reports,
-                           bd_report)
+from ctpdse.curves import (BD_FIELDS, BdReport, PreparedAnchor, RdeCurve, RdePoint,
+                           aggregate_reports, bd_report)
 from ctpdse.engine import (
     DseConfig,
     EvaluationCache,
@@ -127,7 +130,6 @@ class TestRunIteration:
             config = make_config(registry, strategy)
             evaluator = SyntheticModelEvaluator(params)
             cache = EvaluationCache(config, evaluator)
-            cache.bootstrap_anchor()
             log = run_iteration(config.anchor, cache)
             assert log.flipped_tools == (0,)
             assert log.next_reference.mask == 0b110
@@ -138,13 +140,11 @@ class TestRunIteration:
         config_all = make_config(registry, "ea")
         evaluator = SyntheticModelEvaluator(params)
         cache = EvaluationCache(config_all, evaluator)
-        cache.bootstrap_anchor()
         log_all = run_iteration(config_all.anchor, cache)
         assert log_all.flipped_tools == (0, 1)
 
         config_one = make_config(registry, "e1")
         cache = EvaluationCache(config_one, evaluator)
-        cache.bootstrap_anchor()
         log_one = run_iteration(config_one.anchor, cache)
         assert log_one.flipped_tools == (0,)  # -33.3% beats -16.7%
 
@@ -154,7 +154,6 @@ class TestRunIteration:
         config = make_config(registry, "e1")
         evaluator = SyntheticModelEvaluator(params)
         cache = EvaluationCache(config, evaluator)
-        cache.bootstrap_anchor()
         log = run_iteration(config.anchor, cache)
         scores = {c.tool_index: c.score for c in log.candidates}
         assert scores[0] == scores[1]
@@ -166,7 +165,6 @@ class TestRunIteration:
         config = make_config(registry, "ea")
         evaluator = SyntheticModelEvaluator(params)
         cache = EvaluationCache(config, evaluator)
-        cache.bootstrap_anchor()
         log = run_iteration(config.anchor, cache)
         assert log.flipped_tools == ()
         assert log.next_reference == config.anchor
@@ -177,7 +175,6 @@ class TestRunIteration:
         config = make_config(registry, "e1")
         evaluator = SyntheticModelEvaluator(params)
         cache = EvaluationCache(config, evaluator)
-        cache.bootstrap_anchor()
         log = run_iteration(config.anchor, cache)
         assert [c.tool_index for c in log.candidates] == list(range(5))
         assert {c.tool_name for c in log.candidates} == {t.name for t in registry.tools}
@@ -188,7 +185,6 @@ class TestRunIteration:
         config = make_config(registry, "ca")
         evaluator = SyntheticModelEvaluator(params)
         cache = EvaluationCache(config, evaluator)
-        cache.bootstrap_anchor()
         log = run_iteration(config.anchor, cache)
         improved = {c.tool_index for c in log.candidates if c.improved}
         assert set(log.flipped_tools) <= improved
@@ -339,6 +335,21 @@ class RepeatedPsnr(CountingEvaluator):
         return curves
 
 
+# The shipped registry's seed-7 model on two sequences, and every single
+# flip of its anchor. Run both in-process and in a fresh interpreter.
+SHIPPED_FLIPS = """
+from ctpdse.engine import DseConfig, EvaluationCache, parse_strategy
+from ctpdse.evaluators import SyntheticModelEvaluator, SyntheticModelParams
+from ctpdse.profiles import default_ctp, default_registry, flip_tool
+
+registry = default_registry()
+sequences, qps = ("s01", "s02"), (22, 27, 32, 37)
+config = DseConfig(*parse_strategy("e1"), default_ctp(registry), sequences, qps)
+evaluator = SyntheticModelEvaluator(SyntheticModelParams.random(registry, sequences, qps, 7))
+flips = [flip_tool(config.anchor, j) for j in range(len(registry.tools))]
+"""
+
+
 class TestCachingAndErrors:
     def test_no_profile_evaluated_twice(self):
         registry = make_registry(5)
@@ -353,11 +364,33 @@ class TestCachingAndErrors:
         params = SyntheticModelParams.random(registry, ("s01",), BASE_QPS, seed=9)
         config, result = run_strategy(params, registry, "c1")
         cache = EvaluationCache(config, SyntheticModelEvaluator(params))
-        cache.bootstrap_anchor()
         for ctp in list(result.evaluated)[:6]:
             if ctp == config.anchor:
                 continue
             assert cache.compute(ctp) == result.evaluated[ctp]
+
+    def test_new_cache_reports_against_the_anchor(self):
+        walk: dict = {}
+        exec(SHIPPED_FLIPS, walk)
+        evaluated = run_dse(walk["config"], walk["evaluator"]).evaluated
+        cache = EvaluationCache(walk["config"], walk["evaluator"])
+        for flip in walk["flips"]:
+            assert cache.report(flip) == evaluated[flip]
+        # `python -O` strips `assert` statements, so no check in the engine
+        # may rely on one.
+        fields = [name for name, _, _ in BD_FIELDS]
+        code = SHIPPED_FLIPS + (
+            "cache = EvaluationCache(config, evaluator)\n"
+            "for flip in flips:\n"
+            f"    print(*(getattr(cache.report(flip), name).hex() for name in {fields!r}))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(ctpdse.__file__).parents[1]))
+        run = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert run.stdout.splitlines() == [
+            " ".join(getattr(evaluated[flip], name).hex() for name in fields)
+            for flip in walk["flips"]
+        ]
 
     def test_failure_carries_partial_state(self):
         registry = make_registry(3)
@@ -387,11 +420,9 @@ class TestCachingAndErrors:
             evaluator = RepeatedPsnr(synthetic)
             error, message = ConfigError, r"^bdr_psnr \(s01\): anchor curve quality"
         config = make_config(registry, "e1")
-        cache = EvaluationCache(config, evaluator)
         with pytest.raises(error, match=message) as err:
-            cache.bootstrap_anchor()
+            EvaluationCache(config, evaluator)
         assert err.value.failed_ctp == config.anchor
-        assert cache.reports == {}
         with pytest.raises(error, match=message) as err:
             run_dse(config, evaluator)
         assert err.value.failed_ctp == config.anchor
@@ -541,7 +572,6 @@ class TestStrategyDivergence:
 
         config_e = make_config(registry, "e1")
         cache = EvaluationCache(config_e, evaluator)
-        cache.bootstrap_anchor()
         log_e = run_iteration(config_e.anchor, cache)
         assert log_e.flipped_tools == (0,)
         by_index = {c.tool_index: c for c in log_e.candidates}
@@ -552,16 +582,13 @@ class TestStrategyDivergence:
 
         config_c = make_config(registry, "c1")
         cache = EvaluationCache(config_c, evaluator)
-        cache.bootstrap_anchor()
         log_c = run_iteration(config_c.anchor, cache)
         assert log_c.flipped_tools == (1,)
 
         config_ea = make_config(registry, "ea")
         cache = EvaluationCache(config_ea, evaluator)
-        cache.bootstrap_anchor()
         assert run_iteration(config_ea.anchor, cache).flipped_tools == (0, 1)
 
         config_ca = make_config(registry, "ca")
         cache = EvaluationCache(config_ca, evaluator)
-        cache.bootstrap_anchor()
         assert run_iteration(config_ca.anchor, cache).flipped_tools == (1,)
