@@ -1,8 +1,9 @@
 """Command-line entry points: show, dse, bd, pareto.
 
 All commands are pipe-friendly: machine output goes to files, diagnostics
-to stderr, and exit codes are stable (0 ok, 2 config error, 3 measurement
-miss, 4 evaluator/process failure). Configuration comes only from flags;
+to stderr, and exit codes are stable (0 ok, 1 standard output closed, 2
+config error, 3 measurement miss, 4 evaluator/process failure). An error
+line names the profile it is about once. Configuration comes only from flags;
 environment variables are never read, so a run is fully described by its
 manifest and reruns with equal manifests are byte-identical.
 """
@@ -313,32 +314,39 @@ def cmd_bd(args) -> int:
     def cells(report: BdReport) -> str:
         return "".join(f" {_pct(value):>10}" for axis in axes for value in report.pair(axis))
 
-    anchors = {s: PreparedAnchor(table.curve(anchor_mask, s, qps)) for s in sequences}
     header = f"{'ctp':<10} {'sequence':<16}" + "".join(
         f" {label:>10}" for axis in axes for label in (f"BDR-{axis.name}", f"BDDE-{axis.name}")
     )
-    print(f"anchor {anchor_mask}  sequences {','.join(sequences)}  "
-          f"qps {','.join(str(q) for q in qps)}")
-    print(header)
-    for test in tests:
-        mask = serialize_ctp(test)
-        reports = []
-        for sequence in sequences:
-            test_curve = table.curve(mask, sequence, qps)
-            report = bd_report(anchors[sequence], test_curve)
-            reports.append(report)
-            print(f"{mask:<10} {sequence:<16}" + cells(report))
-        aggregate = aggregate_reports(reports)
-        print(f"{mask:<10} {'aggregate':<16}" + cells(aggregate))
-        for warning in aggregate.warnings:
-            print(f"warning: {mask}: {warning}", file=sys.stderr)
+    # An error carries the profile whose curves or report it is about: the
+    # anchor's until the first test starts, then each test's.
+    failed = anchor
+    try:
+        anchors = {s: PreparedAnchor(table.curve(anchor_mask, s, qps)) for s in sequences}
+        print(f"anchor {anchor_mask}  sequences {','.join(sequences)}  "
+              f"qps {','.join(str(q) for q in qps)}")
+        print(header)
+        for test in tests:
+            failed = test
+            mask = serialize_ctp(test)
+            reports = []
+            for sequence in sequences:
+                report = bd_report(anchors[sequence], table.curve(mask, sequence, qps))
+                reports.append(report)
+                print(f"{mask:<10} {sequence:<16}" + cells(report))
+            aggregate = aggregate_reports(reports)
+            print(f"{mask:<10} {'aggregate':<16}" + cells(aggregate))
+            for warning in aggregate.warnings:
+                print(f"warning: {mask}: {warning}", file=sys.stderr)
+    except CtpDseError as exc:
+        exc.failed_ctp = failed
+        raise
     return 0
 
 
 def _result_points(path: Path, axis_flag: str | None):
     """The points of a ``ctp dse`` result.json, on ``axis_flag`` or the run's own axis."""
     try:
-        document = json.loads(path.read_text(encoding="utf-8"))
+        document = json.loads(path.read_text(encoding="utf-8-sig"))
         axis = QualityAxis(axis_flag or document["config"]["quality_axis"])
         reports = [(mask, report_from_dict(doc)) for mask, doc in document["evaluated"].items()]
         return _profile_points(reports, axis), axis
@@ -455,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _error(exc: Exception) -> None:
-    """One ``error:`` line; a ``ctp dse`` evaluation failure names its profile."""
+    """One ``error:`` line; a failure on one profile's curves or report names the profile."""
     failed = getattr(exc, "failed_ctp", None)
     where = f"profile {serialize_ctp(failed)}: " if failed is not None else ""
     print(f"error: {where}{exc}", file=sys.stderr)
@@ -472,7 +480,15 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flushed inside the try, so that a closed standard output raises here, not at exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of standard output has gone. Standard output now points at
+        # the null device, so the flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except MeasurementMissError as exc:
         _error(exc)
         return 3

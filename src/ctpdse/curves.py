@@ -68,6 +68,11 @@ class QualityAxis(enum.Enum):
     PSNR = "psnr"
     VMAF = "vmaf"
 
+    # Members are singletons that compare by identity, so hashing by identity
+    # agrees with equality. It spares the BD walk's dict lookups the call
+    # into Python that Enum.__hash__ makes.
+    __hash__ = object.__hash__
+
 
 # The report layout: each BD field with the RdePoint cost and quality it
 # compares. Rate rows precede energy rows, so the fields of one quality
@@ -110,30 +115,28 @@ class RdeCurve:
     """Per-sequence measurements of one profile over a QP sweep."""
 
     sequence: str
-    ctp_id: str
     points: tuple[RdePoint, ...]
 
     def __post_init__(self):
         if len(self.points) < MIN_CURVE_POINTS:
             raise CurveDataError(
-                f"curve ({self.ctp_id}, {self.sequence}) has {len(self.points)} "
-                f"points; BD interpolation needs at least {MIN_CURVE_POINTS}"
+                f"curve ({self.sequence}) has {len(self.points)} points; "
+                f"BD interpolation needs at least {MIN_CURVE_POINTS}"
             )
         for prev, cur in zip(self.points, self.points[1:]):
             if cur.qp <= prev.qp:
                 raise CurveDataError(
-                    f"curve ({self.ctp_id}, {self.sequence}): qps not strictly "
-                    f"increasing at qp {cur.qp}"
+                    f"curve ({self.sequence}): qps not strictly increasing at qp {cur.qp}"
                 )
             if cur.bitrate >= prev.bitrate:
                 raise CurveDataError(
-                    f"curve ({self.ctp_id}, {self.sequence}): bitrate not strictly "
-                    f"decreasing with qp at qp {cur.qp}"
+                    f"curve ({self.sequence}): bitrate not strictly decreasing with qp "
+                    f"at qp {cur.qp}"
                 )
             if cur.energy >= prev.energy:
                 raise CurveDataError(
-                    f"curve ({self.ctp_id}, {self.sequence}): energy not strictly "
-                    f"decreasing with qp at qp {cur.qp}"
+                    f"curve ({self.sequence}): energy not strictly decreasing with qp "
+                    f"at qp {cur.qp}"
                 )
 
 
@@ -344,12 +347,6 @@ def bd_delta(anchor: Sequence[tuple[float, float]],
     return _percent((test_total - anchor_total) / (hi - lo))
 
 
-# The BD field names of each quality axis, in ``_COSTS`` order (rate rows
-# precede energy rows), with the axes in the order they first appear.
-_AXIS_FIELDS = {axis: [name for name, _, quality in BD_FIELDS if quality is axis]
-                for axis in dict.fromkeys(axis for _, _, axis in BD_FIELDS)}
-
-
 class PreparedAnchor:
     """One sequence's anchor curve as a ``NodeSet`` per quality axis, built once per run.
 
@@ -362,53 +359,49 @@ class PreparedAnchor:
     def __init__(self, curve: RdeCurve):
         self.sequence = curve.sequence
         self.axes = {}
-        for axis, names in _AXIS_FIELDS.items():
-            try:
-                self.axes[axis] = NodeSet.of_curve(curve, axis, "anchor")
-            except CtpDseError as exc:
-                raise CurveDataError(f"{names[0]} ({curve.sequence}): {exc}") from exc
+        for name, _, axis in BD_FIELDS:
+            if axis not in self.axes:
+                try:
+                    self.axes[axis] = NodeSet.of_curve(curve, axis, "anchor")
+                except CtpDseError as exc:
+                    raise CurveDataError(f"{name} ({curve.sequence}): {exc}") from exc
 
 
 def bd_report(anchor: PreparedAnchor, test: RdeCurve) -> BdReport:
     """All four BD metrics of ``test`` against ``anchor`` for one sequence.
 
-    Each quality axis takes one pass: the test's nodes are sorted and
-    checked once, the overlap and its share of the anchor span are found
-    once, and one test pass and one anchor pass integrate both costs. An
-    error belongs to the field it stops: a node or overlap error to the
-    axis's first field, an overflow to its own. The first field in
-    ``BD_FIELDS`` order with an error raises it, tagged with the field;
-    warnings come in that order too.
+    The fields are computed in ``BD_FIELDS`` order. The first field of a
+    quality axis runs that axis's one pass: the test's nodes are sorted
+    and checked once, the overlap and its share of the anchor span are
+    found once, and one test pass and one anchor pass integrate both
+    costs. The first field that fails raises, tagged with its name, so a
+    node or overlap error belongs to the axis's first field and an
+    overflow to its own; warnings come in field order.
     """
     if anchor.sequence != test.sequence:
         raise CurveDataError(
             f"sequence mismatch: anchor is {anchor.sequence!r}, test is {test.sequence!r}"
         )
-    values, errors, warnings = {}, {}, {}
-    for axis, names in _AXIS_FIELDS.items():
-        nodes = anchor.axes[axis]
+    passes, values, warnings = {}, {}, []
+    for name, cost, axis in BD_FIELDS:
         try:
-            test_nodes = NodeSet.of_curve(test, axis, "test")
-            lo, hi = _overlap(nodes, test_nodes)
+            if axis not in passes:
+                nodes = anchor.axes[axis]
+                test_nodes = NodeSet.of_curve(test, axis, "test")
+                lo, hi = _overlap(nodes, test_nodes)
+                # The share of the anchor's quality span that the two curves
+                # share, and each cost's mean log10 difference over it.
+                passes[axis] = ((hi - lo) / nodes.span, {
+                    c: (test_total - anchor_total) / (hi - lo) for c, test_total, anchor_total
+                    in zip(_COSTS, test_nodes.integrals(lo, hi), nodes.integrals(lo, hi))})
+            frac, deltas = passes[axis]
+            values[name] = _percent(deltas[cost])
         except CtpDseError as exc:
-            errors[names[0]] = exc
-            continue
-        # The share of the anchor's quality span that the two curves share.
-        frac = (hi - lo) / nodes.span
-        for name, test_total, anchor_total in zip(names, test_nodes.integrals(lo, hi),
-                                                  nodes.integrals(lo, hi)):
-            try:
-                values[name] = _percent((test_total - anchor_total) / (hi - lo))
-            except CtpDseError as exc:
-                errors[name] = exc
-            if frac < MIN_OVERLAP_FRACTION:
-                warnings[name] = (f"{name} ({test.sequence}): quality overlap is only "
-                                  f"{100 * frac:.1f}% of the anchor span")
-    if errors:
-        name = next(name for name, _, _ in BD_FIELDS if name in errors)
-        raise CurveDataError(f"{name} ({test.sequence}): {errors[name]}") from errors[name]
-    return BdReport(warnings=tuple(warnings[name] for name, _, _ in BD_FIELDS
-                                   if name in warnings) if warnings else (), **values)
+            raise CurveDataError(f"{name} ({test.sequence}): {exc}") from exc
+        if frac < MIN_OVERLAP_FRACTION:
+            warnings.append(f"{name} ({test.sequence}): quality overlap is only "
+                            f"{100 * frac:.1f}% of the anchor span")
+    return BdReport(warnings=tuple(warnings), **values)
 
 
 def aggregate_reports(reports: Iterable[BdReport]) -> BdReport:

@@ -14,11 +14,15 @@ class ConfigError(CtpDseError):
 
 
 class MeasurementMissError(CtpDseError):
-    """A cached-measurement lookup had no row for a requested (ctp, sequence, qp)."""
+    """A cached-measurement lookup had no row for a requested (ctp, sequence, qp).
+
+    ``missing`` holds the full keys; the message lists only their sequence
+    and qp, because the caller that asked for the profile names it.
+    """
 
     def __init__(self, missing):
         self.missing = tuple(missing)
-        keys = ", ".join(f"(ctp_id={c}, sequence={s}, qp={q})" for c, s, q in self.missing)
+        keys = ", ".join(f"(sequence={s}, qp={q})" for _, s, q in self.missing)
         super().__init__(f"measurement miss: no rows for {keys}")
 
 

@@ -36,6 +36,7 @@ import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import reduce
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
@@ -142,7 +143,7 @@ class MeasurementTable:
         if missing:
             raise MeasurementMissError(missing)
         points = tuple(self.rows[(ctp_id, sequence, qp)] for qp in qps)
-        return RdeCurve(sequence, ctp_id, points)
+        return RdeCurve(sequence, points)
 
     def qps_by_sequence(self, ctp_id: str) -> dict[str, tuple[int, ...]]:
         """The sorted qps of ``ctp_id``'s rows, keyed by sequence in sorted order."""
@@ -162,7 +163,7 @@ def ingest_measurements(path) -> MeasurementTable:
     already-vetted measurements.
     """
     table = MeasurementTable()
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         for lineno, (ctp_id, sequence, *fields) in data_rows(handle, CSV_HEADER, path):
             try:
                 if not re.fullmatch("[0-9A-F]+", ctp_id):
@@ -336,6 +337,9 @@ class SyntheticModelParams:
     psnr(qp)   = base_psnr(qp)   + sum(dq_psnr[j] for enabled j)
     vmaf(qp)   = clamp(base_vmaf(qp) + sum(dq_vmaf[j] for enabled j), 0, 100)
 
+    The quality deltas are added in tool order, left to right, so the
+    curves are the same floats on every Python version.
+
     Per-profile factors are constant across qp, so admissible baselines
     stay monotone for every tool subset. Interactions make simultaneous
     flips non-additive, which is what separates greedy from exhaustive
@@ -448,9 +452,9 @@ class SyntheticModelEvaluator:
         for j, k, mult in params.interactions:
             if bits[j] and bits[k]:
                 energy_factor *= mult
-        d_psnr = sum(d for d, b in zip(params.dq_psnr, bits) if b)
-        d_vmaf = sum(d for d, b in zip(params.dq_vmaf, bits) if b)
-        mask = serialize_ctp(request.ctp)
+        # Not sum(): it compensates float sums since Python 3.12.
+        d_psnr = reduce(operator.add, (d for d, b in zip(params.dq_psnr, bits) if b), 0.0)
+        d_vmaf = reduce(operator.add, (d for d, b in zip(params.dq_vmaf, bits) if b), 0.0)
         curves = []
         for sequence in request.sequences:
             try:
@@ -468,7 +472,7 @@ class SyntheticModelEvaluator:
                     vmaf=min(100.0, max(0.0, baseline.vmaf[i] + d_vmaf)),
                     energy=baseline.energy[i] * energy_factor,
                 ))
-            curves.append(RdeCurve(sequence, mask, tuple(points)))
+            curves.append(RdeCurve(sequence, tuple(points)))
         return curves
 
 
@@ -555,11 +559,9 @@ class ExternalCommandEvaluator:
         for sequence in request.sequences:
             points = tuple(results[(sequence, qp)] for qp in request.qps)
             try:
-                curves.append(RdeCurve(sequence, mask, points))
+                curves.append(RdeCurve(sequence, points))
             except CurveDataError as exc:
-                raise EvaluationError(
-                    f"external results for {sequence!r} do not form a valid curve: {exc}"
-                ) from exc
+                raise EvaluationError(f"external results do not form a valid curve: {exc}") from exc
         return curves
 
     def _run_job(self, out: str, mask: str, sequence: str, qp: int) -> RdePoint:
@@ -579,7 +581,7 @@ class ExternalCommandEvaluator:
     def _parse_result(self, path: str, sequence: str, qp: int) -> RdePoint:
         # Errors name the file ``{out}``: its temporary directory is gone before they print.
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            text = Path(path).read_text(encoding="utf-8-sig")
         except OSError as exc:
             raise EvaluationError(
                 f"({sequence}, qp {qp}): command produced no result file: {{out}}: {exc.strerror}"

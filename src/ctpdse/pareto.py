@@ -101,7 +101,7 @@ def points_csv(points: Iterable[ProfilePoint], comment: str) -> str:
 def read_points_csv(path) -> list[ProfilePoint]:
     """Read a two-column (bdr, bdde) CSV, by the rules of ``csvrows.data_rows``."""
     points = []
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         for lineno, (bdr, bdde) in data_rows(handle, POINTS_HEADER, path):
             try:
                 points.append(ProfilePoint(parse_float(bdr, "bdr"), parse_float(bdde, "bdde")))

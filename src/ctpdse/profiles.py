@@ -202,7 +202,7 @@ def parse_ctp(text: str, registry: ToolRegistry) -> Ctp:
 def load_registry(path) -> ToolRegistry:
     """Read a registry file: one ``name,category,default(0|1)`` line per tool."""
     tools = []
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             for lineno, raw in enumerate(handle, start=1):
                 line = raw.strip()

@@ -11,9 +11,12 @@ import ctpdse
 from ctpdse import cli, evaluators
 from ctpdse.curves import BD_FIELDS
 from ctpdse.engine import report_from_dict
-from ctpdse.profiles import default_registry, parse_ctp, serialize_ctp
+from ctpdse.evaluators import ingest_measurements
+from ctpdse.manifest import file_digest, registry_digest
+from ctpdse.pareto import read_points_csv
+from ctpdse.profiles import default_registry, load_registry, parse_ctp, serialize_ctp
 
-from conftest import BENCHMARK_POINTS
+from conftest import BENCHMARK_POINTS, make_registry
 from test_evaluators import (
     HEADER_LINE,
     RESULT_ROWS,
@@ -158,7 +161,7 @@ class TestDse:
         ])
         assert code == 3
         err = capsys.readouterr().err
-        assert "ctp_id=6" in err and "sequence=s01" in err and "qp=22" in err
+        assert "profile 6:" in err and "sequence=s01" in err and "qp=22" in err
 
     def test_external_process_failure_exits_4(self, tmp_path, capsys):
         reg = tmp_path / "r.reg"
@@ -304,8 +307,8 @@ class TestDse:
         ])
         assert code == 4
         assert capsys.readouterr().err.splitlines() == [
-            "error: profile 7: external results for 's01' do not form a valid curve: "
-            "curve (7, s01): bitrate not strictly decreasing with qp at qp 27"
+            "error: profile 7: external results do not form a valid curve: "
+            "curve (s01): bitrate not strictly decreasing with qp at qp 27"
         ]
 
     @pytest.mark.parametrize("backend", ["synthetic", "external"])
@@ -602,8 +605,8 @@ class TestBd:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("error: bdr_psnr (s01): anchor curve quality values are not "
-                                "strictly monotone (repeated quality near 37.4)\n")
+        assert captured.err == ("error: profile 7: bdr_psnr (s01): anchor curve quality values "
+                                "are not strictly monotone (repeated quality near 37.4)\n")
 
     def test_missing_test_rows_exit_3(self, tmp_path, capsys):
         reg = tmp_path / "r.reg"
@@ -614,6 +617,35 @@ class TestBd:
             "--measurements", table, "--registry", str(reg),
         ])
         assert code == 3
+
+    @pytest.mark.parametrize("edit, code, message", [
+        # qp 27 repeats the VMAF of qp 32
+        ((1, 5, "78.0"), 2, "bdr_vmaf (s01): test curve quality values are not strictly "
+                            "monotone (repeated quality near 78)"),
+        # qp 32's bitrate is above qp 27's
+        ((2, 3, "4600.0"), 2, "curve (s01): bitrate not strictly decreasing with qp at qp 32"),
+        (None, 3, "measurement miss: no rows for (sequence=s01, qp=22), (sequence=s01, qp=27), "
+                  "(sequence=s01, qp=32), (sequence=s01, qp=37)"),
+    ], ids=["bd", "curve", "miss"])
+    def test_test_error_names_the_test_once(self, tmp_path, capsys, edit, code, message):
+        # Profile 5 passes first, so the error line names the profile that failed.
+        reg = tmp_path / "r.reg"
+        reg.write_text(REGISTRY_3)
+        rows = anchor_rows("7") + halved_energy_rows("5")
+        if edit is not None:
+            index, column, value = edit
+            test_rows = halved_energy_rows("6")
+            fields = test_rows[index].split(",")
+            fields[column] = value
+            test_rows[index] = ",".join(fields)
+            rows += test_rows
+        table = write_table(tmp_path / "m.csv", rows)
+        assert cli.main(["bd", "--anchor", "7", "--test", "5", "--test", "6",
+                         "--measurements", table, "--registry", str(reg)]) == code
+        captured = capsys.readouterr()
+        assert captured.err == f"error: profile 6: {message}\n"
+        assert [line.split()[:2] for line in captured.out.splitlines()[2:]] == [
+            ["5", "s01"], ["5", "aggregate"]]
 
 
 def uneven_ladder_table(tmp_path):
@@ -837,6 +869,51 @@ def test_input_that_is_not_utf8_is_one_error_line(tmp_path, capsys, reader):
     assert "ctpdse-ext-" not in err[0]  # the job's temporary directory is gone by now
 
 
+def _with_bom(path):
+    """A copy of ``path`` beside it, its bytes behind a UTF-8 byte-order mark."""
+    copy = path.with_name("bom-" + path.name)
+    copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    return copy
+
+
+@pytest.mark.parametrize("reader", ["registry", "measurements", "points", "result-file",
+                                    "result-json"])
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, reader):
+    path = tmp_path / "input"
+    if reader == "registry":
+        path.write_text(REGISTRY_3)
+        plain, marked = load_registry(path), load_registry(_with_bom(path))
+        assert registry_digest(marked) == registry_digest(plain)
+        # The file's own digest still covers its raw bytes.
+        assert file_digest(_with_bom(path)) != file_digest(path)
+    elif reader == "measurements":
+        write_table(path, anchor_rows("7"))
+        plain, marked = (ingest_measurements(p).rows for p in (path, _with_bom(path)))
+    elif reader == "points":
+        path.write_text("bdr,bdde\n1.5,-2.0\n")
+        plain, marked = read_points_csv(path), read_points_csv(_with_bom(path))
+    elif reader == "result-file":
+        request = evaluators.EvaluationRequest(parse_ctp("7", make_registry(3)), ("s01",),
+                                               tuple(RESULT_ROWS))
+        curves = []
+        for mark in (False, True):
+            fixtures = tmp_path / str(mark)
+            fixtures.mkdir()
+            write_result_fixtures(fixtures)
+            if mark:
+                for qp in RESULT_ROWS:
+                    _with_bom(fixtures / f"s01_{qp}.csv").replace(fixtures / f"s01_{qp}.csv")
+            evaluator = evaluators.ExternalCommandEvaluator(copy_template(fixtures))
+            curves.append(evaluator.evaluate(request))
+        plain, marked = curves
+    else:
+        assert cli.main(["dse", "--strategy", "e1", "--backend", "synthetic", "--seed", "7",
+                         "--max-iter", "1", "--out", str(path)]) == 0
+        result = path / "result.json"
+        plain, marked = (cli._result_points(p, None) for p in (result, _with_bom(result)))
+    assert marked == plain
+
+
 @pytest.mark.parametrize("command", [
     ["bd", "--anchor", "7", "--test", "6", "--test", "3"],
     ["dse", "--strategy", "e1", "--backend", "cached", "--max-iter", "1"],
@@ -853,6 +930,37 @@ def test_measurement_runs_load_no_numeric_library(tmp_path, command):
                          text=True, check=True)
     assert run.stdout.splitlines()[-1] == "0 []"
     assert run.stderr.count("measurement: ") == 16
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["show", "bd", "dse"])
+def test_closed_stdout_exits_1_without_an_error_line(tmp_path, command, unbuffered):
+    # The pipe's read end is closed before the child starts, so every
+    # write to standard output fails, at the latest when main flushes it.
+    reg, table = gated_table(tmp_path)
+    out = tmp_path / "run"
+    argv = {
+        "show": ["show"],
+        "bd": ["bd", "--anchor", "7", "--test", "6", "--measurements", table, "--registry", reg],
+        "dse": ["dse", "--strategy", "ea", "--backend", "synthetic", "--seed", "7",
+                "--max-iter", "1", "--out", str(out)],
+    }[command]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(ctpdse.__file__).parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        run = subprocess.run([sys.executable, "-m", "ctpdse.cli", *argv], env=env, stdout=write,
+                             stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert run.returncode == 1
+    assert [line for line in run.stderr.splitlines() if not line.startswith("measurement: ")] == []
+    if command == "dse":
+        assert sorted(p.name for p in out.iterdir()) == [
+            "front.csv", "manifest.json", "points.csv", "result.json", "summary.txt"]
 
 
 def test_main_freezes_the_import_time_objects(tmp_path):

@@ -92,8 +92,8 @@ def random_curve_pair(rng):
     return list(zip(anchor_c, anchor_q)), list(zip(test_c, test_q))
 
 
-def make_curve(ctp_id="3FFFFFFF", sequence="s01", rate_mult=1.0, energy_mult=1.0,
-               psnr_shift=0.0, vmaf_shift=0.0):
+def make_curve(sequence="s01", rate_mult=1.0, energy_mult=1.0, psnr_shift=0.0,
+               vmaf_shift=0.0):
     qps = (22, 27, 32, 37)
     rate = (8000.0, 4500.0, 2500.0, 1400.0)
     psnr = (42.5, 40.1, 37.4, 34.6)
@@ -103,7 +103,7 @@ def make_curve(ctp_id="3FFFFFFF", sequence="s01", rate_mult=1.0, energy_mult=1.0
         RdePoint(q, r * rate_mult, p + psnr_shift, v + vmaf_shift, e * energy_mult)
         for q, r, p, v, e in zip(qps, rate, psnr, vmaf, energy)
     )
-    return RdeCurve(sequence, ctp_id, points)
+    return RdeCurve(sequence, points)
 
 
 def axis_pairs(curve, cost, quality):
@@ -137,26 +137,26 @@ class TestCurveValidation:
     def test_needs_four_points(self):
         points = make_curve().points[:3]
         with pytest.raises(CurveDataError, match="at least 4"):
-            RdeCurve("s01", "X", points)
+            RdeCurve("s01", points)
 
     def test_qp_order_diagnostic(self):
         p = make_curve().points
         with pytest.raises(CurveDataError, match="qps not strictly increasing"):
-            RdeCurve("s01", "X", (p[0], p[2], p[1], p[3]))
+            RdeCurve("s01", (p[0], p[2], p[1], p[3]))
 
     def test_bitrate_monotonicity_diagnostic(self):
         good = make_curve().points
         bad = list(good)
         bad[2] = RdePoint(32, good[1].bitrate, good[2].psnr, good[2].vmaf, good[2].energy)
         with pytest.raises(CurveDataError, match="bitrate not strictly decreasing"):
-            RdeCurve("s01", "X", tuple(bad))
+            RdeCurve("s01", tuple(bad))
 
     def test_energy_monotonicity_diagnostic(self):
         good = make_curve().points
         bad = list(good)
         bad[3] = RdePoint(37, good[3].bitrate, good[3].psnr, good[3].vmaf, good[2].energy + 1)
         with pytest.raises(CurveDataError, match="energy not strictly decreasing"):
-            RdeCurve("s01", "X", tuple(bad))
+            RdeCurve("s01", tuple(bad))
 
 
 class TestBdDelta:
@@ -325,11 +325,10 @@ def anchor_and_test_curve(draw):
     if repeat in ("vmaf", "both"):
         test_vmaf[1] = test_vmaf[0]
 
-    def curve(ctp_id, psnr, vmaf):
-        return RdeCurve("s01", ctp_id, tuple(map(RdePoint, qps, falling(), psnr, vmaf,
-                                                    falling())))
+    def curve(psnr, vmaf):
+        return RdeCurve("s01", tuple(map(RdePoint, qps, falling(), psnr, vmaf, falling())))
 
-    return (curve("A", psnr[::-1], vmaf[::-1]), curve("T", test_psnr, test_vmaf))
+    return (curve(psnr[::-1], vmaf[::-1]), curve(test_psnr, test_vmaf))
 
 
 # A reference copy of the closed form, one curve per call and one cost per
@@ -504,14 +503,14 @@ class TestPreparedCurve:
                              points[1].energy)
         repeated = getattr(points[2], axis)
         with pytest.raises(CurveDataError) as err:
-            PreparedAnchor(RdeCurve("s01", good.ctp_id, tuple(points)))
+            PreparedAnchor(RdeCurve("s01", tuple(points)))
         assert str(err.value) == (
             f"{name} (s01): anchor curve quality values are not strictly monotone "
             f"(repeated quality near {repeated:g})"
         )
 
     @given(anchor_and_test_curve())
-    @example((make_curve(), make_curve(ctp_id="TEST", psnr_shift=7.2, vmaf_shift=-24.0)))
+    @example((make_curve(), make_curve(psnr_shift=7.2, vmaf_shift=-24.0)))
     def test_shared_test_axis_gives_the_floats_of_separate_fields(self, case):
         # The example's overlaps are thin on both axes, so it warns four times.
         anchor, test = case
@@ -548,7 +547,7 @@ class TestPreparedCurve:
         (("psnr",), "bdr_psnr"), (("vmaf",), "bdr_vmaf"), (("psnr", "vmaf"), "bdr_psnr"),
     ], ids=["psnr", "vmaf", "both"])
     def test_repeated_test_quality_is_tagged(self, axes, name):
-        good = make_curve(ctp_id="TEST")
+        good = make_curve()
         points = list(good.points)
         second, third = points[1], points[2]
         points[1] = RdePoint(27, second.bitrate,
@@ -557,7 +556,7 @@ class TestPreparedCurve:
                              second.energy)
         repeated = getattr(third, axes[0])
         with pytest.raises(CurveDataError) as err:
-            bd_report(PreparedAnchor(make_curve()), RdeCurve("s01", good.ctp_id, tuple(points)))
+            bd_report(PreparedAnchor(make_curve()), RdeCurve("s01", tuple(points)))
         assert str(err.value) == (
             f"{name} (s01): test curve quality values are not strictly monotone "
             f"(repeated quality near {repeated:g})"
@@ -601,7 +600,7 @@ class TestBdReport:
 
     def test_halved_energy_only_touches_bdde(self):
         anchor = make_curve()
-        test = make_curve(ctp_id="TEST", energy_mult=0.5)
+        test = make_curve(energy_mult=0.5)
         report = bd_report(PreparedAnchor(anchor), test)
         assert report.bdr_psnr == 0.0
         assert report.bdr_vmaf == 0.0
@@ -610,8 +609,7 @@ class TestBdReport:
 
     def test_composition_matches_bd_delta(self):
         anchor = make_curve()
-        test = make_curve(ctp_id="TEST", rate_mult=1.2, energy_mult=0.8,
-                          psnr_shift=-0.4, vmaf_shift=-1.0)
+        test = make_curve(rate_mult=1.2, energy_mult=0.8, psnr_shift=-0.4, vmaf_shift=-1.0)
         report = bd_report(PreparedAnchor(anchor), test)
         assert report.bdr_psnr == bd_delta(axis_pairs(anchor, "bitrate", "psnr"),
                                            axis_pairs(test, "bitrate", "psnr"))
@@ -628,14 +626,14 @@ class TestBdReport:
 
     def test_error_tagged_with_metric_name(self):
         anchor = make_curve(vmaf_shift=-60.0)  # vmaf range 6..32
-        test = make_curve(ctp_id="TEST")       # vmaf range 66..92, no overlap
+        test = make_curve()  # vmaf range 66..92, no overlap
         with pytest.raises(CurveDataError, match="bdr_vmaf"):
             bd_report(PreparedAnchor(anchor), test)
 
     def test_costs_too_far_apart_rejected(self):
         # an energy ratio of 1e600 overflows 10 ** delta
         anchor = make_curve(energy_mult=1e-300)
-        test = make_curve(ctp_id="TEST", energy_mult=1e300)
+        test = make_curve(energy_mult=1e300)
         with pytest.raises(CurveDataError,
                            match=r"^bdde_psnr \(s01\): costs too far apart: .* overflows$"):
             bd_report(PreparedAnchor(anchor), test)
@@ -649,11 +647,11 @@ class TestBdReport:
         qps, rate, psnr = (22, 27, 32, 37), (8000.0, 4500.0, 2500.0, 1400.0), \
             (42.5, 40.1, 37.4, 34.6)
 
-        def curve(ctp_id, vmaf, energy):
-            return RdeCurve("s01", ctp_id, tuple(map(RdePoint, qps, rate, psnr, vmaf, energy)))
+        def curve(vmaf, energy):
+            return RdeCurve("s01", tuple(map(RdePoint, qps, rate, psnr, vmaf, energy)))
 
-        anchor = curve("A", (90.0, 80.0, 70.0, 60.0), (1e-300, 1e-301, 1e-302, 1e-303))
-        test = curve("T", (40.0, 30.0, 20.0, 10.0), (1e300, 1e299, 1e298, 1e297))
+        anchor = curve((90.0, 80.0, 70.0, 60.0), (1e-300, 1e-301, 1e-302, 1e-303))
+        test = curve((40.0, 30.0, 20.0, 10.0), (1e300, 1e299, 1e298, 1e297))
         with pytest.raises(CurveDataError) as err:
             bd_report(PreparedAnchor(anchor), test)
         assert str(err.value) == ("bdr_vmaf (s01): empty quality overlap: anchor spans "
@@ -661,14 +659,14 @@ class TestBdReport:
 
     def test_thin_overlap_warnings_keep_field_order(self):
         anchor = make_curve()
-        test = make_curve(ctp_id="TEST", psnr_shift=7.2, vmaf_shift=-24.0)
+        test = make_curve(psnr_shift=7.2, vmaf_shift=-24.0)
         report = bd_report(PreparedAnchor(anchor), test)
         assert [w.split()[0] for w in report.warnings] == [name for name, _, _ in BD_FIELDS]
 
     def test_thin_overlap_warns_on_report(self):
         anchor = make_curve()
         # psnr span is 7.9; shift so the common range is ~0.5 of it
-        test = make_curve(ctp_id="TEST", psnr_shift=7.4, vmaf_shift=-5.0)
+        test = make_curve(psnr_shift=7.4, vmaf_shift=-5.0)
         report = bd_report(PreparedAnchor(anchor), test)
         assert any("bdr_psnr" in w and "overlap" in w for w in report.warnings)
         assert any("bdde_psnr" in w for w in report.warnings)
@@ -676,7 +674,7 @@ class TestBdReport:
 
 class TestAggregate:
     def _report(self, value):
-        return bd_report(PreparedAnchor(make_curve()), make_curve(ctp_id="T", energy_mult=value))
+        return bd_report(PreparedAnchor(make_curve()), make_curve(energy_mult=value))
 
     def test_single_report_is_identity(self):
         report = self._report(0.5)
@@ -699,7 +697,7 @@ class TestAggregate:
 
     def test_warnings_merged_without_duplicates(self):
         anchor = make_curve()
-        test = make_curve(ctp_id="T", psnr_shift=7.4, vmaf_shift=-5.0)
+        test = make_curve(psnr_shift=7.4, vmaf_shift=-5.0)
         warned = bd_report(PreparedAnchor(anchor), test)
         merged = aggregate_reports([warned, warned])
         assert merged.warnings == warned.warnings

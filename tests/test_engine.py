@@ -331,7 +331,7 @@ class RepeatedPsnr(CountingEvaluator):
         for curve in super().evaluate(request):
             p = list(curve.points)
             p[1] = RdePoint(p[1].qp, p[1].bitrate, p[2].psnr, p[1].vmaf, p[1].energy)
-            curves.append(RdeCurve(curve.sequence, curve.ctp_id, tuple(p)))
+            curves.append(RdeCurve(curve.sequence, tuple(p)))
         return curves
 
 

@@ -166,7 +166,6 @@ class TestCachedEvaluator:
         path = write_measurements(tmp_path / "m.csv", anchor_rows(mask))
         evaluator = CachedTableEvaluator(ingest_measurements(path))
         (curve,) = evaluator.evaluate(EvaluationRequest(anchor, ("s01",), BASE_QPS))
-        assert curve.ctp_id == mask
         assert [p.bitrate for p in curve.points] == [8000.0, 4500.0, 2500.0, 1400.0]
         assert [p.vmaf for p in curve.points] == [92.0, 86.5, 78.0, 66.0]
 

@@ -6,7 +6,8 @@ prepared once per run (commit 6834e88), the ``ctp bd`` digests before BD
 integrated a node set's costs in one loop (commit df3d9c2). Any change
 to a BD float, the walk, the Pareto selection or the rendering of these
 outputs shows here. A change that means to move these bytes must say so
-and update the digests.
+and update the digests. The bytes are the same on Python 3.10 to 3.13, so
+this file imports only pytest, the package and the shared fixtures.
 """
 
 import hashlib
@@ -18,6 +19,8 @@ from ctpdse import cli
 from ctpdse.evaluators import (CSV_HEADER, EvaluationRequest, SyntheticModelEvaluator,
                                SyntheticModelParams)
 from ctpdse.profiles import Ctp, default_ctp, default_registry, serialize_ctp
+
+from conftest import BASE_QPS, make_baseline, make_params, make_registry
 
 FILES = ("result.json", "points.csv", "front.csv", "summary.txt")
 
@@ -72,6 +75,15 @@ SEED_7_DIGESTS = {
         "e6fffd92d947aa8b1c299b3098207c4f6631a848a4f3d529d6704e96b6e61fd2",
     ),
 }
+
+
+def test_synthetic_quality_deltas_add_left_to_right():
+    # Left to right, 1e16 + 1.0 rounds back to 1e16 and the deltas cancel;
+    # sum() compensates float sums since Python 3.12 and would shift PSNR by 1.
+    params = make_params(3, dq_psnr=(1e16, 1.0, -1e16))
+    request = EvaluationRequest(default_ctp(make_registry(3)), ("s01",), BASE_QPS)
+    (curve,) = SyntheticModelEvaluator(params).evaluate(request)
+    assert [p.psnr for p in curve.points] == list(make_baseline().psnr)
 
 
 @pytest.mark.parametrize("strategy, axis", list(SEED_7_DIGESTS))
