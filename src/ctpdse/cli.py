@@ -59,16 +59,13 @@ def _pct(value: float) -> str:
 
 
 def _load_registry(args):
-    if args.registry:
+    if args.registry is not None:
         return load_registry(args.registry)
     return default_registry()
 
 
 def _split_csv(text: str) -> tuple[str, ...]:
-    items = tuple(s.strip() for s in text.split(",") if s.strip())
-    if not items:
-        raise ConfigError(f"empty list: {text!r}")
-    return items
+    return tuple(s.strip() for s in text.split(","))
 
 
 def _parse_qps(text: str) -> tuple[int, ...]:
@@ -101,14 +98,19 @@ def _write_outputs(out: Path, texts: dict[str, str]) -> None:
         (out / name).write_text(text, encoding="utf-8")
 
 
-def _profile_points(reports, axis: QualityAxis) -> list[ProfilePoint]:
-    """One (BDR, BDDE) point on ``axis`` per (mask, report) pair."""
-    return [ProfilePoint(*report.pair(axis), label=mask) for mask, report in reports]
+def _document_points(document: dict, axis: QualityAxis) -> list[ProfilePoint]:
+    """One (BDR, BDDE) point on ``axis`` per evaluated profile of a result document, in its order.
+
+    ``ctp dse`` renders a run's points and ``ctp pareto RUN`` reads them back through this one
+    function, so both get the same points in the same (mask) order.
+    """
+    return [ProfilePoint(*report_from_dict(doc).pair(axis), label=mask)
+            for mask, doc in document["evaluated"].items()]
 
 
 def cmd_show(args) -> int:
     registry = _load_registry(args)
-    if args.profile:
+    if args.profile is not None:
         profile = parse_ctp(args.profile, registry)
     else:
         profile = default_ctp(registry)
@@ -127,14 +129,14 @@ def _run_setup(args):
 
     The flags are checked before the registry is read, and the registry before the anchor.
     """
-    sequences = _split_csv(args.sequences) if args.sequences else None
-    qps = _parse_qps(args.qps) if args.qps else None
-    if sequences:
+    sequences = _split_csv(args.sequences) if args.sequences is not None else None
+    qps = _parse_qps(args.qps) if args.qps is not None else None
+    if sequences is not None:
         check_sequences(sequences)
-    if qps:
+    if qps is not None:
         check_qps(qps)
     registry = _load_registry(args)
-    anchor = parse_ctp(args.anchor, registry) if args.anchor else default_ctp(registry)
+    anchor = parse_ctp(args.anchor, registry) if args.anchor is not None else default_ctp(registry)
     return sequences, qps, registry, anchor
 
 
@@ -194,37 +196,42 @@ def _resolve_run_inputs(args, registry, anchor, sequences, qps):
     return evaluator, sequences, qps or DEFAULT_QPS, inputs
 
 
-def _summary(comment, config, args, result, selection) -> str:
+def _render_run(document: dict) -> tuple[dict[str, str], str]:
+    """A finished run's five files and its ``terminal …`` line, from its result document alone.
+
+    The document embeds the run's manifest, whose config holds every setting rendered here.
+    """
+    manifest = document["manifest"]
+    run = manifest["config"]
+    comment = f"manifest: {manifest_digest(manifest)}"
+    points = _document_points(document, QualityAxis(run["axis"]))
+    selection = select_profiles(points, SelectionCriteria(run["lbe_threshold"]))
+    terminal = next(p for p in points if p.label == document["terminal_reference"])
+    iterations = document["iterations"]
+    reason = document["termination_reason"]
+
     lines = [f"# {comment}"]
     lines.append(
-        f"strategy {config.strategy}  axis {config.quality_axis.value}  "
-        f"backend {args.backend}  anchor {serialize_ctp(config.anchor)}"
+        f"strategy {run['strategy']}  axis {run['axis']}  "
+        f"backend {run['backend']}  anchor {run['anchor']}"
     )
     lines.append(
-        f"sequences {','.join(config.sequences)}  "
-        f"qps {','.join(str(q) for q in config.qps)}  "
-        f"max-iter {config.max_iterations}"
+        f"sequences {','.join(run['sequences'])}  "
+        f"qps {','.join(str(q) for q in run['qps'])}  "
+        f"max-iter {run['max_iterations']}"
     )
     lines.append("")
     lines.append(f"{'iter':>4}  {'reference':<10} {'score':>9}  {'flips':<24} next")
-    for log in result.logs:
-        flips = ",".join(log.reference.registry.tools[j].name for j in log.flipped_tools)
+    for it in iterations:
         lines.append(
-            f"{log.index:>4}  {serialize_ctp(log.reference):<10} "
-            f"{_pct(log.reference_score):>9}  {flips or '(none)':<24} "
-            f"{serialize_ctp(log.next_reference)}"
+            f"{it['index']:>4}  {it['reference']:<10} "
+            f"{_pct(it['reference_score']):>9}  {','.join(it['flipped_tools']) or '(none)':<24} "
+            f"{it['next_reference']}"
         )
     lines.append("")
-    lines.append(
-        f"terminated after {len(result.logs)} iterations: "
-        f"{result.termination_reason.value}"
-    )
-    bdr, bdde = result.terminal_report().pair(config.quality_axis)
-    lines.append(
-        f"terminal {serialize_ctp(result.terminal_reference)}  "
-        f"BDR {_pct(bdr)}  BDDE {_pct(bdde)}"
-    )
-    lines.append(f"selection (lbe threshold {_pct(args.lbe_threshold)}%):")
+    lines.append(f"terminated after {len(iterations)} iterations: {reason}")
+    lines.append(f"terminal {terminal.label}  BDR {_pct(terminal.bdr)}  BDDE {_pct(terminal.bdde)}")
+    lines.append(f"selection (lbe threshold {_pct(run['lbe_threshold'])}%):")
     lines.append(f"  EE   {selection.ee.label}  bdr {_pct(selection.ee.bdr)}  "
                  f"bdde {_pct(selection.ee.bdde)}")
     lines.append(f"  EBE  {selection.ebe.label}  bdr {_pct(selection.ebe.bdr)}  "
@@ -232,12 +239,21 @@ def _summary(comment, config, args, result, selection) -> str:
     lines.append(f"  LBE  {len(selection.lbe)} profiles:")
     for point in selection.lbe:
         lines.append(f"    {point.label}  bdr {_pct(point.bdr)}  bdde {_pct(point.bdde)}")
-    return "\n".join(lines) + "\n"
+    files = {
+        "manifest.json": canonical_json(manifest),
+        "result.json": canonical_json(document),
+        "points.csv": points_csv(points, comment),
+        "front.csv": points_csv(selection.front, comment),
+        "summary.txt": "\n".join(lines) + "\n",
+    }
+    stdout = (f"terminal {terminal.label}  bdr {_pct(terminal.bdr)}  bdde {_pct(terminal.bdde)}  "
+              f"({reason} after {len(iterations)} iterations)")
+    return files, stdout
 
 
 def cmd_dse(args) -> int:
     out = _check_out(args.out)
-    criteria = SelectionCriteria(args.lbe_threshold)
+    SelectionCriteria(args.lbe_threshold)  # checked before the walk, rendered from the manifest
     sequences, qps, registry, anchor = _run_setup(args)
     objective, flip_policy = parse_strategy(args.strategy)
     evaluator, sequences, qps, inputs = _resolve_run_inputs(args, registry, anchor,
@@ -251,7 +267,7 @@ def cmd_dse(args) -> int:
         quality_axis=QualityAxis(args.axis),
         max_iterations=args.max_iter,
     )
-    if args.registry:
+    if args.registry is not None:
         inputs["registry"] = file_digest(args.registry)
     manifest = build_manifest(
         "dse",
@@ -270,33 +286,14 @@ def cmd_dse(args) -> int:
         },
         inputs,
     )
-    comment = f"manifest: {manifest_digest(manifest)}"
     # Created only once every check has passed, so a config error leaves no directory.
     out.mkdir(parents=True, exist_ok=True)
 
     result = run_dse(config, evaluator)
 
-    document = {"manifest": manifest, **result_to_document(result, config)}
-    points = _profile_points(
-        sorted(((serialize_ctp(c), r) for c, r in result.evaluated.items()),
-               key=lambda item: item[0]),
-        config.quality_axis,
-    )
-    selection = select_profiles(points, criteria)
-    _write_outputs(out, {
-        "manifest.json": canonical_json(manifest),
-        "result.json": canonical_json(document),
-        "points.csv": points_csv(points, comment),
-        "front.csv": points_csv(selection.front, comment),
-        "summary.txt": _summary(comment, config, args, result, selection),
-    })
-
-    bdr, bdde = result.terminal_report().pair(config.quality_axis)
-    print(
-        f"terminal {serialize_ctp(result.terminal_reference)}  "
-        f"bdr {_pct(bdr)}  bdde {_pct(bdde)}  "
-        f"({result.termination_reason.value} after {len(result.logs)} iterations)"
-    )
+    files, terminal = _render_run({"manifest": manifest, **result_to_document(result, config)})
+    _write_outputs(out, files)
+    print(terminal)
     print(f"wrote {out / 'result.json'}")
     return 0
 
@@ -348,8 +345,7 @@ def _result_points(path: Path, axis_flag: str | None):
     try:
         document = json.loads(path.read_text(encoding="utf-8-sig"))
         axis = QualityAxis(axis_flag or document["config"]["quality_axis"])
-        reports = [(mask, report_from_dict(doc)) for mask, doc in document["evaluated"].items()]
-        return _profile_points(reports, axis), axis
+        return _document_points(document, axis), axis
     except KeyError as exc:
         raise ConfigError(f"{path}: not a ctp dse result, no key {exc}") from None
     except (AttributeError, ConfigError, TypeError, ValueError) as exc:
@@ -357,7 +353,7 @@ def _result_points(path: Path, axis_flag: str | None):
 
 
 def cmd_pareto(args) -> int:
-    out = _check_out(args.out) if args.out else None
+    out = _check_out(args.out) if args.out is not None else None
     criteria = SelectionCriteria(args.lbe_threshold)
     source = Path(args.points)
     if source.is_dir():

@@ -107,7 +107,6 @@ class CandidateEval:
 
 @dataclass(frozen=True)
 class IterationLog:
-    index: int
     reference: Ctp
     reference_score: float
     candidates: tuple[CandidateEval, ...]
@@ -121,9 +120,6 @@ class DseResult:
     evaluated: dict[Ctp, BdReport]
     terminal_reference: Ctp
     termination_reason: TerminationReason
-
-    def terminal_report(self) -> BdReport:
-        return self.evaluated[self.terminal_reference]
 
 
 class EvaluationCache:
@@ -172,7 +168,7 @@ class EvaluationCache:
         return self.reports[ctp]
 
 
-def run_iteration(reference: Ctp, cache: EvaluationCache, index: int = 1) -> IterationLog:
+def run_iteration(reference: Ctp, cache: EvaluationCache) -> IterationLog:
     """Evaluate all single flips of ``reference`` and pick the next reference.
 
     Flips are evaluated one after another, and each report is cached as
@@ -212,7 +208,6 @@ def run_iteration(reference: Ctp, cache: EvaluationCache, index: int = 1) -> Ite
         next_reference = flip_tool(next_reference, j)
 
     return IterationLog(
-        index=index,
         reference=reference,
         reference_score=reference_score,
         candidates=tuple(candidates),
@@ -238,8 +233,8 @@ def run_dse(config: DseConfig, evaluator: Evaluator) -> DseResult:
         seen = {config.anchor}
         reference = config.anchor
         termination = TerminationReason.MAX_ITERATIONS
-        for index in range(1, config.max_iterations + 1):
-            log = run_iteration(reference, cache, index=index)
+        for _ in range(config.max_iterations):
+            log = run_iteration(reference, cache)
             logs.append(log)
             if log.next_reference in seen:
                 termination = TerminationReason.REPEATED_REFERENCE
@@ -291,7 +286,7 @@ def result_to_document(result: DseResult, config: DseConfig) -> dict:
         },
         "iterations": [
             {
-                "index": log.index,
+                "index": index,
                 "reference": serialize_ctp(log.reference),
                 "reference_score": log.reference_score,
                 "candidates": [
@@ -310,13 +305,12 @@ def result_to_document(result: DseResult, config: DseConfig) -> dict:
                 ],
                 "next_reference": serialize_ctp(log.next_reference),
             }
-            for log in result.logs
+            for index, log in enumerate(result.logs, 1)
         ],
         "evaluated": {
             serialize_ctp(ctp): _report_to_dict(report)
-            for ctp, report in sorted(
-                result.evaluated.items(), key=lambda item: serialize_ctp(item[0])
-            )
+            # A fixed-width upper-case hex mask sorts as its integer does.
+            for ctp, report in sorted(result.evaluated.items(), key=lambda item: item[0].mask)
         },
         "terminal_reference": serialize_ctp(result.terminal_reference),
         "termination_reason": result.termination_reason.value,

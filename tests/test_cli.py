@@ -132,6 +132,22 @@ class TestDse:
         for name in ("result.json", "points.csv", "front.csv", "summary.txt", "manifest.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    @pytest.mark.parametrize("axis", ["vmaf", "psnr"])
+    @pytest.mark.parametrize("strategy", ["ea", "c1"])
+    def test_run_renders_from_its_result_json(self, tmp_path, capsys, strategy, axis):
+        # The files and the terminal line come back byte for byte from the
+        # document read back from disk, by the rendering ``ctp dse`` uses.
+        out = tmp_path / "run"
+        assert cli.main(["dse", "--strategy", strategy, "--axis", axis, "--backend", "synthetic",
+                         "--seed", "11", "--lbe-threshold", "12.5", "--out", str(out)]) == 0
+        terminal = capsys.readouterr().out.splitlines()[0]
+        document = json.loads((out / "result.json").read_text(encoding="utf-8"))
+        files, line = cli._render_run(document)
+        assert sorted(files) == sorted(p.name for p in out.iterdir())
+        for name, text in files.items():
+            assert text == (out / name).read_text(encoding="utf-8"), name
+        assert line == terminal
+
     def test_cached_backend_runs_from_table(self, tmp_path, capsys):
         reg = tmp_path / "r.reg"
         reg.write_text(REGISTRY_3)
@@ -577,7 +593,7 @@ class TestBd:
     @pytest.mark.parametrize("flags, message", [
         (["--test", "6", "--test", "ZZZ"], "ZZZ"),
         (["--test", "6", "--qps", "22,x"], "qps must be integers, got '22,x'"),
-        (["--test", "6", "--sequences", ","], "empty list: ','"),
+        (["--test", "6", "--sequences", ","], "sequence names must not be empty, got ('', '')"),
         (["--test", "6", "--sequences", "s01,s01"],
          "sequence names must not repeat, got ('s01', 's01')"),
         (["--test", "6", "--qps", "37,22,27,32"],
@@ -687,6 +703,56 @@ def test_table_run_checks_every_sequence_alike(tmp_path, capsys, command, sequen
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+EMPTY_VALUE_CASES = [
+    pytest.param(["--sequences", ""], "sequence names must not be empty, got ('',)",
+                 id="sequences"),
+    pytest.param(["--sequences", "s01,,s02"],
+                 "sequence names must not be empty, got ('s01', '', 's02')", id="sequence-item"),
+    pytest.param(["--qps", ""], "qps must be integers, got ''", id="qps"),
+    pytest.param(["--qps", "22,27,,32,37"], "qps must be integers, got '22,27,,32,37'",
+                 id="qp-item"),
+    pytest.param(["--anchor", ""], "hex mask '' has 0 digits, expected {width}", id="anchor"),
+    pytest.param(["--registry", ""], "[Errno 2] No such file or directory: ''", id="registry"),
+]
+
+
+@pytest.mark.parametrize("command", ["bd", "dse"])
+@pytest.mark.parametrize("flags, message", EMPTY_VALUE_CASES)
+def test_an_empty_flag_value_is_an_error(tmp_path, capsys, command, flags, message):
+    """An empty value, or an empty list item, is not read as if the flag were absent."""
+    reg, table = gated_table(tmp_path)
+    out = tmp_path / "run"
+    argv, width = {
+        "bd": (["bd", "--anchor", "7", "--test", "6", "--measurements", table,
+                "--registry", reg], "1 for a 3-tool registry"),
+        "dse": (["dse", "--strategy", "e1", "--backend", "synthetic", "--seed", "7",
+                 "--out", str(out)], "8 for a 30-tool registry"),
+    }[command]
+    assert cli.main([*argv, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message.format(width=width)}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_an_empty_profile_is_an_error(capsys):
+    assert cli.main(["show", "--profile", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: hex mask '' has 0 digits, expected 8 for a 30-tool registry\n"
+    assert captured.out == ""
+
+
+def test_an_empty_pareto_out_is_the_current_directory(tmp_path, monkeypatch, capsys):
+    # As for ``ctp dse``, ``--out ""`` names the working directory, which must be empty.
+    (tmp_path / "p.csv").write_text("bdr,bdde\n1.5,-2.0\n")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["pareto", "--points", "p.csv", "--out", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --out  is not empty; pass a new or empty directory\n"
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["p.csv"]
 
 
 class TestPareto:

@@ -1,5 +1,6 @@
-"""Byte-identity gate: the eight seed-7 synthetic walks keep their output files,
-and ``ctp bd`` keeps its output on a table drawn from the seed-7 model.
+"""Byte-identity gate: the eight seed-7 synthetic walks keep their output files
+and their ``terminal …`` line, and ``ctp bd`` keeps its output on a table drawn
+from the seed-7 model.
 
 The walk digests were taken from the program before the anchor curve was
 prepared once per run (commit 6834e88), the ``ctp bd`` digests before BD
@@ -23,56 +24,67 @@ from ctpdse.profiles import Ctp, default_ctp, default_registry, serialize_ctp
 from conftest import BASE_QPS, make_baseline, make_params, make_registry
 
 FILES = ("result.json", "points.csv", "front.csv", "summary.txt")
+# The first line of standard output, the ``terminal …`` line; the ``wrote …``
+# line after it names the temporary output directory.
+DIGESTED = FILES + ("stdout",)
 
-# sha256 of each file, in FILES order, per (strategy, axis).
+# sha256 of each of DIGESTED, in order, per (strategy, axis).
 SEED_7_DIGESTS = {
     ("ea", "vmaf"): (
         "795b75d7e1fd379c4e47f6583caca79952fdb4182393dcb4fe098bb534f85c9c",
         "f38ff0610f06f0e5a5d7f1dfdb08e321725d5bf55f2d3594ef982a6cd1f9a3fe",
         "0e5d0f8eebed3522644564c9539608426fb19b54e2a9d03ad8e9d5e77b22c32d",
         "d109317e91a4b7c83c71d35238020fabda6e79cab2269cae6b268a088c73c292",
+        "56377a26a28e3bd9046ef0694c698580d976d7cb836aca1fd34c0a6e02809f78",
     ),
     ("ea", "psnr"): (
         "32390c88f8ac0bf24cfadb3bea05b5e3598a1eff05f756bb67f180eb375882cb",
         "d85e8f4b3a934f3f692b20e354900eafdca2c387c343e48f04e9e42c1b3fb571",
         "16cb48e904c26c6b3ed932fc6fe012720c61c1c6f221fd700c145c1fddef7d62",
         "ba86cee333a3ea97e3d137f0646340f4b059d1f73633b5908d6c92ec9dbefbb4",
+        "337a21789eb86fe409771ef1dcba4c56531672d8c052d404b5bd296ab3b4899b",
     ),
     ("e1", "vmaf"): (
         "c63fbc66fe016a63544053586fb6fdfe94467756f0fbc7b9d3eb85313f696efa",
         "4f0278199d08adb801837571761db806b7e73700031da05f0030735e157d39ff",
         "2e2b963855d9eaf5899e8071f1764a50f0f38b7de7ba9833e8e2d2bf6df9b9e6",
         "e68a6579c237f3b68f33b03520aeee409e1c2184ff87d0a6822b31b206252935",
+        "bfa70fa1b01b5ea72b0fd5385559a57941175bf7d9005f30decc5ced930f679e",
     ),
     ("e1", "psnr"): (
         "a51eee4821797116ed1f28a458000e8ab1d67aad9e14dd87ea07941aecbcb643",
         "b89ded3f8c235fb9ca30d6c9b3a4bed52dfee69024c280cd8287f787fd969636",
         "446b8305055a3e79b21762546bc6b8196e41a0916a36adb13c7fe60307e209e2",
         "e2d4b482a89a4533a4d7bb2a7d69d85e0ceb7146921205518328d70382fd552a",
+        "df40058679eef40ebbf47f7caccf7b1dab55f5495d5d6ab9c8f218d1585301a7",
     ),
     ("ca", "vmaf"): (
         "16cd6ab139c58c64738e877b095fc464f3a793d0a59cf906e198b0573691496b",
         "2461f54c9394d5e8ef8d9907aac81df5611ba8eb32c3888187422c815d8f0aa6",
         "fe4a34cad96e08e7547278ce52b776ac959fb38f8cb93295343774b059cce6f9",
         "b1d839b867dce0aaf74e7610435992d503330727161aa4d486ec4cfc33245211",
+        "441383b3e2e5c71b41b2e3b47e81326a8a2f5e0f576ace18b80e0459463239e7",
     ),
     ("ca", "psnr"): (
         "8c9596c0402a93bd276119c221401253e26d95031ba1e56856dc6e5c78c70fe5",
         "d78169712f4d1b7d403f414e72b4ef1af3a2ae613b42288c30200a1be98d5844",
         "e3efda08c82c24617bb697646f0e2a2b0a8c300c5e24b63f2967994dc718ddb0",
         "cc35d1184f4da91418f33d6e546785f014a386efb4ec80230d48275e4d2f856e",
+        "fe55c964b9b8e8848ede86cf8e0d2ddbcaf3442511a637d364276ae9827ae956",
     ),
     ("c1", "vmaf"): (
         "f4eaaef775a98d71d4266b9aabcfcf423e46fb3556be714c0f036a8c5d76c1e8",
         "cb10632441bdc695f3cd475954fe2561f7a9651636204937d3787c3668942b26",
         "068570b315127f881f5660276aa3204f6f231df6afe8abda3e682aaad52923e4",
         "58430f0668164bf03b9e83a7f2e9a2c8288c9dde441a7ec39b867f6c8115ff8b",
+        "e01ddf12fa97c2f4c99e6a408c76c1507962289f30037a9bf1221ecd20084586",
     ),
     ("c1", "psnr"): (
         "50c91271a060652e0fcc5f1e4fd9e5c35aef1c0604302d04f57e131fb5c0a281",
         "64a0ff0230b5a54b5efaf395290b1c6c68b5dfee14c39926f440a07dc4168fc0",
         "edf539a30ae567ea3123896421a7258906bbb89bed881f3a0bb58a868b50f43a",
         "e6fffd92d947aa8b1c299b3098207c4f6631a848a4f3d529d6704e96b6e61fd2",
+        "00f2448308c0ea6df81ab2520993ade7f4411dbf6894037943b5ddaa22ea5907",
     ),
 }
 
@@ -91,9 +103,10 @@ def test_seed_7_walk_keeps_its_bytes(tmp_path, capsys, strategy, axis):
     out = tmp_path / "run"
     assert cli.main(["dse", "--strategy", strategy, "--axis", axis, "--backend", "synthetic",
                      "--seed", "7", "--out", str(out)]) == 0
-    capsys.readouterr()
-    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in FILES)
-    assert dict(zip(FILES, digests)) == dict(zip(FILES, SEED_7_DIGESTS[strategy, axis]))
+    terminal = capsys.readouterr().out.splitlines()[0]
+    texts = [(out / name).read_bytes() for name in FILES] + [terminal.encode()]
+    digests = tuple(hashlib.sha256(text).hexdigest() for text in texts)
+    assert dict(zip(DIGESTED, digests)) == dict(zip(DIGESTED, SEED_7_DIGESTS[strategy, axis]))
 
 
 BD_SEQUENCES = ("s01", "s02")
