@@ -81,6 +81,13 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _non_empty(text: str) -> str:
+    """A path or template flag's value: an empty one is an error, not ``.`` or a missing flag."""
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 def _check_out(text: str) -> Path:
     """``--out`` must be missing or an empty directory; this creates nothing."""
     out = Path(text)
@@ -175,7 +182,7 @@ def _resolve_run_inputs(args, registry, anchor, sequences, qps):
     inputs: dict[str, str] = {}
 
     if args.backend == "cached":
-        if not args.measurements:
+        if args.measurements is None:
             raise ConfigError("--backend cached requires --measurements")
         inputs["measurements"] = file_digest(args.measurements)
         table, sequences, qps = _table_inputs(args, anchor, sequences, qps)
@@ -188,7 +195,7 @@ def _resolve_run_inputs(args, registry, anchor, sequences, qps):
         return SyntheticModelEvaluator(params), sequences, qps, inputs
 
     # argparse's choices leave only the external backend.
-    if not args.command_template:
+    if args.command_template is None:
         raise ConfigError("--backend external requires --command-template")
     if sequences is None:
         raise ConfigError("--backend external requires --sequences")
@@ -419,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     dse.add_argument("--strategy", required=True, choices=tuple(STRATEGIES))
     dse.add_argument("--axis", choices=("psnr", "vmaf"), default="vmaf")
     dse.add_argument("--backend", required=True, choices=("cached", "synthetic", "external"))
-    dse.add_argument("--measurements", help="measurement CSV (cached backend)")
+    dse.add_argument("--measurements", type=_non_empty, help="measurement CSV (cached backend)")
     dse.add_argument("--registry")
     dse.add_argument("--anchor", help="anchor profile (default: registry defaults)")
     dse.add_argument("--sequences", help="comma-separated sequence names")
@@ -427,19 +434,20 @@ def build_parser() -> argparse.ArgumentParser:
     dse.add_argument("--seed", type=int, default=0, help="synthetic model seed")
     dse.add_argument("--max-iter", type=_positive_int, default=DEFAULT_MAX_ITERATIONS)
     dse.add_argument("--lbe-threshold", type=float, default=DEFAULT_LBE_THRESHOLD)
-    dse.add_argument("--command-template",
+    dse.add_argument("--command-template", type=_non_empty,
                      help="external backend command with {sequence} {qp} {ctp_mask} {out}")
     dse.add_argument("--max-parallel", type=_positive_int, default=1,
                      help="external backend: most child jobs running at once "
                           "(energy metering wants 1)")
-    dse.add_argument("--out", required=True, help="new or empty output directory")
+    dse.add_argument("--out", required=True, type=_non_empty,
+                     help="new or empty output directory")
     dse.set_defaults(func=cmd_dse)
 
     bd = sub.add_parser("bd", help="BD table of test profiles against an anchor")
     bd.add_argument("--anchor", help="anchor profile (default: registry defaults)")
     bd.add_argument("--test", action="append", required=True,
                     help="test profile; repeatable")
-    bd.add_argument("--measurements", required=True)
+    bd.add_argument("--measurements", required=True, type=_non_empty)
     bd.add_argument("--registry")
     bd.add_argument("--axis", choices=("psnr", "vmaf", "both"), default="both")
     bd.add_argument("--sequences")
@@ -447,12 +455,13 @@ def build_parser() -> argparse.ArgumentParser:
     bd.set_defaults(func=cmd_bd)
 
     pareto = sub.add_parser("pareto", help="Pareto front and EE/EBE/LBE selection")
-    pareto.add_argument("--points", required=True,
+    pareto.add_argument("--points", required=True, type=_non_empty,
                         help="points CSV or a dse output directory")
     pareto.add_argument("--axis", choices=("psnr", "vmaf"),
                         help="BD axis when reading a result directory")
     pareto.add_argument("--lbe-threshold", type=float, default=DEFAULT_LBE_THRESHOLD)
-    pareto.add_argument("--out", help="new or empty directory for points/front CSVs")
+    pareto.add_argument("--out", type=_non_empty,
+                        help="new or empty directory for points/front CSVs")
     pareto.set_defaults(func=cmd_pareto)
 
     return parser

@@ -44,11 +44,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from operator import attrgetter, sub, truediv
 from typing import Iterable, Sequence
 
 from .errors import ConfigError, CtpDseError
+from .frozen import Frozen, compare_by, set_field
 from .stats import exact_mean
 
 # Warn when the common quality range covers less than this fraction of
@@ -89,71 +89,81 @@ _COSTS = tuple(dict.fromkeys(cost for _, cost, _ in BD_FIELDS))
 _NODE_FIELDS = {axis: attrgetter(axis.value, *_COSTS) for axis in QualityAxis}
 
 
-@dataclass(frozen=True)
-class RdePoint:
+class RdePoint(Frozen):
     """One operating point: bit rate in kbit/s, PSNR in dB, VMAF score, energy in J."""
 
-    qp: int
-    bitrate: float
-    psnr: float
-    vmaf: float
-    energy: float
+    __slots__ = ("qp", "bitrate", "psnr", "vmaf", "energy")
 
-    def __post_init__(self):
-        for name in ("bitrate", "energy"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise CurveDataError(f"qp {self.qp}: {name} must be finite and > 0, got {value}")
-        if not math.isfinite(self.psnr):
-            raise CurveDataError(f"qp {self.qp}: psnr must be finite, got {self.psnr}")
-        if not 0.0 <= self.vmaf <= 100.0:
-            raise CurveDataError(f"qp {self.qp}: vmaf must be in [0, 100], got {self.vmaf}")
+    def __init__(self, qp: int, bitrate: float, psnr: float, vmaf: float, energy: float):
+        if not 0 < bitrate < math.inf:
+            raise CurveDataError(f"qp {qp}: bitrate must be finite and > 0, got {bitrate}")
+        if not 0 < energy < math.inf:
+            raise CurveDataError(f"qp {qp}: energy must be finite and > 0, got {energy}")
+        if not math.isfinite(psnr):
+            raise CurveDataError(f"qp {qp}: psnr must be finite, got {psnr}")
+        if not 0.0 <= vmaf <= 100.0:
+            raise CurveDataError(f"qp {qp}: vmaf must be in [0, 100], got {vmaf}")
+        set_field(self, "qp", qp)
+        set_field(self, "bitrate", bitrate)
+        set_field(self, "psnr", psnr)
+        set_field(self, "vmaf", vmaf)
+        set_field(self, "energy", energy)
+
+    __eq__, __hash__ = compare_by(*__slots__)
 
 
-@dataclass(frozen=True)
-class RdeCurve:
+class RdeCurve(Frozen):
     """Per-sequence measurements of one profile over a QP sweep."""
 
-    sequence: str
-    points: tuple[RdePoint, ...]
+    __slots__ = ("sequence", "points")
 
-    def __post_init__(self):
-        if len(self.points) < MIN_CURVE_POINTS:
+    def __init__(self, sequence: str, points: tuple[RdePoint, ...]):
+        if len(points) < MIN_CURVE_POINTS:
             raise CurveDataError(
-                f"curve ({self.sequence}) has {len(self.points)} points; "
+                f"curve ({sequence}) has {len(points)} points; "
                 f"BD interpolation needs at least {MIN_CURVE_POINTS}"
             )
-        for prev, cur in zip(self.points, self.points[1:]):
+        for prev, cur in zip(points, points[1:]):
             if cur.qp <= prev.qp:
                 raise CurveDataError(
-                    f"curve ({self.sequence}): qps not strictly increasing at qp {cur.qp}"
+                    f"curve ({sequence}): qps not strictly increasing at qp {cur.qp}"
                 )
             if cur.bitrate >= prev.bitrate:
                 raise CurveDataError(
-                    f"curve ({self.sequence}): bitrate not strictly decreasing with qp "
+                    f"curve ({sequence}): bitrate not strictly decreasing with qp "
                     f"at qp {cur.qp}"
                 )
             if cur.energy >= prev.energy:
                 raise CurveDataError(
-                    f"curve ({self.sequence}): energy not strictly decreasing with qp "
+                    f"curve ({sequence}): energy not strictly decreasing with qp "
                     f"at qp {cur.qp}"
                 )
+        set_field(self, "sequence", sequence)
+        set_field(self, "points", points)
+
+    __eq__, __hash__ = compare_by(*__slots__)
 
 
-@dataclass(frozen=True)
-class BdReport:
-    """The four BD values of a test profile versus the anchor, in percent."""
+class BdReport(Frozen):
+    """The four BD values of a test profile versus the anchor, in percent.
 
-    bdr_psnr: float
-    bdr_vmaf: float
-    bdde_psnr: float
-    bdde_vmaf: float
-    warnings: tuple[str, ...] = field(default=(), compare=False)
+    Two reports are equal when their values are; the warnings are not compared.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("bdr_psnr", "bdr_vmaf", "bdde_psnr", "bdde_vmaf", "warnings")
+
+    def __init__(self, bdr_psnr: float, bdr_vmaf: float, bdde_psnr: float, bdde_vmaf: float,
+                 warnings: tuple[str, ...] = ()):
+        set_field(self, "bdr_psnr", bdr_psnr)
+        set_field(self, "bdr_vmaf", bdr_vmaf)
+        set_field(self, "bdde_psnr", bdde_psnr)
+        set_field(self, "bdde_vmaf", bdde_vmaf)
+        set_field(self, "warnings", warnings)
         for name, _, _ in BD_FIELDS:
             if not math.isfinite(getattr(self, name)):
                 raise CurveDataError(f"BD value {name} is not finite")
+
+    __eq__, __hash__ = compare_by(*(name for name, _, _ in BD_FIELDS))
 
     def pair(self, axis: QualityAxis) -> tuple[float, float]:
         """(BDR, BDDE) on one quality axis."""
@@ -414,8 +424,10 @@ def aggregate_reports(reports: Iterable[BdReport]) -> BdReport:
         for warning in report.warnings:
             if warning not in merged:
                 merged.append(warning)
-    # exact_mean sums exactly and rounds once, so the mean of n equal
-    # reports is that report, bit for bit.
+    # exact_mean is the correctly rounded mean, so the mean of n equal
+    # reports is that report, bit for bit. For a power-of-two count, as
+    # with two or eight sequences, it divides math.fsum's sum and makes
+    # no big integers.
     return BdReport(
         warnings=tuple(merged),
         **{name: exact_mean([getattr(r, name) for r in reports]) for name, _, _ in BD_FIELDS},

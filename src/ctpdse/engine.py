@@ -15,12 +15,12 @@ improvement comparison uses the current reference's score.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .curves import (BD_FIELDS, BdReport, PreparedAnchor, QualityAxis, aggregate_reports,
                      bd_report)
 from .errors import ConfigError, CtpDseError
 from .evaluators import EvaluationRequest, Evaluator
+from .frozen import Frozen, set_field
 from .profiles import Ctp, flip_tool, serialize_ctp
 
 DEFAULT_MAX_ITERATIONS = 64
@@ -72,54 +72,68 @@ def score(report: BdReport, objective: Objective, quality_axis: QualityAxis) -> 
     return bdde if objective is Objective.ENERGY else bdde + bdr
 
 
-@dataclass(frozen=True)
-class DseConfig:
-    objective: Objective
-    flip_policy: FlipPolicy
-    anchor: Ctp
-    sequences: tuple[str, ...]
-    qps: tuple[int, ...]
-    quality_axis: QualityAxis = QualityAxis.VMAF
-    max_iterations: int = DEFAULT_MAX_ITERATIONS
+class DseConfig(Frozen):
+    __slots__ = ("objective", "flip_policy", "anchor", "sequences", "qps", "quality_axis",
+                 "max_iterations")
 
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
+    def __init__(self, objective: Objective, flip_policy: FlipPolicy, anchor: Ctp,
+                 sequences: tuple[str, ...], qps: tuple[int, ...],
+                 quality_axis: QualityAxis = QualityAxis.VMAF,
+                 max_iterations: int = DEFAULT_MAX_ITERATIONS):
+        if max_iterations < 1:
+            raise ConfigError(f"max_iterations must be >= 1, got {max_iterations}")
         # The request owns the sequence and qp rules, BD's qp minimum included.
-        EvaluationRequest(self.anchor, self.sequences, self.qps)
+        EvaluationRequest(anchor, sequences, qps)
+        set_field(self, "objective", objective)
+        set_field(self, "flip_policy", flip_policy)
+        set_field(self, "anchor", anchor)
+        set_field(self, "sequences", sequences)
+        set_field(self, "qps", qps)
+        set_field(self, "quality_axis", quality_axis)
+        set_field(self, "max_iterations", max_iterations)
 
     @property
     def strategy(self) -> str:
         return strategy_code(self.objective, self.flip_policy)
 
 
-@dataclass(frozen=True)
-class CandidateEval:
+class CandidateEval(Frozen):
     """One single-flip candidate of an iteration."""
 
-    tool_index: int
-    tool_name: str
-    ctp: Ctp
-    report: BdReport
-    score: float
-    improved: bool
+    __slots__ = ("tool_index", "tool_name", "ctp", "report", "score", "improved")
+
+    def __init__(self, tool_index: int, tool_name: str, ctp: Ctp, report: BdReport,
+                 score: float, improved: bool):
+        set_field(self, "tool_index", tool_index)
+        set_field(self, "tool_name", tool_name)
+        set_field(self, "ctp", ctp)
+        set_field(self, "report", report)
+        set_field(self, "score", score)
+        set_field(self, "improved", improved)
 
 
-@dataclass(frozen=True)
-class IterationLog:
-    reference: Ctp
-    reference_score: float
-    candidates: tuple[CandidateEval, ...]
-    flipped_tools: tuple[int, ...]
-    next_reference: Ctp
+class IterationLog(Frozen):
+    __slots__ = ("reference", "reference_score", "candidates", "flipped_tools", "next_reference")
+
+    def __init__(self, reference: Ctp, reference_score: float,
+                 candidates: tuple[CandidateEval, ...], flipped_tools: tuple[int, ...],
+                 next_reference: Ctp):
+        set_field(self, "reference", reference)
+        set_field(self, "reference_score", reference_score)
+        set_field(self, "candidates", candidates)
+        set_field(self, "flipped_tools", flipped_tools)
+        set_field(self, "next_reference", next_reference)
 
 
-@dataclass(frozen=True)
-class DseResult:
-    logs: tuple[IterationLog, ...]
-    evaluated: dict[Ctp, BdReport]
-    terminal_reference: Ctp
-    termination_reason: TerminationReason
+class DseResult(Frozen):
+    __slots__ = ("logs", "evaluated", "terminal_reference", "termination_reason")
+
+    def __init__(self, logs: tuple[IterationLog, ...], evaluated: dict[Ctp, BdReport],
+                 terminal_reference: Ctp, termination_reason: TerminationReason):
+        set_field(self, "logs", logs)
+        set_field(self, "evaluated", evaluated)
+        set_field(self, "terminal_reference", terminal_reference)
+        set_field(self, "termination_reason", termination_reason)
 
 
 class EvaluationCache:

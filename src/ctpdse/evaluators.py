@@ -35,7 +35,6 @@ import subprocess
 import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
 from functools import reduce
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
@@ -43,6 +42,7 @@ from typing import Mapping, Protocol, Sequence
 from .csvrows import data_rows, not_utf8, parse_float
 from .curves import MIN_CURVE_POINTS, CurveDataError, RdeCurve, RdePoint
 from .errors import ConfigError, EvaluationError, MeasurementMissError
+from .frozen import Frozen, compare_by, set_field
 from .profiles import Ctp, ToolRegistry, serialize_ctp
 from .stats import MeasurementSeries, Verdict
 
@@ -73,17 +73,17 @@ def check_qps(qps: tuple[int, ...]) -> None:
         raise ConfigError(f"BD needs at least {MIN_CURVE_POINTS} qps, got {len(qps)}")
 
 
-@dataclass(frozen=True)
-class EvaluationRequest:
+class EvaluationRequest(Frozen):
     """One profile to evaluate over a set of sequences and operating points."""
 
-    ctp: Ctp
-    sequences: tuple[str, ...]
-    qps: tuple[int, ...]
+    __slots__ = ("ctp", "sequences", "qps")
 
-    def __post_init__(self):
-        check_sequences(self.sequences)
-        check_qps(self.qps)
+    def __init__(self, ctp: Ctp, sequences: tuple[str, ...], qps: tuple[int, ...]):
+        check_sequences(sequences)
+        check_qps(qps)
+        set_field(self, "ctp", ctp)
+        set_field(self, "sequences", sequences)
+        set_field(self, "qps", qps)
 
 
 class Evaluator(Protocol):
@@ -177,35 +177,38 @@ def ingest_measurements(path) -> MeasurementTable:
     return table
 
 
-@dataclass
 class CachedTableEvaluator:
     """Replays ingested measurements; a missing row is a hard miss."""
 
-    table: MeasurementTable
+    def __init__(self, table: MeasurementTable):
+        self.table = table
 
     def evaluate(self, request: EvaluationRequest) -> list[RdeCurve]:
         mask = serialize_ctp(request.ctp)
         return [self.table.curve(mask, seq, request.qps) for seq in request.sequences]
 
 
-@dataclass(frozen=True)
-class SequenceBaseline:
+class SequenceBaseline(Frozen):
     """Per-qp baseline tables of one synthetic sequence."""
 
-    qps: tuple[int, ...]
-    rate: tuple[float, ...]
-    psnr: tuple[float, ...]
-    vmaf: tuple[float, ...]
-    energy: tuple[float, ...]
+    __slots__ = ("qps", "rate", "psnr", "vmaf", "energy")
 
-    def __post_init__(self):
-        n = len(self.qps)
-        if any(len(t) != n for t in (self.rate, self.psnr, self.vmaf, self.energy)):
+    def __init__(self, qps: tuple[int, ...], rate: tuple[float, ...], psnr: tuple[float, ...],
+                 vmaf: tuple[float, ...], energy: tuple[float, ...]):
+        n = len(qps)
+        if any(len(t) != n for t in (rate, psnr, vmaf, energy)):
             raise ConfigError("baseline tables must all cover the same qps")
-        if any(b <= a for a, b in zip(self.qps, self.qps[1:])):
-            raise ConfigError(f"baseline qps must be strictly increasing, got {self.qps}")
-        if any(v <= 0 for v in self.rate) or any(v <= 0 for v in self.energy):
+        if any(b <= a for a, b in zip(qps, qps[1:])):
+            raise ConfigError(f"baseline qps must be strictly increasing, got {qps}")
+        if any(v <= 0 for v in rate) or any(v <= 0 for v in energy):
             raise ConfigError("baseline rate and energy values must be > 0")
+        set_field(self, "qps", qps)
+        set_field(self, "rate", rate)
+        set_field(self, "psnr", psnr)
+        set_field(self, "vmaf", vmaf)
+        set_field(self, "energy", energy)
+
+    __eq__, __hash__ = compare_by(*__slots__)
 
     def index(self, qp: int) -> int:
         try:
@@ -327,8 +330,7 @@ class _Pcg64:
         return pair
 
 
-@dataclass(frozen=True)
-class SyntheticModelParams:
+class SyntheticModelParams(Frozen):
     """Deterministic cost model: multiplicative costs, additive quality.
 
     rate(qp)   = base_rate(qp)   * prod(rate_mult[j]   for enabled j)
@@ -346,24 +348,29 @@ class SyntheticModelParams:
     search on crafted instances.
     """
 
-    baselines: Mapping[str, SequenceBaseline]
-    rate_mult: tuple[float, ...]
-    energy_mult: tuple[float, ...]
-    dq_psnr: tuple[float, ...]
-    dq_vmaf: tuple[float, ...]
-    interactions: tuple[tuple[int, int, float], ...] = ()
+    __slots__ = ("baselines", "rate_mult", "energy_mult", "dq_psnr", "dq_vmaf", "interactions")
 
-    def __post_init__(self):
-        n = len(self.rate_mult)
-        if any(len(t) != n for t in (self.energy_mult, self.dq_psnr, self.dq_vmaf)):
+    def __init__(self, baselines: Mapping[str, SequenceBaseline], rate_mult: tuple[float, ...],
+                 energy_mult: tuple[float, ...], dq_psnr: tuple[float, ...],
+                 dq_vmaf: tuple[float, ...], interactions: tuple[tuple[int, int, float], ...] = ()):
+        n = len(rate_mult)
+        if any(len(t) != n for t in (energy_mult, dq_psnr, dq_vmaf)):
             raise ConfigError("per-tool factor tables must have equal length")
-        if any(m <= 0 for m in self.rate_mult) or any(m <= 0 for m in self.energy_mult):
+        if any(m <= 0 for m in rate_mult) or any(m <= 0 for m in energy_mult):
             raise ConfigError("rate and energy multipliers must be > 0")
-        for j, k, mult in self.interactions:
+        for j, k, mult in interactions:
             if not (0 <= j < k < n):
                 raise ConfigError(f"interaction ({j}, {k}) is not a valid ordered tool pair")
             if mult <= 0:
                 raise ConfigError(f"interaction ({j}, {k}) multiplier must be > 0")
+        set_field(self, "baselines", baselines)
+        set_field(self, "rate_mult", rate_mult)
+        set_field(self, "energy_mult", energy_mult)
+        set_field(self, "dq_psnr", dq_psnr)
+        set_field(self, "dq_vmaf", dq_vmaf)
+        set_field(self, "interactions", interactions)
+
+    __eq__, __hash__ = compare_by(*__slots__)
 
     @property
     def tool_count(self) -> int:
@@ -428,7 +435,6 @@ class SyntheticModelParams:
         )
 
 
-@dataclass
 class SyntheticModelEvaluator:
     """Pure function of (params, request); identical inputs give bit-exact curves.
 
@@ -436,8 +442,9 @@ class SyntheticModelEvaluator:
     caller's thread. It stays so that callers passing it keep working.
     """
 
-    params: SyntheticModelParams
-    max_parallel: int | None = None
+    def __init__(self, params: SyntheticModelParams, max_parallel: int | None = None):
+        self.params = params
+        self.max_parallel = max_parallel
 
     def evaluate(self, request: EvaluationRequest) -> list[RdeCurve]:
         params = self.params
@@ -484,7 +491,6 @@ def _field_names(text: str):
             yield from _field_names(spec)
 
 
-@dataclass
 class ExternalCommandEvaluator:
     """Runs one child process per (sequence, qp) and parses its result file.
 
@@ -506,10 +512,9 @@ class ExternalCommandEvaluator:
     ``EvaluationError`` tagged with the job's (sequence, qp).
     """
 
-    command_template: str
-    max_parallel: int = 1
-
-    def __post_init__(self):
+    def __init__(self, command_template: str, max_parallel: int = 1):
+        self.command_template = command_template
+        self.max_parallel = max_parallel
         if self.max_parallel < 1:
             raise ConfigError(f"max_parallel must be >= 1, got {self.max_parallel}")
         try:
@@ -608,4 +613,4 @@ class ExternalCommandEvaluator:
             raise EvaluationError(
                 f"({sequence}, qp {qp}): energy measurement rejected, {series.describe()}"
             )
-        return replace(point, energy=series.mean)
+        return RdePoint(point.qp, point.bitrate, point.psnr, point.vmaf, series.mean)

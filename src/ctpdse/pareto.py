@@ -10,41 +10,43 @@ and LBE (front members below a bit-rate-increase threshold).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .csvrows import data_rows, parse_float
 from .errors import ConfigError
+from .frozen import Frozen, compare_by, set_field
 
 DEFAULT_LBE_THRESHOLD = 5.0
 POINTS_HEADER = ("bdr", "bdde")
 
 
-@dataclass(frozen=True)
-class ProfilePoint:
+class ProfilePoint(Frozen):
     """One evaluated profile in the (BDR, BDDE) plane.
 
     Points ingested from plain tables carry only their coordinates.
     """
 
-    bdr: float
-    bdde: float
-    label: str = ""
+    __slots__ = ("bdr", "bdde", "label")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.bdr) and math.isfinite(self.bdde)):
-            raise ConfigError(f"profile point {self.label!r} has non-finite coordinates")
+    def __init__(self, bdr: float, bdde: float, label: str = ""):
+        if not (math.isfinite(bdr) and math.isfinite(bdde)):
+            raise ConfigError(f"profile point {label!r} has non-finite coordinates")
+        set_field(self, "bdr", bdr)
+        set_field(self, "bdde", bdde)
+        set_field(self, "label", label)
+
+    __eq__, __hash__ = compare_by(*__slots__)
 
 
-@dataclass(frozen=True)
-class SelectionCriteria:
-    lbe_bdr_threshold: float = DEFAULT_LBE_THRESHOLD
+class SelectionCriteria(Frozen):
+    __slots__ = ("lbe_bdr_threshold",)
 
-    def __post_init__(self):
-        if not 0 < self.lbe_bdr_threshold < math.inf:
+    def __init__(self, lbe_bdr_threshold: float = DEFAULT_LBE_THRESHOLD):
+        if not 0 < lbe_bdr_threshold < math.inf:
             raise ConfigError(
-                f"lbe_bdr_threshold must be finite and > 0, got {self.lbe_bdr_threshold}"
+                f"lbe_bdr_threshold must be finite and > 0, got {lbe_bdr_threshold}"
             )
+        set_field(self, "lbe_bdr_threshold", lbe_bdr_threshold)
 
 
 def pareto_front(points: Sequence[ProfilePoint]) -> list[ProfilePoint]:
@@ -64,12 +66,15 @@ def pareto_front(points: Sequence[ProfilePoint]) -> list[ProfilePoint]:
     return front
 
 
-@dataclass(frozen=True)
-class Selection:
-    front: tuple[ProfilePoint, ...]
-    ee: ProfilePoint
-    ebe: ProfilePoint
-    lbe: tuple[ProfilePoint, ...]
+class Selection(Frozen):
+    __slots__ = ("front", "ee", "ebe", "lbe")
+
+    def __init__(self, front: tuple[ProfilePoint, ...], ee: ProfilePoint, ebe: ProfilePoint,
+                 lbe: tuple[ProfilePoint, ...]):
+        set_field(self, "front", front)
+        set_field(self, "ee", ee)
+        set_field(self, "ebe", ebe)
+        set_field(self, "lbe", lbe)
 
 
 def select_profiles(

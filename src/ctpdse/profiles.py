@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 import string
-from dataclasses import dataclass
 from typing import Iterable
 
 from .csvrows import not_utf8
 from .errors import ConfigError
+from .frozen import Frozen, compare_by, set_field
 
 CATEGORIES = ("Intra", "Inter", "TransformQuant", "InLoopFilter", "Other")
 
@@ -65,16 +65,20 @@ class RegistryFormatError(ConfigError):
     """Registry definition is invalid or a registry file is malformed."""
 
 
-@dataclass(frozen=True)
-class ToolDescriptor:
+class ToolDescriptor(Frozen):
     """One coding tool: an opaque named bit plus presentation metadata.
 
     The category never influences the search; it is carried for reports.
     """
 
-    name: str
-    category: str
-    default_enabled: bool = True
+    __slots__ = ("name", "category", "default_enabled")
+
+    def __init__(self, name: str, category: str, default_enabled: bool = True):
+        set_field(self, "name", name)
+        set_field(self, "category", category)
+        set_field(self, "default_enabled", default_enabled)
+
+    __eq__, __hash__ = compare_by(*__slots__)
 
 
 class ToolRegistry:
@@ -127,19 +131,20 @@ def default_registry() -> ToolRegistry:
     return ToolRegistry(ToolDescriptor(n, c, True) for n, c in DEFAULT_TOOLS)
 
 
-@dataclass(frozen=True)
-class Ctp:
+class Ctp(Frozen):
     """A coding-tool profile: its mask over the registry, bit i = tool i."""
 
-    registry: ToolRegistry
-    mask: int
+    __slots__ = ("registry", "mask")
 
-    def __post_init__(self):
-        if not 0 <= self.mask < 1 << len(self.registry):
+    def __init__(self, registry: ToolRegistry, mask: int):
+        if not 0 <= mask < 1 << len(registry):
             raise ConfigError(
-                f"profile mask {self.mask:#x} is out of range for a "
-                f"{len(self.registry)}-tool registry"
+                f"profile mask {mask:#x} is out of range for a {len(registry)}-tool registry"
             )
+        set_field(self, "registry", registry)
+        set_field(self, "mask", mask)
+
+    __eq__, __hash__ = compare_by(*__slots__)
 
     def __repr__(self) -> str:
         return f"Ctp({serialize_ctp(self)})"

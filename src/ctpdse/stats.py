@@ -14,6 +14,14 @@ rounded square root of the exact sample variance. These are the floats
 that ``statistics.mean`` and ``statistics.stdev`` give on Python 3.11 and
 later, computed without ``Fraction`` normalisation.
 
+``exact_mean`` skips the integers when the count is a power of two, as
+for the mean of two BD reports. ``math.fsum`` is the correctly rounded
+sum, and dividing it by a power of two is exact, so the quotient is the
+correctly rounded mean whenever it is a nonzero normal float. Otherwise,
+when the sum overflows, the quotient is subnormal or the mean is zero,
+the integer path runs: it gives ``+0.0`` for a zero mean, where
+``(-0.0 + -0.0) / 2`` is ``-0.0``.
+
 The gate's own mean is not ``exact_mean``: ``ci_check`` takes
 ``math.fsum(samples) / n``, the correctly rounded sum divided by the
 count, which rounds twice and can differ from ``exact_mean`` by one ulp.
@@ -37,10 +45,10 @@ import enum
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ConfigError
+from .frozen import Frozen, set_field
 
 DEFAULT_CONFIDENCE = 0.99
 DEFAULT_REL_HALF_WIDTH = 0.02
@@ -60,6 +68,19 @@ def _scaled(values: Sequence[float]) -> tuple[list[int], int]:
 
 def exact_mean(values: Sequence[float]) -> float:
     """Arithmetic mean of finite floats, correctly rounded."""
+    n = len(values)
+    if n.bit_count() == 1:
+        try:
+            mean = math.fsum(values) / n
+        except OverflowError:
+            mean = math.inf
+        if sys.float_info.min <= abs(mean) < math.inf:
+            return mean
+    return _integer_mean(values)
+
+
+def _integer_mean(values: Sequence[float]) -> float:
+    """``exact_mean`` by exact integer sums, for every count."""
     ints, shift = _scaled(values)
     return sum(ints) / (len(ints) << shift)
 
@@ -232,18 +253,21 @@ def ci_check(samples: Sequence[float]) -> tuple[Verdict, float, float]:
     return verdict, mean, half_width
 
 
-@dataclass(frozen=True)
-class MeasurementSeries:
+class MeasurementSeries(Frozen):
     """Raw samples of one decode job together with their validation verdict.
 
     ``mean`` and ``half_width`` are those of ``ci_check``: ``mean`` is
     ``math.fsum(samples) / n``, which can be one ulp from ``exact_mean``.
     """
 
-    samples: tuple[float, ...]
-    verdict: Verdict
-    mean: float
-    half_width: float
+    __slots__ = ("samples", "verdict", "mean", "half_width")
+
+    def __init__(self, samples: tuple[float, ...], verdict: Verdict, mean: float,
+                 half_width: float):
+        set_field(self, "samples", samples)
+        set_field(self, "verdict", verdict)
+        set_field(self, "mean", mean)
+        set_field(self, "half_width", half_width)
 
     @classmethod
     def validate(cls, samples: Sequence[float]) -> "MeasurementSeries":

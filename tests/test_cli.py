@@ -744,13 +744,27 @@ def test_an_empty_profile_is_an_error(capsys):
     assert captured.out == ""
 
 
-def test_an_empty_pareto_out_is_the_current_directory(tmp_path, monkeypatch, capsys):
-    # As for ``ctp dse``, ``--out ""`` names the working directory, which must be empty.
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(["dse", "--strategy", "e1", "--backend", "synthetic", "--out", ""], "--out",
+                 id="dse-out"),
+    pytest.param(["pareto", "--points", "p.csv", "--out", ""], "--out", id="pareto-out"),
+    pytest.param(["pareto", "--points", ""], "--points", id="points"),
+    pytest.param(["dse", "--strategy", "e1", "--backend", "cached", "--measurements", "",
+                  "--out", "run"], "--measurements", id="dse-measurements"),
+    pytest.param(["bd", "--test", "6", "--measurements", ""], "--measurements",
+                 id="bd-measurements"),
+    pytest.param(["dse", "--strategy", "e1", "--backend", "external", "--sequences", "s01",
+                  "--command-template", "", "--out", "run"], "--command-template",
+                 id="command-template"),
+])
+def test_an_empty_path_or_template_is_an_error(tmp_path, monkeypatch, capsys, argv, flag):
+    """An empty value is neither the working directory nor a missing flag."""
     (tmp_path / "p.csv").write_text("bdr,bdde\n1.5,-2.0\n")
     monkeypatch.chdir(tmp_path)
-    assert cli.main(["pareto", "--points", "p.csv", "--out", ""]) == 2
+    assert cli.main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: --out  is not empty; pass a new or empty directory\n"
+    assert captured.err.splitlines()[-1] == (
+        f"ctp {argv[0]}: error: argument {flag}: must not be empty")
     assert captured.out == ""
     assert [p.name for p in tmp_path.iterdir()] == ["p.csv"]
 
@@ -991,7 +1005,8 @@ def test_measurement_runs_load_no_numeric_library(tmp_path, command):
         argv += ["--out", str(tmp_path / "run")]
     env = dict(os.environ, PYTHONPATH=str(Path(ctpdse.__file__).parents[1]))
     code = (f"import sys; from ctpdse import cli; code = cli.main({argv!r}); "
-            "print(code, sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))")
+            "print(code, sorted({m.split('.')[0] for m in sys.modules} & "
+            "{'numpy', 'scipy', 'dataclasses', 'inspect'}))")
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert run.stdout.splitlines()[-1] == "0 []"

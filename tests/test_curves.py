@@ -570,6 +570,7 @@ class TestPreparedCurve:
     ("ctpdse.stats", ("statistics", "fractions", "decimal")),
     ("ctpdse.curves", ("subprocess", "concurrent", "shlex", "csv")),
     ("ctpdse.stats", ("subprocess", "concurrent", "shlex", "csv")),
+    ("ctpdse.cli", ("dataclasses", "inspect")),
 ])
 def test_import_loads_no_numeric_library(module, absent):
     env = dict(os.environ, PYTHONPATH=str(Path(ctpdse.__file__).parents[1]))
@@ -585,7 +586,8 @@ def test_synthetic_dse_loads_no_numeric_library(tmp_path):
     argv = ["dse", "--strategy", "ea", "--backend", "synthetic", "--seed", "7",
             "--out", str(tmp_path / "run")]
     code = (f"import sys; from ctpdse import cli; code = cli.main({argv!r}); "
-            "print(code, sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))")
+            "print(code, sorted({m.split('.')[0] for m in sys.modules} & "
+            "{'numpy', 'scipy', 'dataclasses', 'inspect'}))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.splitlines()[-1] == "0 []"

@@ -22,6 +22,7 @@ from ctpdse.stats import (
     ci_check,
     exact_mean,
     exact_stdev,
+    _integer_mean,
     t_quantile,
 )
 
@@ -181,6 +182,13 @@ def float_series(min_size):
     return st.one_of(free, repeated)
 
 
+# A power-of-two count of values, from VALUES or from every finite float.
+POWER_OF_TWO_SERIES = st.integers(0, 4).flatmap(lambda k: st.lists(
+    st.one_of(VALUES, st.floats(allow_nan=False, allow_infinity=False)),
+    min_size=2 ** k, max_size=2 ** k))
+FLOAT_MAX, FLOAT_MIN = sys.float_info.max, sys.float_info.min
+
+
 def fraction_variance(values):
     exact = [Fraction(v) for v in values]
     mean = sum(exact) / len(exact)
@@ -194,6 +202,29 @@ class TestExactStatistics:
     @example([1e300, 1e-300, -1e300, 5e-324])
     def test_mean_equals_statistics_mean(self, values):
         assert repr(exact_mean(values)) == repr(statistics.mean(values))
+
+    @given(POWER_OF_TWO_SERIES)
+    @example([0.0, 0.0])
+    @example([-0.0])
+    @example([-0.0, -0.0])
+    @example([-0.0, -0.0, -0.0, -0.0])
+    @example([1.5, -1.5])
+    @example([FLOAT_MAX, FLOAT_MAX])
+    @example([-FLOAT_MAX, -FLOAT_MAX])
+    @example([FLOAT_MAX, FLOAT_MAX * 2.0 ** -53])
+    @example([FLOAT_MAX, FLOAT_MAX * 2.0 ** -54])
+    @example([FLOAT_MAX, -FLOAT_MAX, FLOAT_MAX, 1.0])
+    @example([5e-324, 5e-324])
+    @example([5e-324, 0.0])
+    @example([FLOAT_MIN, 5e-324])
+    @example([FLOAT_MIN, FLOAT_MIN])
+    @example([FLOAT_MIN, -5e-324, 0.0, 0.0])
+    @example([FLOAT_MIN, 3 * FLOAT_MIN])
+    # The sum rounds once to a normal float and its eighth again to a
+    # subnormal one, which makes it one subnormal step short of the mean.
+    @example([math.ldexp(1.0, -1020) + math.ldexp(1.0, -1072), 5e-324] + [0.0] * 6)
+    def test_power_of_two_count_gives_the_integer_paths_float(self, values):
+        assert exact_mean(values).hex() == _integer_mean(values).hex()
 
     @pytest.mark.skipif(sys.version_info < (3, 11),
                         reason="statistics.stdev is correctly rounded from Python 3.11 on")
