@@ -296,9 +296,9 @@ def cmd_dse(args) -> int:
     # Created only once every check has passed, so a config error leaves no directory.
     out.mkdir(parents=True, exist_ok=True)
 
-    result = run_dse(config, evaluator)
+    body = run_dse(config, evaluator)
 
-    files, terminal = _render_run({"manifest": manifest, **result_to_document(result, config)})
+    files, terminal = _render_run({"manifest": manifest, **result_to_document(body, config)})
     _write_outputs(out, files)
     print(terminal)
     print(f"wrote {out / 'result.json'}")

@@ -6,7 +6,8 @@ the configured objective, and carries improving flips into the next
 reference. The four strategies span two objectives (energy only, or
 energy plus rate) and two flip policies (all improving tools at once, or
 only the single best). The walk stops when a reference repeats or the
-iteration guard is hit.
+iteration guard is hit. It builds its ``result.json`` entries as it goes
+and returns the document's body.
 
 All BD values are computed against the one global anchor; only the
 improvement comparison uses the current reference's score.
@@ -34,11 +35,6 @@ class Objective(enum.Enum):
 class FlipPolicy(enum.Enum):
     ALL = "all"
     ONE = "one"
-
-
-class TerminationReason(enum.Enum):
-    REPEATED_REFERENCE = "repeated-reference"
-    MAX_ITERATIONS = "max-iterations"
 
 
 STRATEGIES = {
@@ -97,45 +93,6 @@ class DseConfig(Frozen):
         return strategy_code(self.objective, self.flip_policy)
 
 
-class CandidateEval(Frozen):
-    """One single-flip candidate of an iteration."""
-
-    __slots__ = ("tool_index", "tool_name", "ctp", "report", "score", "improved")
-
-    def __init__(self, tool_index: int, tool_name: str, ctp: Ctp, report: BdReport,
-                 score: float, improved: bool):
-        set_field(self, "tool_index", tool_index)
-        set_field(self, "tool_name", tool_name)
-        set_field(self, "ctp", ctp)
-        set_field(self, "report", report)
-        set_field(self, "score", score)
-        set_field(self, "improved", improved)
-
-
-class IterationLog(Frozen):
-    __slots__ = ("reference", "reference_score", "candidates", "flipped_tools", "next_reference")
-
-    def __init__(self, reference: Ctp, reference_score: float,
-                 candidates: tuple[CandidateEval, ...], flipped_tools: tuple[int, ...],
-                 next_reference: Ctp):
-        set_field(self, "reference", reference)
-        set_field(self, "reference_score", reference_score)
-        set_field(self, "candidates", candidates)
-        set_field(self, "flipped_tools", flipped_tools)
-        set_field(self, "next_reference", next_reference)
-
-
-class DseResult(Frozen):
-    __slots__ = ("logs", "evaluated", "terminal_reference", "termination_reason")
-
-    def __init__(self, logs: tuple[IterationLog, ...], evaluated: dict[Ctp, BdReport],
-                 terminal_reference: Ctp, termination_reason: TerminationReason):
-        set_field(self, "logs", logs)
-        set_field(self, "evaluated", evaluated)
-        set_field(self, "terminal_reference", terminal_reference)
-        set_field(self, "termination_reason", termination_reason)
-
-
 class EvaluationCache:
     """Anchor curves plus every profile's aggregated report, computed once.
 
@@ -182,8 +139,14 @@ class EvaluationCache:
         return self.reports[ctp]
 
 
-def run_iteration(reference: Ctp, cache: EvaluationCache) -> IterationLog:
+def run_iteration(reference: Ctp, cache: EvaluationCache) -> tuple[dict, Ctp]:
     """Evaluate all single flips of ``reference`` and pick the next reference.
+
+    Returns the iteration's ``result.json`` entry and the next reference.
+    The entry holds ``reference``, ``reference_score``, ``candidates``,
+    ``flipped_tools`` (tool names) and ``next_reference``; each candidate
+    holds ``tool_index``, ``tool``, ``ctp``, ``report``, ``score`` and
+    ``improved``. Profiles appear as hex masks.
 
     Flips are evaluated one after another, and each report is cached as
     soon as it returns, so a failure keeps every flip finished before it.
@@ -197,77 +160,83 @@ def run_iteration(reference: Ctp, cache: EvaluationCache) -> IterationLog:
     candidates = []
     for j, tool in enumerate(reference.registry.tools):
         candidate = flip_tool(reference, j)
-        rep = cache.report(candidate)
-        cand_score = score(rep, config.objective, config.quality_axis)
-        candidates.append(CandidateEval(
-            tool_index=j,
-            tool_name=tool.name,
-            ctp=candidate,
-            report=rep,
-            score=cand_score,
-            improved=cand_score < reference_score,
-        ))
+        report = cache.report(candidate)
+        cand_score = score(report, config.objective, config.quality_axis)
+        candidates.append({
+            "tool_index": j,
+            "tool": tool.name,
+            "ctp": serialize_ctp(candidate),
+            "report": _report_to_dict(report),
+            "score": cand_score,
+            "improved": cand_score < reference_score,
+        })
 
-    improving = [c for c in candidates if c.improved]
-    if not improving:
-        flipped: tuple[int, ...] = ()
-    elif config.flip_policy is FlipPolicy.ALL:
-        flipped = tuple(c.tool_index for c in improving)
-    else:
-        best = min(improving, key=lambda c: (c.score, c.tool_index))
-        flipped = (best.tool_index,)
+    flipped = [c for c in candidates if c["improved"]]
+    if flipped and config.flip_policy is FlipPolicy.ONE:
+        flipped = [min(flipped, key=lambda c: (c["score"], c["tool_index"]))]
 
     next_reference = reference
-    for j in flipped:
-        next_reference = flip_tool(next_reference, j)
+    for c in flipped:
+        next_reference = flip_tool(next_reference, c["tool_index"])
 
-    return IterationLog(
-        reference=reference,
-        reference_score=reference_score,
-        candidates=tuple(candidates),
-        flipped_tools=flipped,
-        next_reference=next_reference,
-    )
+    entry = {
+        "reference": serialize_ctp(reference),
+        "reference_score": reference_score,
+        "candidates": candidates,
+        "flipped_tools": [c["tool"] for c in flipped],
+        "next_reference": serialize_ctp(next_reference),
+    }
+    return entry, next_reference
 
 
-def run_dse(config: DseConfig, evaluator: Evaluator) -> DseResult:
+def run_dse(config: DseConfig, evaluator: Evaluator) -> dict:
     """Run the greedy walk from the anchor until a reference repeats.
+
+    Returns the body of ``result.json``: ``iterations`` (the entries of
+    ``run_iteration``, each numbered by ``index`` from 1), ``evaluated``
+    (every profile's report, keyed by hex mask in mask order),
+    ``terminal_reference`` and ``termination_reason``
+    (``"repeated-reference"`` or ``"max-iterations"``).
 
     Termination checks the next reference against every previous reference
     (anchor included), which also breaks cycles the All policy can enter.
     On an evaluation failure the raised error carries the failed profile
-    as ``failed_ctp``, the finished iterations as ``partial_logs`` and the
+    as ``failed_ctp``, the finished entries as ``partial_logs`` and the
     reports evaluated so far as ``partial_evaluated``.
     """
-    logs: list[IterationLog] = []
+    iterations: list[dict] = []
     evaluated: dict[Ctp, BdReport] = {}
     try:
         cache = EvaluationCache(config, evaluator)
         evaluated = cache.reports
         seen = {config.anchor}
         reference = config.anchor
-        termination = TerminationReason.MAX_ITERATIONS
-        for _ in range(config.max_iterations):
-            log = run_iteration(reference, cache)
-            logs.append(log)
-            if log.next_reference in seen:
-                termination = TerminationReason.REPEATED_REFERENCE
+        termination = "max-iterations"
+        for index in range(1, config.max_iterations + 1):
+            entry, next_reference = run_iteration(reference, cache)
+            iterations.append({"index": index, **entry})
+            if next_reference in seen:
+                termination = "repeated-reference"
                 break
-            seen.add(log.next_reference)
-            reference = log.next_reference
+            seen.add(next_reference)
+            reference = next_reference
         # An All-policy walk stopped by the iteration guard ends on a
         # multi-flip profile no iteration evaluated.
-        cache.report(logs[-1].next_reference)
+        cache.report(next_reference)
     except CtpDseError as exc:
-        exc.partial_logs = tuple(logs)
+        exc.partial_logs = iterations
         exc.partial_evaluated = dict(evaluated)
         raise
-    return DseResult(
-        logs=tuple(logs),
-        evaluated=dict(evaluated),
-        terminal_reference=logs[-1].next_reference,
-        termination_reason=termination,
-    )
+    return {
+        "iterations": iterations,
+        "evaluated": {
+            serialize_ctp(ctp): _report_to_dict(report)
+            # A fixed-width upper-case hex mask sorts as its integer does.
+            for ctp, report in sorted(evaluated.items(), key=lambda item: item[0].mask)
+        },
+        "terminal_reference": iterations[-1]["next_reference"],
+        "termination_reason": termination,
+    }
 
 
 def _report_to_dict(report: BdReport) -> dict:
@@ -285,8 +254,8 @@ def report_from_dict(doc: dict) -> BdReport:
     )
 
 
-def result_to_document(result: DseResult, config: DseConfig) -> dict:
-    """JSON-shaped, diff-stable rendering of a finished run."""
+def result_to_document(result: dict, config: DseConfig) -> dict:
+    """``result.json`` without its manifest: the config, then the body ``run_dse`` returns."""
     return {
         "config": {
             "strategy": config.strategy,
@@ -298,34 +267,5 @@ def result_to_document(result: DseResult, config: DseConfig) -> dict:
             "max_iterations": config.max_iterations,
             "anchor": serialize_ctp(config.anchor),
         },
-        "iterations": [
-            {
-                "index": index,
-                "reference": serialize_ctp(log.reference),
-                "reference_score": log.reference_score,
-                "candidates": [
-                    {
-                        "tool_index": c.tool_index,
-                        "tool": c.tool_name,
-                        "ctp": serialize_ctp(c.ctp),
-                        "report": _report_to_dict(c.report),
-                        "score": c.score,
-                        "improved": c.improved,
-                    }
-                    for c in log.candidates
-                ],
-                "flipped_tools": [
-                    log.reference.registry.tools[j].name for j in log.flipped_tools
-                ],
-                "next_reference": serialize_ctp(log.next_reference),
-            }
-            for index, log in enumerate(result.logs, 1)
-        ],
-        "evaluated": {
-            serialize_ctp(ctp): _report_to_dict(report)
-            # A fixed-width upper-case hex mask sorts as its integer does.
-            for ctp, report in sorted(result.evaluated.items(), key=lambda item: item[0].mask)
-        },
-        "terminal_reference": serialize_ctp(result.terminal_reference),
-        "termination_reason": result.termination_reason.value,
+        **result,
     }

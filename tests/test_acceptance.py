@@ -16,14 +16,13 @@ from ctpdse.engine import (
     DseConfig,
     EvaluationCache,
     QualityAxis,
-    TerminationReason,
     parse_strategy,
     run_dse,
     run_iteration,
 )
 from ctpdse.evaluators import EvaluationRequest, SyntheticModelEvaluator, SyntheticModelParams
 from ctpdse.pareto import SelectionCriteria, pareto_front, select_profiles
-from ctpdse.profiles import Ctp, default_ctp, flip_tool
+from ctpdse.profiles import Ctp, default_ctp, flip_tool, parse_ctp
 from ctpdse import cli
 
 from conftest import BASE_QPS, make_params, make_registry
@@ -181,15 +180,15 @@ def test_greedy_desk_scale():
                     quality_axis=QualityAxis.VMAF,
                     max_iterations=64,
                 )
-                result = run_dse(config, SyntheticModelEvaluator(params))
-                assert len(result.logs) <= 64
-                assert result.termination_reason is TerminationReason.REPEATED_REFERENCE
+                body = run_dse(config, SyntheticModelEvaluator(params))
+                assert len(body["iterations"]) <= 64
+                assert body["termination_reason"] == "repeated-reference"
 
-                scores = [log.reference_score for log in result.logs]
+                scores = [it["reference_score"] for it in body["iterations"]]
                 assert all(b < a for a, b in zip(scores, scores[1:])), \
                     f"seed {seed} {strategy}: scores not strictly decreasing"
 
-                terminal = result.terminal_reference
+                terminal = parse_ctp(body["terminal_reference"], registry)
                 for neighbour in single_flip_neighbours(terminal):
                     assert objective_score(neighbour) >= objective_score(terminal), \
                         f"seed {seed} {strategy}: {neighbour} beats the terminal profile"
@@ -220,24 +219,25 @@ def test_strategy_differentiation():
 
         # interaction model with two individually-improving tools
         params = make_params(3, energy_mult=(0.6, 0.6, 1.0), interactions=((0, 1, 2.0),))
-        log_ea = iteration_one(params, registry, "ea")
-        log_e1 = iteration_one(params, registry, "e1")
-        assert len(log_ea.flipped_tools) > 1
-        assert len(log_e1.flipped_tools) == 1
-        assert log_ea.next_reference != log_e1.next_reference
+        entry_ea, next_ea = iteration_one(params, registry, "ea")
+        entry_e1, next_e1 = iteration_one(params, registry, "e1")
+        assert len(entry_ea["flipped_tools"]) > 1
+        assert len(entry_e1["flipped_tools"]) == 1
+        assert next_ea != next_e1
+        assert entry_ea["next_reference"] != entry_e1["next_reference"]
 
         # ranking fixture: tool 0 wins on energy alone, tool 1 on the sum
         params = make_params(3, rate_mult=(0.7, 0.98, 1.0), energy_mult=(1.5, 1.3, 1.0))
-        log_e1 = iteration_one(params, registry, "e1")
-        log_c1 = iteration_one(params, registry, "c1")
-        energy_argmin = min(log_e1.candidates, key=lambda c: (c.score, c.tool_index))
-        combined_argmin = min(log_c1.candidates, key=lambda c: (c.score, c.tool_index))
-        assert energy_argmin.tool_index == 0
-        assert combined_argmin.tool_index == 1
-        assert log_e1.flipped_tools == (0,)
-        assert log_c1.flipped_tools == (1,)
-        assert iteration_one(params, registry, "ea").flipped_tools == (0, 1)
-        assert iteration_one(params, registry, "ca").flipped_tools == (1,)
+        entry_e1, _ = iteration_one(params, registry, "e1")
+        entry_c1, _ = iteration_one(params, registry, "c1")
+        energy_argmin = min(entry_e1["candidates"], key=lambda c: (c["score"], c["tool_index"]))
+        combined_argmin = min(entry_c1["candidates"], key=lambda c: (c["score"], c["tool_index"]))
+        assert energy_argmin["tool_index"] == 0
+        assert combined_argmin["tool_index"] == 1
+        assert entry_e1["flipped_tools"] == ["T00"]
+        assert entry_c1["flipped_tools"] == ["T01"]
+        assert iteration_one(params, registry, "ea")[0]["flipped_tools"] == ["T00", "T01"]
+        assert iteration_one(params, registry, "ca")[0]["flipped_tools"] == ["T01"]
 
 
 # --- CLI determinism ---------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import ctpdse
-from ctpdse import evaluators
+from ctpdse import cli, evaluators
 from ctpdse.curves import (BD_FIELDS, BdReport, PreparedAnchor, RdeCurve, RdePoint,
                            aggregate_reports, bd_report)
 from ctpdse.engine import (
@@ -17,8 +18,8 @@ from ctpdse.engine import (
     FlipPolicy,
     Objective,
     QualityAxis,
-    TerminationReason,
     parse_strategy,
+    report_from_dict,
     result_to_document,
     run_dse,
     run_iteration,
@@ -33,7 +34,7 @@ from ctpdse.evaluators import (
     SyntheticModelParams,
 )
 from ctpdse.manifest import canonical_json
-from ctpdse.profiles import Ctp, default_ctp, serialize_ctp
+from ctpdse.profiles import Ctp, default_ctp, default_registry, parse_ctp, serialize_ctp
 
 from conftest import BASE_QPS, make_params, make_registry
 from test_evaluators import RESULT_ROWS, copy_template, write_result_fixtures
@@ -130,9 +131,10 @@ class TestRunIteration:
             config = make_config(registry, strategy)
             evaluator = SyntheticModelEvaluator(params)
             cache = EvaluationCache(config, evaluator)
-            log = run_iteration(config.anchor, cache)
-            assert log.flipped_tools == (0,)
-            assert log.next_reference.mask == 0b110
+            entry, next_reference = run_iteration(config.anchor, cache)
+            assert entry["flipped_tools"] == ["T00"]
+            assert next_reference.mask == 0b110
+            assert entry["next_reference"] == "6"
 
     def test_two_improvers_all_versus_one(self):
         registry = make_registry(3)
@@ -140,13 +142,13 @@ class TestRunIteration:
         config_all = make_config(registry, "ea")
         evaluator = SyntheticModelEvaluator(params)
         cache = EvaluationCache(config_all, evaluator)
-        log_all = run_iteration(config_all.anchor, cache)
-        assert log_all.flipped_tools == (0, 1)
+        entry_all, _ = run_iteration(config_all.anchor, cache)
+        assert entry_all["flipped_tools"] == ["T00", "T01"]
 
         config_one = make_config(registry, "e1")
         cache = EvaluationCache(config_one, evaluator)
-        log_one = run_iteration(config_one.anchor, cache)
-        assert log_one.flipped_tools == (0,)  # -33.3% beats -16.7%
+        entry_one, _ = run_iteration(config_one.anchor, cache)
+        assert entry_one["flipped_tools"] == ["T00"]  # -33.3% beats -16.7%
 
     def test_tie_breaks_to_lowest_index(self):
         registry = make_registry(3)
@@ -154,10 +156,10 @@ class TestRunIteration:
         config = make_config(registry, "e1")
         evaluator = SyntheticModelEvaluator(params)
         cache = EvaluationCache(config, evaluator)
-        log = run_iteration(config.anchor, cache)
-        scores = {c.tool_index: c.score for c in log.candidates}
+        entry, _ = run_iteration(config.anchor, cache)
+        scores = {c["tool_index"]: c["score"] for c in entry["candidates"]}
         assert scores[0] == scores[1]
-        assert log.flipped_tools == (0,)
+        assert entry["flipped_tools"] == ["T00"]
 
     def test_equal_score_never_flips(self):
         registry = make_registry(3)
@@ -165,9 +167,10 @@ class TestRunIteration:
         config = make_config(registry, "ea")
         evaluator = SyntheticModelEvaluator(params)
         cache = EvaluationCache(config, evaluator)
-        log = run_iteration(config.anchor, cache)
-        assert log.flipped_tools == ()
-        assert log.next_reference == config.anchor
+        entry, next_reference = run_iteration(config.anchor, cache)
+        assert entry["flipped_tools"] == []
+        assert next_reference == config.anchor
+        assert entry["next_reference"] == entry["reference"] == serialize_ctp(config.anchor)
 
     def test_one_candidate_per_registry_tool(self):
         registry = make_registry(5)
@@ -175,9 +178,12 @@ class TestRunIteration:
         config = make_config(registry, "e1")
         evaluator = SyntheticModelEvaluator(params)
         cache = EvaluationCache(config, evaluator)
-        log = run_iteration(config.anchor, cache)
-        assert [c.tool_index for c in log.candidates] == list(range(5))
-        assert {c.tool_name for c in log.candidates} == {t.name for t in registry.tools}
+        entry, _ = run_iteration(config.anchor, cache)
+        assert [c["tool_index"] for c in entry["candidates"]] == list(range(5))
+        assert [c["tool"] for c in entry["candidates"]] == [t.name for t in registry.tools]
+        assert [c["ctp"] for c in entry["candidates"]] == [
+            serialize_ctp(Ctp(registry, config.anchor.mask ^ 1 << j)) for j in range(5)
+        ]
 
     def test_flipped_subset_of_improved(self):
         registry = make_registry(4)
@@ -185,105 +191,112 @@ class TestRunIteration:
         config = make_config(registry, "ca")
         evaluator = SyntheticModelEvaluator(params)
         cache = EvaluationCache(config, evaluator)
-        log = run_iteration(config.anchor, cache)
-        improved = {c.tool_index for c in log.candidates if c.improved}
-        assert set(log.flipped_tools) <= improved
+        entry, _ = run_iteration(config.anchor, cache)
+        improved = {c["tool"] for c in entry["candidates"] if c["improved"]}
+        assert set(entry["flipped_tools"]) <= improved
+
+
+def terminal(body, registry):
+    return parse_ctp(body["terminal_reference"], registry)
 
 
 class TestRunDse:
     def test_immediate_fixpoint(self):
         registry = make_registry(3)
         params = make_params(3)
-        _, result = run_strategy(params, registry, "e1")
-        assert len(result.logs) == 1
-        assert result.termination_reason is TerminationReason.REPEATED_REFERENCE
-        assert result.terminal_reference == default_ctp(registry)
+        _, body = run_strategy(params, registry, "e1")
+        assert len(body["iterations"]) == 1
+        assert body["termination_reason"] == "repeated-reference"
+        assert terminal(body, registry) == default_ctp(registry)
 
     @pytest.mark.parametrize("strategy", ["e1", "ea"])
     def test_unique_improver_takes_two_iterations(self, strategy):
         registry = make_registry(3)
         params = make_params(3, energy_mult=(1.3, 1.0, 1.0))
-        _, result = run_strategy(params, registry, strategy)
-        assert len(result.logs) == 2
-        assert result.termination_reason is TerminationReason.REPEATED_REFERENCE
-        assert result.terminal_reference.mask == 0b110
+        _, body = run_strategy(params, registry, strategy)
+        assert len(body["iterations"]) == 2
+        assert body["termination_reason"] == "repeated-reference"
+        assert terminal(body, registry).mask == 0b110
 
     def test_all_policy_overshoot_is_recorded_and_cycle_broken(self):
         # disabling either interacting tool alone helps, disabling both
         # overshoots; repeat detection stops the two-step cycle
         registry = make_registry(3)
         params = make_params(3, energy_mult=(0.6, 0.6, 1.0), interactions=((0, 1, 2.0),))
-        _, result = run_strategy(params, registry, "ea")
-        assert len(result.logs) == 2
-        assert result.logs[0].flipped_tools == (0, 1)
-        assert result.logs[1].reference_score > result.logs[0].reference_score
-        assert result.termination_reason is TerminationReason.REPEATED_REFERENCE
-        assert result.terminal_reference == default_ctp(registry)
+        _, body = run_strategy(params, registry, "ea")
+        iterations = body["iterations"]
+        assert len(iterations) == 2
+        assert iterations[0]["flipped_tools"] == ["T00", "T01"]
+        assert iterations[1]["reference_score"] > iterations[0]["reference_score"]
+        assert body["termination_reason"] == "repeated-reference"
+        assert terminal(body, registry) == default_ctp(registry)
 
     def test_one_policy_on_overshoot_model_keeps_single_flip(self):
         registry = make_registry(3)
         params = make_params(3, energy_mult=(0.6, 0.6, 1.0), interactions=((0, 1, 2.0),))
-        _, result = run_strategy(params, registry, "e1")
-        assert result.terminal_reference.mask == 0b110
-        scores = [log.reference_score for log in result.logs]
+        _, body = run_strategy(params, registry, "e1")
+        assert terminal(body, registry).mask == 0b110
+        scores = [it["reference_score"] for it in body["iterations"]]
         assert scores == sorted(scores, reverse=True)
-        assert result.logs[-1].flipped_tools == ()
+        assert body["iterations"][-1]["flipped_tools"] == []
 
     def test_greedy_can_miss_the_global_optimum(self):
         # each tool alone is worth keeping, the pair is not: a single-flip
         # walk stays at the anchor while the true minimum disables both
         registry = make_registry(3)
         params = make_params(3, energy_mult=(1.8, 1.8, 1.0), interactions=((0, 1, 0.5),))
-        config, result = run_strategy(params, registry, "e1")
-        assert result.terminal_reference == config.anchor
+        config, body = run_strategy(params, registry, "e1")
+        end = terminal(body, registry)
+        assert end == config.anchor
         scores = exhaustive_scores(params, registry, Objective.ENERGY)
         best = min(scores, key=scores.get)
-        assert scores[best] < scores[result.terminal_reference] - 1.0
-        assert best != result.terminal_reference
+        assert scores[best] < scores[end] - 1.0
+        assert best != end
 
     def test_terminal_is_single_flip_local_minimum(self):
         registry = make_registry(4)
         params = SyntheticModelParams.random(registry, ("s01",), BASE_QPS, seed=5)
-        config, result = run_strategy(params, registry, "e1")
+        config, body = run_strategy(params, registry, "e1")
         scores = exhaustive_scores(params, registry, Objective.ENERGY)
-        terminal = result.terminal_reference
+        end = terminal(body, registry)
         for j in range(4):
-            neighbour = Ctp(registry, terminal.mask ^ 1 << j)
-            assert scores[neighbour] >= scores[terminal]
+            neighbour = Ctp(registry, end.mask ^ 1 << j)
+            assert scores[neighbour] >= scores[end]
 
     def test_max_iterations_guard_reached(self):
         registry = make_registry(3)
         params = make_params(3, energy_mult=(1.5, 1.2, 1.0))
-        _, result = run_strategy(params, registry, "e1", max_iterations=1)
-        assert result.termination_reason is TerminationReason.MAX_ITERATIONS
-        assert len(result.logs) == 1
-        assert result.terminal_reference == result.logs[-1].next_reference
+        _, body = run_strategy(params, registry, "e1", max_iterations=1)
+        assert body["termination_reason"] == "max-iterations"
+        assert len(body["iterations"]) == 1
+        assert body["terminal_reference"] == body["iterations"][-1]["next_reference"]
 
     def test_references_never_revisited_before_termination(self):
         registry = make_registry(6)
         params = SyntheticModelParams.random(registry, ("s01",), BASE_QPS, seed=17)
         for strategy in ("ea", "e1", "ca", "c1"):
-            _, result = run_strategy(params, registry, strategy)
-            masks = [serialize_ctp(log.reference) for log in result.logs]
+            _, body = run_strategy(params, registry, strategy)
+            masks = [it["reference"] for it in body["iterations"]]
             assert len(masks) == len(set(masks))
 
     def test_every_logged_ctp_is_in_evaluated(self):
         registry = make_registry(4)
         params = SyntheticModelParams.random(registry, ("s01",), BASE_QPS, seed=2)
-        _, result = run_strategy(params, registry, "c1")
-        for log in result.logs:
-            assert log.reference in result.evaluated
-            assert log.next_reference in result.evaluated
-            for candidate in log.candidates:
-                assert candidate.ctp in result.evaluated
+        _, body = run_strategy(params, registry, "c1")
+        evaluated = body["evaluated"]
+        for it in body["iterations"]:
+            assert it["reference"] in evaluated
+            assert it["next_reference"] in evaluated
+            for candidate in it["candidates"]:
+                assert candidate["report"] == evaluated[candidate["ctp"]]
 
     def test_anchor_self_report_is_zero(self):
         registry = make_registry(4)
         params = SyntheticModelParams.random(registry, ("s01",), BASE_QPS, seed=2)
-        config, result = run_strategy(params, registry, "e1")
-        anchor_report = result.evaluated[config.anchor]
-        assert anchor_report.bdde_vmaf == 0.0
-        assert anchor_report.bdr_vmaf == 0.0
+        config, body = run_strategy(params, registry, "e1")
+        anchor_report = body["evaluated"][serialize_ctp(config.anchor)]
+        assert anchor_report["bdde_vmaf"] == 0.0
+        assert anchor_report["bdr_vmaf"] == 0.0
 
 
 class CountingEvaluator:
@@ -362,20 +375,18 @@ class TestCachingAndErrors:
     def test_cached_reports_match_fresh_evaluation(self):
         registry = make_registry(4)
         params = SyntheticModelParams.random(registry, ("s01",), BASE_QPS, seed=9)
-        config, result = run_strategy(params, registry, "c1")
+        config, body = run_strategy(params, registry, "c1")
         cache = EvaluationCache(config, SyntheticModelEvaluator(params))
-        for ctp in list(result.evaluated)[:6]:
-            if ctp == config.anchor:
-                continue
-            assert cache.compute(ctp) == result.evaluated[ctp]
+        for mask, report in body["evaluated"].items():
+            assert cache.compute(parse_ctp(mask, registry)) == report_from_dict(report)
 
     def test_new_cache_reports_against_the_anchor(self):
         walk: dict = {}
         exec(SHIPPED_FLIPS, walk)
-        evaluated = run_dse(walk["config"], walk["evaluator"]).evaluated
+        evaluated = run_dse(walk["config"], walk["evaluator"])["evaluated"]
         cache = EvaluationCache(walk["config"], walk["evaluator"])
         for flip in walk["flips"]:
-            assert cache.report(flip) == evaluated[flip]
+            assert cache.report(flip) == report_from_dict(evaluated[serialize_ctp(flip)])
         # `python -O` strips `assert` statements, so no check in the engine
         # may rely on one.
         fields = [name for name, _, _ in BD_FIELDS]
@@ -388,7 +399,7 @@ class TestCachingAndErrors:
         run = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
                              text=True, check=True)
         assert run.stdout.splitlines() == [
-            " ".join(getattr(evaluated[flip], name).hex() for name in fields)
+            " ".join(evaluated[serialize_ctp(flip)][name].hex() for name in fields)
             for flip in walk["flips"]
         ]
 
@@ -401,13 +412,36 @@ class TestCachingAndErrors:
         with pytest.raises(EvaluationError) as err:
             run_dse(config, evaluator)
         assert len(err.value.partial_logs) == 1
-        assert err.value.partial_logs[0].flipped_tools == (0,)
+        assert err.value.partial_logs[0]["flipped_tools"] == ["T00"]
         assert config.anchor in err.value.partial_evaluated
         # anchor, three flips of iteration 1 and the flip that finished
         # inside iteration 2 before the failing one
         assert len(err.value.partial_evaluated) == 5
         assert err.value.failed_ctp is not None
         assert err.value.failed_ctp not in err.value.partial_evaluated
+
+    @pytest.mark.parametrize("strategy", ["e1", "ea"])
+    def test_failure_keeps_exactly_what_finished(self, strategy):
+        registry = make_registry(5)
+        params = SyntheticModelParams.random(registry, ("s01",), BASE_QPS, seed=3)
+        config = make_config(registry, strategy)
+        counting = CountingEvaluator(SyntheticModelEvaluator(params))
+        full = run_dse(config, counting)
+        # the anchor and five flips make iteration 1; fail at the third
+        # profile iteration 2 evaluates
+        allowed = 1 + 5 + 2
+        assert len(full["iterations"]) > 1 and len(counting.masks) > allowed
+        evaluator = FailAfter(SyntheticModelEvaluator(params), allowed_calls=allowed)
+        with pytest.raises(EvaluationError) as err:
+            run_dse(config, evaluator)
+        assert err.value.partial_logs == full["iterations"][:1]
+        partial = err.value.partial_evaluated
+        assert [serialize_ctp(ctp) for ctp in partial] == counting.masks[:allowed]
+        for ctp, report in partial.items():
+            finished = full["evaluated"][serialize_ctp(ctp)]
+            assert report == report_from_dict(finished)
+            assert list(report.warnings) == finished.get("warnings", [])
+        assert serialize_ctp(err.value.failed_ctp) == counting.masks[allowed]
 
     @pytest.mark.parametrize("failure", ["backend", "curve"])
     def test_bootstrap_failure_names_the_anchor(self, failure):
@@ -426,7 +460,7 @@ class TestCachingAndErrors:
         with pytest.raises(error, match=message) as err:
             run_dse(config, evaluator)
         assert err.value.failed_ctp == config.anchor
-        assert err.value.partial_logs == () and err.value.partial_evaluated == {}
+        assert err.value.partial_logs == [] and err.value.partial_evaluated == {}
 
     def test_non_finite_external_sample_keeps_partial_state(self, tmp_path):
         rows = dict(RESULT_ROWS)
@@ -495,9 +529,9 @@ class TestCachingAndErrors:
         evaluator = ExternalCommandEvaluator("enc {ctp_mask} {sequence} {qp} {out}",
                                              max_parallel=2)
         config = make_config(make_registry(3), "e1", sequences=("s01", "s02"))
-        result = run_dse(config, evaluator)
-        assert len(result.logs) > 1
-        assert len(launched) == len(result.evaluated) * 2 * len(BASE_QPS)
+        body = run_dse(config, evaluator)
+        assert len(body["iterations"]) > 1
+        assert len(launched) == len(body["evaluated"]) * 2 * len(BASE_QPS)
         assert len(set(launched)) == len(launched)
 
 
@@ -530,8 +564,8 @@ class TestConcurrency:
         evaluator = ExternalCommandEvaluator("enc {sequence} {qp} {ctp_mask} {out}",
                                              max_parallel=3)
         config = make_config(make_registry(3), "e1", sequences=("s01", "s02"))
-        result = run_dse(config, evaluator)
-        assert len(result.evaluated) == 4
+        body = run_dse(config, evaluator)
+        assert len(body["evaluated"]) == 4
         assert 1 < peak <= 3
 
 
@@ -541,21 +575,39 @@ class TestDeterminism:
         params = SyntheticModelParams.random(registry, ("s01", "s02"), BASE_QPS, seed=4)
         texts = []
         for _ in range(2):
-            config, result = run_strategy(params, registry, "c1", sequences=("s01", "s02"))
-            texts.append(canonical_json(result_to_document(result, config)))
+            config, body = run_strategy(params, registry, "c1", sequences=("s01", "s02"))
+            texts.append(canonical_json(result_to_document(body, config)))
         assert texts[0] == texts[1]
 
     def test_document_shape(self):
         registry = make_registry(3)
         params = make_params(3, energy_mult=(1.3, 1.0, 1.0))
-        config, result = run_strategy(params, registry, "e1")
-        document = result_to_document(result, config)
+        config, body = run_strategy(params, registry, "e1")
+        document = result_to_document(body, config)
         assert document["config"]["strategy"] == "e1"
         assert document["termination_reason"] == "repeated-reference"
         assert document["terminal_reference"] in document["evaluated"]
         first = document["iterations"][0]
         assert first["flipped_tools"] == ["T00"]
         assert len(first["candidates"]) == 3
+
+
+class TestWalkBody:
+    @pytest.mark.parametrize("strategy", ["ea", "e1", "ca", "c1"])
+    def test_body_is_plain_json_and_is_the_written_result(self, strategy, tmp_path):
+        registry = default_registry()
+        sequences, qps = cli.DEFAULT_SYNTH_SEQUENCES, cli.DEFAULT_QPS
+        config = DseConfig(*parse_strategy(strategy), default_ctp(registry), sequences, qps)
+        params = SyntheticModelParams.random(registry, sequences, qps, seed=11)
+        body = run_dse(config, SyntheticModelEvaluator(params))
+        assert json.loads(json.dumps(body)) == body
+
+        out = tmp_path / "run"
+        assert cli.main(["dse", "--strategy", strategy, "--backend", "synthetic",
+                         "--seed", "11", "--out", str(out)]) == 0
+        written = json.loads((out / "result.json").read_text(encoding="utf-8"))
+        del written["manifest"]
+        assert result_to_document(body, config) == written
 
 
 class TestStrategyDivergence:
@@ -572,23 +624,23 @@ class TestStrategyDivergence:
 
         config_e = make_config(registry, "e1")
         cache = EvaluationCache(config_e, evaluator)
-        log_e = run_iteration(config_e.anchor, cache)
-        assert log_e.flipped_tools == (0,)
-        by_index = {c.tool_index: c for c in log_e.candidates}
-        assert by_index[0].report.bdde_vmaf == pytest.approx(100 * (1 / 1.5 - 1), rel=1e-9)
-        assert by_index[0].report.bdr_vmaf == pytest.approx(100 * (1 / 0.7 - 1), rel=1e-9)
-        assert by_index[1].report.bdde_vmaf == pytest.approx(100 * (1 / 1.3 - 1), rel=1e-9)
-        assert by_index[1].report.bdr_vmaf == pytest.approx(100 * (1 / 0.98 - 1), rel=1e-9)
+        entry_e, _ = run_iteration(config_e.anchor, cache)
+        assert entry_e["flipped_tools"] == ["T00"]
+        by_index = {c["tool_index"]: c["report"] for c in entry_e["candidates"]}
+        assert by_index[0]["bdde_vmaf"] == pytest.approx(100 * (1 / 1.5 - 1), rel=1e-9)
+        assert by_index[0]["bdr_vmaf"] == pytest.approx(100 * (1 / 0.7 - 1), rel=1e-9)
+        assert by_index[1]["bdde_vmaf"] == pytest.approx(100 * (1 / 1.3 - 1), rel=1e-9)
+        assert by_index[1]["bdr_vmaf"] == pytest.approx(100 * (1 / 0.98 - 1), rel=1e-9)
 
         config_c = make_config(registry, "c1")
         cache = EvaluationCache(config_c, evaluator)
-        log_c = run_iteration(config_c.anchor, cache)
-        assert log_c.flipped_tools == (1,)
+        entry_c, _ = run_iteration(config_c.anchor, cache)
+        assert entry_c["flipped_tools"] == ["T01"]
 
         config_ea = make_config(registry, "ea")
         cache = EvaluationCache(config_ea, evaluator)
-        assert run_iteration(config_ea.anchor, cache).flipped_tools == (0, 1)
+        assert run_iteration(config_ea.anchor, cache)[0]["flipped_tools"] == ["T00", "T01"]
 
         config_ca = make_config(registry, "ca")
         cache = EvaluationCache(config_ca, evaluator)
-        assert run_iteration(config_ca.anchor, cache).flipped_tools == (1,)
+        assert run_iteration(config_ca.anchor, cache)[0]["flipped_tools"] == ["T01"]

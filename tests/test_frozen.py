@@ -5,7 +5,7 @@ import math
 import pytest
 
 from ctpdse.curves import BdReport, CurveDataError, RdeCurve, RdePoint
-from ctpdse.engine import CandidateEval, DseConfig, FlipPolicy, Objective
+from ctpdse.engine import DseConfig, FlipPolicy, Objective
 from ctpdse.errors import ConfigError
 from ctpdse.evaluators import (
     EvaluationRequest,
@@ -29,8 +29,6 @@ REPORT = BdReport(1.0, 2.0, -3.0, -4.0)
     pytest.param(RdeCurve("s01", POINTS), "points", id="RdeCurve"),
     pytest.param(REPORT, "warnings", id="BdReport"),
     pytest.param(ANCHOR, "mask", id="Ctp"),
-    pytest.param(CandidateEval(0, "CCLM", ANCHOR, REPORT, -4.0, True), "score",
-                 id="CandidateEval"),
     pytest.param(EvaluationRequest(ANCHOR, ("s01",), QPS), "qps", id="EvaluationRequest"),
 ])
 def test_a_field_cannot_be_assigned_or_deleted(value, field):
