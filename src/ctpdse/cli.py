@@ -154,8 +154,8 @@ def _table_inputs(args, anchor, sequences, qps):
     which must be the same on every sequence.
     """
     table = ingest_measurements(args.measurements)
-    for line in table.diagnostics:
-        print(f"measurement: {line}", file=sys.stderr)
+    # One write: stderr is line-buffered, or unbuffered under -u, so a print costs one or two.
+    sys.stderr.write("".join(f"measurement: {line}\n" for line in table.diagnostics))
     mask = serialize_ctp(anchor)
     ladders = table.qps_by_sequence(mask)
     sequences = sequences or tuple(ladders)

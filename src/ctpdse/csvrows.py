@@ -8,8 +8,6 @@ file which is not UTF-8 text is named without a line.
 
 from __future__ import annotations
 
-import csv
-
 from .errors import ConfigError
 
 
@@ -31,6 +29,8 @@ def not_utf8(where, exc: UnicodeDecodeError) -> str:
 
 def data_rows(lines, header: tuple[str, ...], where):
     """Yield (physical line number, stripped fields) of each data row below ``header``."""
+    import csv
+
     # A skipped line is read as an empty row, so csv still counts it.
     reader = csv.reader("" if line.strip()[:1] in ("", "#") else line for line in lines)
     rows = (row for row in reader if row)

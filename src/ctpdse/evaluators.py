@@ -19,6 +19,13 @@ fails fast: once a child job fails, no further job is launched, the jobs
 already running finish, and ``evaluate`` raises the error of the failed
 job that comes first in (sequence, qp) order.
 
+The external backend imports its job machinery (``shlex``, ``string``,
+``tempfile``, ``concurrent.futures``) when it is built or runs, so a
+command that never builds it does not load them. ``subprocess`` is the
+one exception and is imported with this module: the benchmark harness
+times each child job by swapping ``evaluators.subprocess.run`` after
+import.
+
 A cached-table row and an external job's result row become a point through
 ``parse_measurement`` alone, so both obey the same checks; each caller
 only decides what a CI verdict means.
@@ -29,12 +36,8 @@ from __future__ import annotations
 import math
 import operator
 import re
-import shlex
-import string
-import subprocess
-import tempfile
+import subprocess  # perfbench times jobs by this name; ROADMAP 3b moves that, 16 drops it
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from functools import reduce
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
@@ -485,6 +488,8 @@ class SyntheticModelEvaluator:
 
 def _field_names(text: str):
     """The field names of format string ``text``, those nested in a format spec included."""
+    import string
+
     for _, name, spec, _ in string.Formatter().parse(text):
         if name is not None:
             yield name
@@ -517,6 +522,8 @@ class ExternalCommandEvaluator:
         self.max_parallel = max_parallel
         if self.max_parallel < 1:
             raise ConfigError(f"max_parallel must be >= 1, got {self.max_parallel}")
+        import shlex
+
         try:
             self._argv = shlex.split(self.command_template)
         except ValueError as exc:
@@ -538,6 +545,9 @@ class ExternalCommandEvaluator:
         return [token.format(**values) for token in self._argv]
 
     def evaluate(self, request: EvaluationRequest) -> list[RdeCurve]:
+        import tempfile
+        from concurrent.futures import ThreadPoolExecutor
+
         mask = serialize_ctp(request.ctp)
         jobs = [(seq, qp) for seq in request.sequences for qp in request.qps]
         failed = threading.Event()

@@ -9,7 +9,6 @@ an ``off:``-prefixed list of disabled tool names.
 from __future__ import annotations
 
 import math
-import string
 from typing import Iterable
 
 from .csvrows import not_utf8
@@ -17,6 +16,8 @@ from .errors import ConfigError
 from .frozen import Frozen, compare_by, set_field
 
 CATEGORIES = ("Intra", "Inter", "TransformQuant", "InLoopFilter", "Other")
+
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 # The shipped 30-tool set with its categories. All tools are marked
 # default-enabled: the shipped anchor is an approximation of a "everything
@@ -194,7 +195,7 @@ def parse_ctp(text: str, registry: ToolRegistry) -> Ctp:
             f"for a {len(registry)}-tool registry"
         )
     # int(text, 16) alone would also take a sign or an underscore.
-    if not set(text) <= set(string.hexdigits):
+    if not set(text) <= _HEX_DIGITS:
         raise ProfileFormatError(f"invalid hex mask {text!r}")
     value = int(text, 16)
     if value >> len(registry):

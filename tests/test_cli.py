@@ -1006,11 +1006,14 @@ def test_measurement_runs_load_no_numeric_library(tmp_path, command):
     env = dict(os.environ, PYTHONPATH=str(Path(ctpdse.__file__).parents[1]))
     code = (f"import sys; from ctpdse import cli; code = cli.main({argv!r}); "
             "print(code, sorted({m.split('.')[0] for m in sys.modules} & "
-            "{'numpy', 'scipy', 'dataclasses', 'inspect'}))")
+            "{'numpy', 'scipy', 'dataclasses', 'inspect', 'concurrent', 'logging', 'queue', "
+            "'shlex', 'string', 'traceback'}))")
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert run.stdout.splitlines()[-1] == "0 []"
     assert run.stderr.count("measurement: ") == 16
+    assert run.stderr == "".join(f"measurement: {line}\n"
+                                 for line in ingest_measurements(table).diagnostics)
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
