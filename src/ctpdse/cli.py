@@ -25,7 +25,6 @@ from .engine import (
     STRATEGIES,
     DseConfig,
     parse_strategy,
-    report_from_dict,
     result_to_document,
     run_dse,
 )
@@ -111,7 +110,7 @@ def _document_points(document: dict, axis: QualityAxis) -> list[ProfilePoint]:
     ``ctp dse`` renders a run's points and ``ctp pareto RUN`` reads them back through this one
     function, so both get the same points in the same (mask) order.
     """
-    return [ProfilePoint(*report_from_dict(doc).pair(axis), label=mask)
+    return [ProfilePoint(*BdReport.from_dict(doc).pair(axis), label=mask)
             for mask, doc in document["evaluated"].items()]
 
 
@@ -355,7 +354,7 @@ def _result_points(path: Path, axis_flag: str | None):
         return _document_points(document, axis), axis
     except KeyError as exc:
         raise ConfigError(f"{path}: not a ctp dse result, no key {exc}") from None
-    except (AttributeError, ConfigError, TypeError, ValueError) as exc:
+    except (AttributeError, ConfigError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: not a ctp dse result: {exc}") from None
 
 

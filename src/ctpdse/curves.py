@@ -169,6 +169,19 @@ class BdReport(Frozen):
         """(BDR, BDDE) on one quality axis."""
         return tuple(getattr(self, name) for name, _, quality in BD_FIELDS if quality is axis)
 
+    def as_dict(self) -> dict:
+        """The report as a ``result.json`` entry: the BD fields, then any warnings."""
+        doc = {name: getattr(self, name) for name, _, _ in BD_FIELDS}
+        if self.warnings:
+            doc["warnings"] = list(self.warnings)
+        return doc
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> BdReport:
+        """The report a ``result.json`` entry was rendered from."""
+        return cls(warnings=tuple(doc.get("warnings", ())),
+                   **{name: doc[name] for name, _, _ in BD_FIELDS})
+
 
 def _end_slope(num: float, h0: float, den: float, m0: float, m1: float) -> float:
     """One-sided three-point slope at an end node, clamped to keep the shape.

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import enum
 
-from .curves import (BD_FIELDS, BdReport, PreparedAnchor, QualityAxis, aggregate_reports,
-                     bd_report)
+from .curves import BdReport, PreparedAnchor, QualityAxis, aggregate_reports, bd_report
 from .errors import ConfigError, CtpDseError
-from .evaluators import EvaluationRequest, Evaluator
+from .evaluators import EvaluationRequest, Evaluator, check_qps, check_sequences
 from .frozen import Frozen, set_field
 from .profiles import Ctp, flip_tool, serialize_ctp
 
@@ -78,8 +77,8 @@ class DseConfig(Frozen):
                  max_iterations: int = DEFAULT_MAX_ITERATIONS):
         if max_iterations < 1:
             raise ConfigError(f"max_iterations must be >= 1, got {max_iterations}")
-        # The request owns the sequence and qp rules, BD's qp minimum included.
-        EvaluationRequest(anchor, sequences, qps)
+        check_sequences(sequences)
+        check_qps(qps)
         set_field(self, "objective", objective)
         set_field(self, "flip_policy", flip_policy)
         set_field(self, "anchor", anchor)
@@ -166,7 +165,7 @@ def run_iteration(reference: Ctp, cache: EvaluationCache) -> tuple[dict, Ctp]:
             "tool_index": j,
             "tool": tool.name,
             "ctp": serialize_ctp(candidate),
-            "report": _report_to_dict(report),
+            "report": report.as_dict(),
             "score": cand_score,
             "improved": cand_score < reference_score,
         })
@@ -230,28 +229,13 @@ def run_dse(config: DseConfig, evaluator: Evaluator) -> dict:
     return {
         "iterations": iterations,
         "evaluated": {
-            serialize_ctp(ctp): _report_to_dict(report)
+            serialize_ctp(ctp): report.as_dict()
             # A fixed-width upper-case hex mask sorts as its integer does.
             for ctp, report in sorted(evaluated.items(), key=lambda item: item[0].mask)
         },
         "terminal_reference": iterations[-1]["next_reference"],
         "termination_reason": termination,
     }
-
-
-def _report_to_dict(report: BdReport) -> dict:
-    doc = {name: getattr(report, name) for name, _, _ in BD_FIELDS}
-    if report.warnings:
-        doc["warnings"] = list(report.warnings)
-    return doc
-
-
-def report_from_dict(doc: dict) -> BdReport:
-    """The report a ``result.json`` entry was rendered from."""
-    return BdReport(
-        warnings=tuple(doc.get("warnings", ())),
-        **{name: doc[name] for name, _, _ in BD_FIELDS},
-    )
 
 
 def result_to_document(result: dict, config: DseConfig) -> dict:

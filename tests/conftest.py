@@ -1,14 +1,21 @@
-"""Shared fixtures: small registries, hand-checkable synthetic models."""
+"""Shared fixtures: small registries, hand-checkable synthetic models and
+measurement tables.
+
+Test modules that run without numpy, scipy or hypothesis import this one,
+so it imports none of them.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from ctpdse.evaluators import SequenceBaseline, SyntheticModelParams
+from ctpdse.evaluators import CSV_HEADER, SequenceBaseline, SyntheticModelParams
 from ctpdse.pareto import ProfilePoint
 from ctpdse.profiles import ToolDescriptor, ToolRegistry
 
 BASE_QPS = (22, 27, 32, 37)
+HEADER_LINE = ",".join(CSV_HEADER)
+REGISTRY_3 = "T00,Other,1\nT01,Other,1\nT02,Other,1\n"
 
 
 def make_registry(n: int) -> ToolRegistry:
@@ -51,6 +58,48 @@ def make_params(
         dq_vmaf=tuple(dq_vmaf) if dq_vmaf else zeros,
         interactions=tuple(interactions),
     )
+
+
+def write_table(path, rows):
+    """A measurement table of ``rows`` under the header, at ``path``; returns its name."""
+    path.write_text("\n".join([HEADER_LINE, *rows]) + "\n")
+    return str(path)
+
+
+def anchor_rows(mask, sequence="s01"):
+    """The ``make_baseline`` curve as table rows of profile ``mask``, without energy samples."""
+    b = make_baseline()
+    return [f"{mask},{sequence},{qp},{r},{p},{v},{e},"
+            for qp, r, p, v, e in zip(b.qps, b.rate, b.psnr, b.vmaf, b.energy)]
+
+
+def halved_energy_rows(mask, sequence="s01"):
+    rows = []
+    for row in anchor_rows("PLACEHOLDER", sequence):
+        fields = row.split(",")
+        fields[0] = mask
+        fields[6] = str(float(fields[6]) / 2)
+        rows.append(",".join(fields))
+    return rows
+
+
+def with_readings(rows):
+    """``rows`` with three energy readings around each row's energy, so ingest gates every row."""
+    gated = []
+    for row in rows:
+        energy = float(row.split(",")[6])
+        gated.append(row.rstrip(",") + f",{energy - 1};{energy};{energy + 1}")
+    return gated
+
+
+def gated_table(tmp_path):
+    """Registry with three tools, and a table of anchor 7 and its single flips, every row gated."""
+    reg = tmp_path / "r.reg"
+    reg.write_text(REGISTRY_3)
+    rows = anchor_rows("7")
+    for mask in ("6", "5", "3"):
+        rows += halved_energy_rows(mask)
+    return str(reg), write_table(tmp_path / "m.csv", with_readings(rows))
 
 
 # Validation fixture: (BDR-VMAF, BDDE-VMAF) coordinates of named profiles

@@ -9,7 +9,6 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from scipy.interpolate import PchipInterpolator
 
 from ctpdse.curves import PreparedAnchor, bd_delta, bd_report
 from ctpdse.engine import (
@@ -26,6 +25,7 @@ from ctpdse.profiles import Ctp, default_ctp, flip_tool, parse_ctp
 from ctpdse import cli
 
 from conftest import BASE_QPS, make_params, make_registry
+from test_curves import bd_trapezoid_oracle, random_curve_pair
 
 
 @contextmanager
@@ -40,44 +40,14 @@ def criterion(name):
 
 # --- BD metric criteria ----------------------------------------------------
 
-def trapezoid_oracle(anchor, test, samples=100_000):
-    """Independent route: sample both interpolants densely, integrate with
-    the trapezoid rule instead of the closed-form antiderivative."""
-    def arrays(points):
-        arr = np.asarray(points, dtype=float)
-        order = np.argsort(arr[:, 1])
-        return arr[order, 1], np.log10(arr[order, 0])
-
-    aq, ac = arrays(anchor)
-    tq, tc = arrays(test)
-    lo, hi = max(aq[0], tq[0]), min(aq[-1], tq[-1])
-    xs = np.linspace(lo, hi, samples)
-    int_anchor = np.trapezoid(PchipInterpolator(aq, ac)(xs), xs)
-    int_test = np.trapezoid(PchipInterpolator(tq, tc)(xs), xs)
-    return 100.0 * (10.0 ** ((int_test - int_anchor) / (hi - lo)) - 1.0)
-
-
-def random_monotone_pair(rng):
-    q0 = rng.uniform(30.0, 40.0)
-    anchor_q = q0 + np.cumsum(rng.uniform(1.0, 4.0, size=4))
-    anchor_c = rng.uniform(500.0, 5000.0) * np.cumprod(rng.uniform(1.3, 2.5, size=4))
-    test_q = q0 + rng.uniform(-1.5, 1.5) + np.cumsum(rng.uniform(1.0, 4.0, size=4))
-    test_c = (
-        rng.uniform(1.2, 2.5)
-        * rng.uniform(500.0, 5000.0)
-        * np.cumprod(rng.uniform(1.3, 2.5, size=4))
-    )
-    return list(zip(anchor_c, anchor_q)), list(zip(test_c, test_q))
-
-
 def test_bd_oracle_equivalence():
     with criterion("BD closed form matches dense-trapezoid oracle (100 pairs, 1e-6 rel)"):
         rng = np.random.default_rng(20240901)
         started = time.monotonic()
         for _ in range(100):
-            anchor, test = random_monotone_pair(rng)
+            anchor, test = random_curve_pair(rng)
             closed = bd_delta(anchor, test)
-            oracle = trapezoid_oracle(anchor, test)
+            oracle = bd_trapezoid_oracle(anchor, test)
             assert abs(closed - oracle) <= 1e-6 * max(abs(oracle), 1e-9)
         elapsed = time.monotonic() - started
         assert elapsed < 5.0, f"oracle comparison took {elapsed:.1f}s"

@@ -19,7 +19,6 @@ from ctpdse.engine import (
     Objective,
     QualityAxis,
     parse_strategy,
-    report_from_dict,
     result_to_document,
     run_dse,
     run_iteration,
@@ -378,7 +377,7 @@ class TestCachingAndErrors:
         config, body = run_strategy(params, registry, "c1")
         cache = EvaluationCache(config, SyntheticModelEvaluator(params))
         for mask, report in body["evaluated"].items():
-            assert cache.compute(parse_ctp(mask, registry)) == report_from_dict(report)
+            assert cache.compute(parse_ctp(mask, registry)) == BdReport.from_dict(report)
 
     def test_new_cache_reports_against_the_anchor(self):
         walk: dict = {}
@@ -386,7 +385,7 @@ class TestCachingAndErrors:
         evaluated = run_dse(walk["config"], walk["evaluator"])["evaluated"]
         cache = EvaluationCache(walk["config"], walk["evaluator"])
         for flip in walk["flips"]:
-            assert cache.report(flip) == report_from_dict(evaluated[serialize_ctp(flip)])
+            assert cache.report(flip) == BdReport.from_dict(evaluated[serialize_ctp(flip)])
         # `python -O` strips `assert` statements, so no check in the engine
         # may rely on one.
         fields = [name for name, _, _ in BD_FIELDS]
@@ -439,7 +438,7 @@ class TestCachingAndErrors:
         assert [serialize_ctp(ctp) for ctp in partial] == counting.masks[:allowed]
         for ctp, report in partial.items():
             finished = full["evaluated"][serialize_ctp(ctp)]
-            assert report == report_from_dict(finished)
+            assert report == BdReport.from_dict(finished)
             assert list(report.warnings) == finished.get("warnings", [])
         assert serialize_ctp(err.value.failed_ctp) == counting.masks[allowed]
 

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from ctpdse import evaluators
 from ctpdse.errors import ConfigError, EvaluationError, MeasurementMissError
 from ctpdse.evaluators import (
-    CSV_HEADER,
     CachedTableEvaluator,
     EvaluationRequest,
     ExternalCommandEvaluator,
@@ -24,27 +23,17 @@ from ctpdse.evaluators import (
 )
 from ctpdse.profiles import Ctp, default_ctp, default_registry, serialize_ctp
 
-from conftest import BASE_QPS, make_baseline, make_params, make_registry
+from conftest import (
+    BASE_QPS,
+    HEADER_LINE,
+    anchor_rows,
+    make_baseline,
+    make_params,
+    make_registry,
+    write_table,
+)
 
-HEADER_LINE = ",".join(CSV_HEADER)
 TWELVE_QPS = tuple(range(22, 56, 3))
-
-
-def write_measurements(path, rows):
-    lines = [HEADER_LINE]
-    lines.extend(rows)
-    path.write_text("\n".join(lines) + "\n")
-    return path
-
-
-def anchor_rows(mask, sequence="s01"):
-    data = [
-        (22, 8000.0, 42.5, 92.0, 120.0),
-        (27, 4500.0, 40.1, 86.5, 90.0),
-        (32, 2500.0, 37.4, 78.0, 65.0),
-        (37, 1400.0, 34.6, 66.0, 45.0),
-    ]
-    return [f"{mask},{sequence},{qp},{r},{p},{v},{e}," for qp, r, p, v, e in data]
 
 
 class TestEvaluationRequest:
@@ -66,7 +55,7 @@ class TestEvaluationRequest:
 
 class TestIngest:
     def test_header_only_gives_empty_table(self, tmp_path):
-        table = ingest_measurements(write_measurements(tmp_path / "m.csv", []))
+        table = ingest_measurements(write_table(tmp_path / "m.csv", []))
         assert table.rows == {}
         assert table.qps_by_sequence("3FFFFFFF") == {}
 
@@ -80,7 +69,7 @@ class TestIngest:
 
     def test_four_rows_give_one_curve(self, tmp_path):
         mask = "3FFFFFFF"
-        path = write_measurements(tmp_path / "m.csv", anchor_rows(mask))
+        path = write_table(tmp_path / "m.csv", anchor_rows(mask))
         table = ingest_measurements(path)
         curve = table.curve(mask, "s01", BASE_QPS)
         assert len(curve.points) == 4
@@ -90,12 +79,12 @@ class TestIngest:
     def test_zero_bitrate_rejected_at_line(self, tmp_path):
         rows = anchor_rows("3FFFFFFF")
         rows[2] = rows[2].replace("2500.0", "0")
-        path = write_measurements(tmp_path / "m.csv", rows)
+        path = write_table(tmp_path / "m.csv", rows)
         with pytest.raises(ConfigError, match=r"m\.csv:4"):
             ingest_measurements(path)
         rows = anchor_rows("3FFFFFFF")
         rows[0] = rows[0].replace("120.0", "inf")
-        path = write_measurements(tmp_path / "m.csv", rows)
+        path = write_table(tmp_path / "m.csv", rows)
         with pytest.raises(ConfigError, match=r"m\.csv:2: .*energy"):
             ingest_measurements(path)
 
@@ -108,12 +97,12 @@ class TestIngest:
             ingest_measurements(path)
 
     def test_lower_case_ctp_id_rejected(self, tmp_path):
-        path = write_measurements(tmp_path / "m.csv", anchor_rows("3fffffff"))
+        path = write_table(tmp_path / "m.csv", anchor_rows("3fffffff"))
         with pytest.raises(ConfigError, match=r"m\.csv:2: .*upper-case hex mask"):
             ingest_measurements(path)
 
     def test_empty_sequence_rejected_at_line(self, tmp_path):
-        path = write_measurements(tmp_path / "m.csv", anchor_rows("3FFFFFFF", sequence=""))
+        path = write_table(tmp_path / "m.csv", anchor_rows("3FFFFFFF", sequence=""))
         with pytest.raises(ConfigError, match=r"m\.csv:2: sequence is empty"):
             ingest_measurements(path)
 
@@ -132,26 +121,26 @@ class TestIngest:
     def test_duplicate_key_rejected(self, tmp_path):
         rows = anchor_rows("3FFFFFFF")
         rows.append(rows[0])
-        path = write_measurements(tmp_path / "m.csv", rows)
+        path = write_table(tmp_path / "m.csv", rows)
         with pytest.raises(ConfigError, match="duplicate"):
             ingest_measurements(path)
 
     def test_non_integer_qp_rejected(self, tmp_path):
         rows = ["A,s01,low,100,40,90,10,"]
-        path = write_measurements(tmp_path / "m.csv", rows)
+        path = write_table(tmp_path / "m.csv", rows)
         with pytest.raises(ConfigError, match="integer"):
             ingest_measurements(path)
 
     def test_sample_mean_mismatch_rejected(self, tmp_path):
         rows = ["A,s01,22,100,40,90,10.5,10;10;10"]
-        path = write_measurements(tmp_path / "m.csv", rows)
+        path = write_table(tmp_path / "m.csv", rows)
         with pytest.raises(ConfigError, match="sample mean"):
             ingest_measurements(path)
 
     def test_samples_produce_ci_diagnostics(self, tmp_path):
         rows = anchor_rows("3FFFFFFF")
         rows[0] = rows[0] + "120;120;120"
-        path = write_measurements(tmp_path / "m.csv", rows)
+        path = write_table(tmp_path / "m.csv", rows)
         table = ingest_measurements(path)
         assert len(table.diagnostics) == 1
         assert "pass" in table.diagnostics[0]
@@ -163,7 +152,7 @@ class TestCachedEvaluator:
         registry = default_registry()
         anchor = default_ctp(registry)
         mask = serialize_ctp(anchor)
-        path = write_measurements(tmp_path / "m.csv", anchor_rows(mask))
+        path = write_table(tmp_path / "m.csv", anchor_rows(mask))
         evaluator = CachedTableEvaluator(ingest_measurements(path))
         (curve,) = evaluator.evaluate(EvaluationRequest(anchor, ("s01",), BASE_QPS))
         assert [p.bitrate for p in curve.points] == [8000.0, 4500.0, 2500.0, 1400.0]
@@ -173,7 +162,7 @@ class TestCachedEvaluator:
         registry = default_registry()
         anchor = default_ctp(registry)
         mask = serialize_ctp(anchor)
-        path = write_measurements(tmp_path / "m.csv", anchor_rows(mask)[:-1])
+        path = write_table(tmp_path / "m.csv", anchor_rows(mask)[:-1])
         evaluator = CachedTableEvaluator(ingest_measurements(path))
         with pytest.raises(MeasurementMissError) as err:
             evaluator.evaluate(EvaluationRequest(anchor, ("s01",), BASE_QPS))
