@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
+import ctpdse
 from ctpdse.curves import (
     BD_FIELDS,
     MIN_OVERLAP_FRACTION,
@@ -556,6 +561,25 @@ class TestPreparedCurve:
             f"{name} (s01): test curve quality values are not strictly monotone "
             f"(repeated quality near {repeated:g})"
         )
+
+
+@pytest.mark.parametrize("module, absent", [
+    ("ctpdse.cli", ("numpy", "scipy")),
+    ("ctpdse.curves", ("numpy", "scipy")),
+    ("ctpdse.cli", ("statistics", "fractions", "decimal")),
+    ("ctpdse.stats", ("statistics", "fractions", "decimal")),
+    ("ctpdse.curves", ("subprocess", "concurrent", "shlex", "csv")),
+    ("ctpdse.stats", ("subprocess", "concurrent", "shlex", "csv")),
+    ("ctpdse.cli", ("dataclasses", "inspect")),
+    ("ctpdse.cli", ("concurrent", "logging", "queue", "shlex", "string", "traceback", "csv")),
+])
+def test_import_loads_no_numeric_library(module, absent):
+    env = dict(os.environ, PYTHONPATH=str(Path(ctpdse.__file__).parents[1]))
+    code = (f"import sys, {module}; "
+            f"print(sorted({{m.split('.')[0] for m in sys.modules}} & {set(absent)!r}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestBdReport:
