@@ -34,6 +34,21 @@ all zero), and each side adds its terms in node order. So no side stores
 any per-interval term, and sharing the weights changes no bit of any
 result.
 
+That is the general path. When the anchor curve and the test curve both
+have four points, as on the four-QP ladder of the common test conditions,
+``bd_report`` takes a four-point pass instead. The prepared anchor also
+keeps each axis's node set as ``_intervals``. The test's side is built in
+straight-line code: log10 of each point's costs once for both axes, then
+per axis the four nodes sorted as ``NodeSet`` sorts them, and the widths,
+weights and slopes by ``_pchip_slopes``' expressions.
+``_four_point_integrals`` integrates both costs of a side in one loop over
+the three intervals, with the same Hermite weights and each cost's terms
+added in node order. The expressions and their order are the general
+path's, so every BD value and warning is the general path's, bit for bit.
+A repeated test quality or an empty overlap goes to the general path,
+which raises its error; so does every other point count. The general
+path stays the reference the tests hold the four-point pass to.
+
 Only the piecewise-cubic form is provided; the older global third-order
 polynomial fit is deliberately not implemented. Quality values are used
 as ingested (PSNR is expected pre-combined across components); no pixel
@@ -87,6 +102,9 @@ BD_FIELDS = (
 _COSTS = tuple(dict.fromkeys(cost for _, cost, _ in BD_FIELDS))
 # Reads a point's quality on each axis and then its costs in _COSTS order.
 _NODE_FIELDS = {axis: attrgetter(axis.value, *_COSTS) for axis in QualityAxis}
+# Read a point's quality on each axis, and each of its costs in _COSTS order.
+_QUALITY = {axis: attrgetter(axis.value) for axis in QualityAxis}
+_COST_VALUES = tuple(map(attrgetter, _COSTS))
 
 
 class RdePoint(Frozen):
@@ -370,14 +388,87 @@ def bd_delta(anchor: Sequence[tuple[float, float]],
     return _percent((test_total - anchor_total) / (hi - lo))
 
 
+def _four_point_side(quality: Sequence[float],
+                     costs: Iterable[Sequence[float]]) -> tuple | None:
+    """A four-node curve on one quality axis, as ``_four_point_integrals`` reads it.
+
+    ``quality`` holds the four nodes' qualities in any order and each of
+    the two lists in ``costs`` one cost's log10 values at them. The
+    nodes are sorted as ``NodeSet`` sorts them, and the widths, weights
+    and slopes are ``_pchip_slopes``' expressions written out for four
+    nodes. Returns the side's ``_intervals``, or None when a quality
+    repeats.
+    """
+    i, j, k, n = sorted(range(4), key=quality.__getitem__)
+    x0, x1, x2, x3 = quality[i], quality[j], quality[k], quality[n]
+    h0, h1, h2 = x1 - x0, x2 - x1, x3 - x2
+    if not (h0 > 0 and h1 > 0 and h2 > 0):
+        return None
+    w1, w2, v1, v2 = 2 * h1 + h0, h1 + 2 * h0, 2 * h2 + h1, h2 + 2 * h1
+    t1, t2 = w1 + w2, v1 + v2
+    num0, den0, numn, denn = 2 * h0 + h1, h0 + h1, 2 * h2 + h1, h2 + h1
+    nodes = []
+    for y in costs:
+        y0, y1, y2, y3 = y[i], y[j], y[k], y[n]
+        m0, m1, m2 = (y1 - y0) / h0, (y2 - y1) / h1, (y3 - y2) / h2
+        nodes += (y0, y1, y2, y3), (
+            _end_slope(num0, h0, den0, m0, m1),
+            1.0 / ((w1 / m0 + w2 / m1) / t1) if m0 > 0 < m1 or m0 < 0 > m1 else 0.0,
+            1.0 / ((v1 / m1 + v2 / m2) / t2) if m1 > 0 < m2 or m1 < 0 > m2 else 0.0,
+            _end_slope(numn, h2, denn, m2, m1))
+    (a0, a1, a2, a3), (p0, p1, p2, p3), (b0, b1, b2, b3), (q0, q1, q2, q3) = nodes
+    return ((x0, x1, h0, a0, a1, h0 * p0, h0 * p1, b0, b1, h0 * q0, h0 * q1),
+            (x1, x2, h1, a1, a2, h1 * p1, h1 * p2, b1, b2, h1 * q1, h1 * q2),
+            (x2, x3, h2, a2, a3, h2 * p2, h2 * p3, b2, b3, h2 * q2, h2 * q3))
+
+
+def _intervals(nodes: NodeSet) -> tuple:
+    """A two-cost node set's intervals as ``_four_point_integrals`` reads them.
+
+    Each interval is its ends and width, then for each cost its values
+    at the ends and its end slopes times the width, the ``y0``, ``y1``,
+    ``d0`` and ``d1`` of ``NodeSet.integrals``.
+    """
+    x, (ya, yb), (sa, sb) = nodes.quality, nodes.log_costs, nodes.slopes
+    return tuple((x[k], x[k + 1], w, ya[k], ya[k + 1], w * sa[k], w * sa[k + 1],
+                  yb[k], yb[k + 1], w * sb[k], w * sb[k + 1])
+                 for k, w in enumerate(nodes.widths))
+
+
+def _four_point_integrals(intervals: tuple, lo: float, hi: float) -> tuple[float, float]:
+    """``NodeSet.integrals`` over ``_intervals``: both costs in one loop.
+
+    Each cost adds its terms in node order with the kernel's
+    expressions, so each total is the kernel's float.
+    """
+    total_a = total_b = 0.0
+    for a, b, w, y0, y1, d0, d1, z0, z1, e0, e1 in intervals:
+        if a >= hi:
+            break
+        if b > lo:
+            r0, r1, r2, r3 = _WHOLE if b <= hi else _weights((hi - a) / w)
+            area_a = y0 * r0 + d0 * r1 + y1 * r2 + d1 * r3
+            area_b = z0 * r0 + e0 * r1 + z1 * r2 + e1 * r3
+            if lo > a:
+                l0, l1, l2, l3 = _weights((lo - a) / w)
+                area_a -= y0 * l0 + d0 * l1 + y1 * l2 + d1 * l3
+                area_b -= z0 * l0 + e0 * l1 + z1 * l2 + e1 * l3
+            total_a += w * area_a
+            total_b += w * area_b
+    return total_a, total_b
+
+
 class PreparedAnchor:
     """One sequence's anchor curve as a ``NodeSet`` per quality axis, built once per run.
 
     An invalid curve is rejected here, tagged with the first field of the
-    axis it fails on, as ``bd_report`` tags its errors.
+    axis it fails on, as ``bd_report`` tags its errors. A four-point
+    curve also keeps each axis's node set as ``_intervals`` in
+    ``four_point``, for ``bd_report``'s four-point pass; otherwise
+    ``four_point`` is None.
     """
 
-    __slots__ = ("sequence", "axes")
+    __slots__ = ("sequence", "axes", "four_point")
 
     def __init__(self, curve: RdeCurve):
         self.sequence = curve.sequence
@@ -388,6 +479,9 @@ class PreparedAnchor:
                     self.axes[axis] = NodeSet.of_curve(curve, axis, "anchor")
                 except CtpDseError as exc:
                     raise CurveDataError(f"{name} ({curve.sequence}): {exc}") from exc
+        self.four_point = None
+        if len(curve.points) == 4:
+            self.four_point = {axis: _intervals(nodes) for axis, nodes in self.axes.items()}
 
 
 def bd_report(anchor: PreparedAnchor, test: RdeCurve) -> BdReport:
@@ -397,26 +491,42 @@ def bd_report(anchor: PreparedAnchor, test: RdeCurve) -> BdReport:
     quality axis runs that axis's one pass: the test's nodes are sorted
     and checked once, the overlap and its share of the anchor span are
     found once, and one test pass and one anchor pass integrate both
-    costs. The first field that fails raises, tagged with its name, so a
-    node or overlap error belongs to the axis's first field and an
-    overflow to its own; warnings come in field order.
+    costs. When both curves have four points, the pass is the four-point
+    pass, with the general path's floats. The first field that fails
+    raises, tagged with its name, so a node or overlap error belongs to
+    the axis's first field and an overflow to its own; warnings come in
+    field order.
     """
     if anchor.sequence != test.sequence:
         raise CurveDataError(
             f"sequence mismatch: anchor is {anchor.sequence!r}, test is {test.sequence!r}"
         )
+    four_point = anchor.four_point if len(test.points) == 4 else None
+    if four_point:
+        points = test.points
+        logs = [tuple(map(math.log10, map(cost, points))) for cost in _COST_VALUES]
     passes, values, warnings = {}, {}, []
     for name, cost, axis in BD_FIELDS:
         try:
             if axis not in passes:
                 nodes = anchor.axes[axis]
-                test_nodes = NodeSet.of_curve(test, axis, "test")
-                lo, hi = _overlap(nodes, test_nodes)
+                side = four_point and _four_point_side(tuple(map(_QUALITY[axis], points)), logs)
+                if side:
+                    lo, hi = max(nodes.lo, side[0][0]), min(nodes.hi, side[2][1])
+                if side and lo < hi:
+                    totals = (_four_point_integrals(side, lo, hi),
+                              _four_point_integrals(four_point[axis], lo, hi))
+                else:
+                    # Other point counts, and a repeated test quality or an
+                    # empty overlap, whose errors the node sets raise.
+                    test_nodes = NodeSet.of_curve(test, axis, "test")
+                    lo, hi = _overlap(nodes, test_nodes)
+                    totals = test_nodes.integrals(lo, hi), nodes.integrals(lo, hi)
                 # The share of the anchor's quality span that the two curves
                 # share, and each cost's mean log10 difference over it.
                 passes[axis] = ((hi - lo) / nodes.span, {
-                    c: (test_total - anchor_total) / (hi - lo) for c, test_total, anchor_total
-                    in zip(_COSTS, test_nodes.integrals(lo, hi), nodes.integrals(lo, hi))})
+                    c: (test_total - anchor_total) / (hi - lo)
+                    for c, test_total, anchor_total in zip(_COSTS, *totals)})
             frac, deltas = passes[axis]
             values[name] = _percent(deltas[cost])
         except CtpDseError as exc:

@@ -106,6 +106,12 @@ def make_curve(sequence="s01", rate_mult=1.0, energy_mult=1.0, psnr_shift=0.0,
     return RdeCurve(sequence, points)
 
 
+def ladder_curve(psnr, vmaf, rate=(8000.0, 4500.0, 2500.0, 1400.0, 800.0),
+                 energy=(120.0, 90.0, 65.0, 45.0, 30.0)):
+    """An ``s01`` curve with one point per quality, on qps 22, 27, ... in that order."""
+    return RdeCurve("s01", tuple(map(RdePoint, (22, 27, 32, 37, 42), rate, psnr, vmaf, energy)))
+
+
 def axis_pairs(curve, cost, quality):
     """The (cost, quality) pairs of ``curve``'s points, in qp order."""
     return [(getattr(p, cost), getattr(p, quality)) for p in curve.points]
@@ -510,9 +516,25 @@ class TestPreparedCurve:
         )
 
     @given(anchor_and_test_curve())
+    # Thin overlaps on both axes: the report warns four times.
     @example((make_curve(), make_curve(psnr_shift=7.2, vmaf_shift=-24.0)))
+    # Sorted by PSNR, both costs rise a little and then fall steeply: the
+    # second node's slope is zero and the first end slope is cut to 3 * m0.
+    @example((make_curve(), ladder_curve((36.0, 35.0, 38.0, 37.0), (92.0, 86.5, 78.0, 66.0),
+                                         rate=(1100.0, 1000.0, 500.0, 200.0))))
+    # A repeated VMAF: bdr_psnr is computed, then bdr_vmaf raises.
+    @example((make_curve(), ladder_curve((42.0, 40.0, 37.0, 35.0), (90.0, 80.0, 80.0, 70.0))))
+    # The anchor lies wholly inside the test on both axes.
+    @example((make_curve(), ladder_curve((44.0, 40.0, 36.0, 33.0), (95.0, 85.0, 75.0, 60.0))))
+    # The test lies inside one anchor interval on both axes, which the
+    # overlap cuts at both ends.
+    @example((make_curve(), ladder_curve((37.0, 36.5, 35.5, 35.0), (77.0, 74.0, 70.0, 67.0))))
+    # The VMAF ranges do not overlap: bdr_psnr is computed, then bdr_vmaf raises.
+    @example((make_curve(), ladder_curve((42.0, 40.0, 37.0, 35.0), (60.0, 50.0, 40.0, 30.0))))
+    # A five-point test against a four-point anchor takes the general path.
+    @example((make_curve(), ladder_curve((43.0, 41.0, 38.5, 36.0, 33.0),
+                                         (94.0, 88.0, 80.0, 70.0, 58.0))))
     def test_shared_test_axis_gives_the_floats_of_separate_fields(self, case):
-        # The example's overlaps are thin on both axes, so it warns four times.
         anchor, test = case
         prepared = PreparedAnchor(anchor)
         expected = separate_fields_report(anchor, test)
