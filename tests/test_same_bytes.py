@@ -7,7 +7,10 @@ prepared once per run (commit 6834e88), the ``ctp bd`` digests before BD
 integrated a node set's costs in one loop (commit df3d9c2). Those runs use
 four qps, so BD takes its four-point pass. One more walk, over five qps,
 pins the general node-set path; its digests were taken before the
-four-point pass existed (commit 71da4d0). Any change
+four-point pass existed (commit 71da4d0). The gated table's digests,
+``ctp bd`` and a cached walk over rows with five energy readings each, pin
+the ``measurement:`` lines; they were taken before the CI gate filtered
+the exact standard deviation (commit 8ca3438). Any change
 to a BD float, the walk, the Pareto selection or the rendering of these
 outputs shows here. A change that means to move these bytes must say so
 and update the digests. The bytes are the same on Python 3.10 to 3.13, so
@@ -15,6 +18,7 @@ this file imports only pytest, the package and the shared fixtures.
 """
 
 import hashlib
+import math
 import random
 
 import pytest
@@ -22,7 +26,8 @@ import pytest
 from ctpdse import cli
 from ctpdse.evaluators import (CSV_HEADER, EvaluationRequest, SyntheticModelEvaluator,
                                SyntheticModelParams)
-from ctpdse.profiles import Ctp, default_ctp, default_registry, serialize_ctp
+from ctpdse.profiles import Ctp, default_ctp, default_registry, load_registry, serialize_ctp
+from ctpdse.stats import DEFAULT_CONFIDENCE, DEFAULT_REL_HALF_WIDTH, t_quantile
 
 from conftest import BASE_QPS, make_baseline, make_params, make_registry
 
@@ -186,3 +191,88 @@ def test_seed_7_bd_table_keeps_its_bytes(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert "warning: 00000000: bdr_psnr (s01): quality overlap is only" in err
     assert tuple(hashlib.sha256(text.encode()).hexdigest() for text in (out, err)) == BD_DIGESTS
+
+
+# The gated table's profiles: every mask of a five-tool registry, so a
+# cached walk over it never misses a row.
+GATED_REGISTRY = "".join(f"T{i:02d},Other,1\n" for i in range(5))
+GATED_SAMPLES = 5
+# Offsets of the five readings around the model's energy, in steps of a
+# row's relative spread ``a``: their sample stdev is ``a * energy * sqrt(2.5)``.
+GATED_STEPS = (-2, -1, 0, 1, 2)
+
+# sha256 of (stdout, stderr) of ``ctp bd --axis both`` on ``write_gated_table``.
+GATED_BD_DIGESTS = (
+    "8f6d7e984dccfaaa662fd702a724965b61533d0c0acf09b8bdb932fb57444042",
+    "7ebb54d5311f0eeb5543705f8b96e484beb1a64c9e148f7b779f071a0d8614b8",
+)
+# sha256 of each of the five files and of stderr of a cached ``ca`` walk on it.
+GATED_FILES = ("manifest.json",) + FILES
+GATED_DSE_DIGESTS = (
+    "abe24df1d96150fd0bebdb6ba8d0e51e8ef2d823220d3f8118f1689c1f2433cf",
+    "7db4e41e38db76f9aae634813f0b25406cfeef620b25506ca94ef21a1c07b703",
+    "d5ee0ac6dce638239c3c527172b527e334c0364c83d462f76e65c754418e92ca",
+    "83bc05312ecc26c506f772f58023233ffe1aa2dc4e32e4c09ca80d3d413812eb",
+    "a4b25ad8c274181dce783100cb23056d0d38132b9f1dff018338a87d1f70cf1f",
+    "7ebb54d5311f0eeb5543705f8b96e484beb1a64c9e148f7b779f071a0d8614b8",
+)
+
+
+def write_gated_table(tmp_path):
+    """A registry file and a table of its 32 profiles from the seed-7 model, five readings a row.
+
+    Each row's relative spread is drawn from five kinds: well inside the
+    CI bound, well outside it, ``1e-9`` inside and outside the spread at
+    which the half-width equals ``DEFAULT_REL_HALF_WIDTH`` of the mean,
+    and that spread itself, where rounding decides the verdict.
+    ``energy_j`` is the gate's mean. Returns the registry and table paths
+    and the non-anchor masks.
+    """
+    registry_path = tmp_path / "r.reg"
+    registry_path.write_text(GATED_REGISTRY, encoding="utf-8")
+    registry = load_registry(registry_path)
+    evaluate = SyntheticModelEvaluator(
+        SyntheticModelParams.random(registry, BD_SEQUENCES, BD_QPS, seed=7)).evaluate
+    q = t_quantile((1 + DEFAULT_CONFIDENCE) / 2, GATED_SAMPLES - 1)
+    edge = DEFAULT_REL_HALF_WIDTH * math.sqrt(GATED_SAMPLES / 2.5) / q
+    spreads = (0.003, 0.02, edge * (1 - 1e-9), edge * (1 + 1e-9), edge)
+    rng = random.Random("gated-table-7")
+    rows = [",".join(CSV_HEADER)]
+    for mask in range(1 << len(registry)):
+        ctp = Ctp(registry, mask)
+        for curve in evaluate(EvaluationRequest(ctp, BD_SEQUENCES, BD_QPS)):
+            for p in curve.points:
+                a = rng.choice(spreads)
+                samples = [p.energy * (1 + step * a) for step in GATED_STEPS]
+                rows.append(f"{serialize_ctp(ctp)},{curve.sequence},{p.qp},{p.bitrate!r},"
+                            f"{p.psnr!r},{p.vmaf!r},{math.fsum(samples) / GATED_SAMPLES!r},"
+                            + ";".join(map(repr, samples)))
+    table = tmp_path / "m.csv"
+    table.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    anchor = serialize_ctp(default_ctp(registry))
+    tests = [serialize_ctp(Ctp(registry, m)) for m in range(1 << len(registry))]
+    return str(registry_path), str(table), [m for m in tests if m != anchor]
+
+
+def test_gated_bd_table_keeps_its_bytes(tmp_path, capsys):
+    registry, table, tests = write_gated_table(tmp_path)
+    argv = ["bd", "--measurements", table, "--registry", registry, "--axis", "both"]
+    for mask in tests:
+        argv += ["--test", mask]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert len(lines) == 32 * len(BD_SEQUENCES) * len(BD_QPS)
+    assert {line.split(": ")[2].split(":")[0] for line in lines} == {"pass", "fail"}
+    assert tuple(hashlib.sha256(text.encode()).hexdigest() for text in (out, err)) \
+        == GATED_BD_DIGESTS
+
+
+def test_gated_cached_walk_keeps_its_bytes(tmp_path, capsys):
+    registry, table, _ = write_gated_table(tmp_path)
+    out = tmp_path / "run"
+    assert cli.main(["dse", "--strategy", "ca", "--backend", "cached", "--measurements", table,
+                     "--registry", registry, "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    texts = [(out / name).read_bytes() for name in GATED_FILES] + [err.encode()]
+    assert tuple(hashlib.sha256(text).hexdigest() for text in texts) == GATED_DSE_DIGESTS
