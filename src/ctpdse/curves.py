@@ -484,6 +484,32 @@ class PreparedAnchor:
             self.four_point = {axis: _intervals(nodes) for axis, nodes in self.axes.items()}
 
 
+def _axis_deltas(anchor: PreparedAnchor, test: RdeCurve, axis: QualityAxis,
+                 logs: list | None) -> tuple[float, float, float]:
+    """One quality axis's pass of ``bd_report``.
+
+    Returns the share of the anchor's quality span that the two curves
+    share, and the mean log10 rate and energy differences over it. The
+    four-point pass runs when ``logs`` holds the test's log10 costs.
+    """
+    nodes = anchor.axes[axis]
+    side = logs and _four_point_side(tuple(map(_QUALITY[axis], test.points)), logs)
+    if side:
+        lo, hi = max(nodes.lo, side[0][0]), min(nodes.hi, side[2][1])
+    if side and lo < hi:
+        (test_rate, test_energy) = _four_point_integrals(side, lo, hi)
+        (anchor_rate, anchor_energy) = _four_point_integrals(anchor.four_point[axis], lo, hi)
+    else:
+        # Other point counts, and a repeated test quality or an empty
+        # overlap, whose errors the node sets raise.
+        test_nodes = NodeSet.of_curve(test, axis, "test")
+        lo, hi = _overlap(nodes, test_nodes)
+        (test_rate, test_energy), (anchor_rate, anchor_energy) = (
+            test_nodes.integrals(lo, hi), nodes.integrals(lo, hi))
+    width = hi - lo
+    return width / nodes.span, (test_rate - anchor_rate) / width, (test_energy - anchor_energy) / width
+
+
 def bd_report(anchor: PreparedAnchor, test: RdeCurve) -> BdReport:
     """All four BD metrics of ``test`` against ``anchor`` for one sequence.
 
@@ -501,40 +527,31 @@ def bd_report(anchor: PreparedAnchor, test: RdeCurve) -> BdReport:
         raise CurveDataError(
             f"sequence mismatch: anchor is {anchor.sequence!r}, test is {test.sequence!r}"
         )
-    four_point = anchor.four_point if len(test.points) == 4 else None
-    if four_point:
-        points = test.points
-        logs = [tuple(map(math.log10, map(cost, points))) for cost in _COST_VALUES]
-    passes, values, warnings = {}, {}, []
-    for name, cost, axis in BD_FIELDS:
-        try:
-            if axis not in passes:
-                nodes = anchor.axes[axis]
-                side = four_point and _four_point_side(tuple(map(_QUALITY[axis], points)), logs)
-                if side:
-                    lo, hi = max(nodes.lo, side[0][0]), min(nodes.hi, side[2][1])
-                if side and lo < hi:
-                    totals = (_four_point_integrals(side, lo, hi),
-                              _four_point_integrals(four_point[axis], lo, hi))
-                else:
-                    # Other point counts, and a repeated test quality or an
-                    # empty overlap, whose errors the node sets raise.
-                    test_nodes = NodeSet.of_curve(test, axis, "test")
-                    lo, hi = _overlap(nodes, test_nodes)
-                    totals = test_nodes.integrals(lo, hi), nodes.integrals(lo, hi)
-                # The share of the anchor's quality span that the two curves
-                # share, and each cost's mean log10 difference over it.
-                passes[axis] = ((hi - lo) / nodes.span, {
-                    c: (test_total - anchor_total) / (hi - lo)
-                    for c, test_total, anchor_total in zip(_COSTS, *totals)})
-            frac, deltas = passes[axis]
-            values[name] = _percent(deltas[cost])
-        except CtpDseError as exc:
-            raise CurveDataError(f"{name} ({test.sequence}): {exc}") from exc
-        if frac < MIN_OVERLAP_FRACTION:
-            warnings.append(f"{name} ({test.sequence}): quality overlap is only "
-                            f"{100 * frac:.1f}% of the anchor span")
-    return BdReport(warnings=tuple(warnings), **values)
+    logs = None
+    if anchor.four_point and len(test.points) == 4:
+        logs = [tuple(map(math.log10, map(cost, test.points))) for cost in _COST_VALUES]
+    name = "bdr_psnr"
+    try:
+        psnr_share, psnr_rate, psnr_energy = _axis_deltas(anchor, test, QualityAxis.PSNR, logs)
+        bdr_psnr = _percent(psnr_rate)
+        name = "bdr_vmaf"
+        vmaf_share, vmaf_rate, vmaf_energy = _axis_deltas(anchor, test, QualityAxis.VMAF, logs)
+        bdr_vmaf = _percent(vmaf_rate)
+        name = "bdde_psnr"
+        bdde_psnr = _percent(psnr_energy)
+        name = "bdde_vmaf"
+        bdde_vmaf = _percent(vmaf_energy)
+    except CtpDseError as exc:
+        raise CurveDataError(f"{name} ({test.sequence}): {exc}") from exc
+    warnings = ()
+    if psnr_share < MIN_OVERLAP_FRACTION or vmaf_share < MIN_OVERLAP_FRACTION:
+        warnings = tuple(
+            f"{field} ({test.sequence}): quality overlap is only {100 * share:.1f}% "
+            f"of the anchor span"
+            for field, share in (("bdr_psnr", psnr_share), ("bdr_vmaf", vmaf_share),
+                                 ("bdde_psnr", psnr_share), ("bdde_vmaf", vmaf_share))
+            if share < MIN_OVERLAP_FRACTION)
+    return BdReport(bdr_psnr, bdr_vmaf, bdde_psnr, bdde_vmaf, warnings)
 
 
 def aggregate_reports(reports: Iterable[BdReport]) -> BdReport:

@@ -7,19 +7,23 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctpdse import evaluators
+from ctpdse.csvrows import data_rows
 from ctpdse.errors import ConfigError, EvaluationError, MeasurementMissError
 from ctpdse.evaluators import (
+    CSV_HEADER,
     CachedTableEvaluator,
     EvaluationRequest,
     ExternalCommandEvaluator,
     SequenceBaseline,
     SyntheticModelEvaluator,
     SyntheticModelParams,
+    MeasurementTable,
     ingest_measurements,
+    parse_measurement,
 )
 from ctpdse.profiles import Ctp, default_ctp, default_registry, serialize_ctp
 
@@ -27,9 +31,11 @@ from conftest import (
     BASE_QPS,
     HEADER_LINE,
     anchor_rows,
+    halved_energy_rows,
     make_baseline,
     make_params,
     make_registry,
+    with_readings,
     write_table,
 )
 
@@ -145,6 +151,86 @@ class TestIngest:
         assert len(table.diagnostics) == 1
         assert "pass" in table.diagnostics[0]
         assert "mean=120 J" in table.diagnostics[0]
+
+
+def rowwise_ingest(path):
+    """``ingest_measurements`` as one row at a time through ``parse_measurement``: the row rules."""
+    table = MeasurementTable()
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        for lineno, (ctp_id, sequence, *fields) in data_rows(handle, CSV_HEADER, path):
+            try:
+                if not re.fullmatch("[0-9A-F]+", ctp_id):
+                    raise ConfigError(f"ctp_id {ctp_id!r} is not an upper-case hex mask")
+                if not sequence:
+                    raise ConfigError("sequence is empty")
+                point, series = parse_measurement(fields)
+                table.add((ctp_id, sequence, point.qp), point, series)
+            except ConfigError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from None
+    return table
+
+
+def ingest_outcome(ingest, path):
+    """The rows in order and the diagnostics of a table, or the error text."""
+    try:
+        table = ingest(path)
+    except ConfigError as exc:
+        return str(exc)
+    return list(table.rows.items()), table.diagnostics
+
+
+# Gated and plain rows, a row whose samples field has empty items, and
+# lines that ingest skips.
+FUZZ_BASE = "\n".join([
+    HEADER_LINE, "# measured", *with_readings(anchor_rows("7")), "",
+    *anchor_rows("6"), *with_readings(halved_energy_rows("5", "s02")),
+    "3,s01,22,8000.0,42.5,92.0,10.0,9.9;;10.1;",
+]) + "\n"
+FUZZ_TOKENS = (";", ",", "-", "+", "e", "0", "7", ".", " ", "_", "nan", "inf", "x", "A", "\n",
+               "#", ";;", "1e308", "1e-320")
+MUTATIONS = st.lists(st.tuples(st.sampled_from(("insert", "delete", "copy-line")),
+                               st.integers(0, 10 ** 6), st.sampled_from(FUZZ_TOKENS)),
+                     min_size=1, max_size=4)
+
+
+def mutate(text, mutations):
+    for op, at, token in mutations:
+        if op == "copy-line":
+            lines = text.split("\n")
+            lines.insert(at // 7 % len(lines), lines[at % len(lines)])
+            text = "\n".join(lines)
+        else:
+            i = at % (len(text) + 1)
+            text = text[:i] + token + text[i:] if op == "insert" else text[:i] + text[i + 1:]
+    return text
+
+
+class TestIngestRowLoop:
+    """The fast row loop gives what the row rules give, on every input."""
+
+    def test_empty_sample_items_are_skipped(self, tmp_path):
+        path = write_table(tmp_path / "m.csv", ["3,s01,22,8000.0,42.5,92.0,10.0,9.9;;10.1;"])
+        table = ingest_measurements(path)
+        assert table.diagnostics == rowwise_ingest(path).diagnostics
+        assert table.diagnostics[0].startswith("3/s01/qp22: fail: n=2 mean=10 J")
+
+    def test_base_table_is_ingested(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(FUZZ_BASE)
+        rows, diagnostics = ingest_outcome(ingest_measurements, path)
+        assert len(rows) == 13 and len(diagnostics) == 9
+
+    @settings(max_examples=300)
+    @given(MUTATIONS)
+    @example([("copy-line", 9, "")])
+    @example([("insert", 80, ";;")])
+    @example([("insert", 82, "1e308")])
+    @example([("delete", 55, "")])
+    def test_mutated_table_gives_the_row_rules_outcome(self, tmp_path_factory, mutations):
+        path = tmp_path_factory.mktemp("fuzz") / "m.csv"
+        path.write_text(mutate(FUZZ_BASE, mutations), encoding="utf-8")
+        assert (ingest_outcome(ingest_measurements, path)
+                == ingest_outcome(rowwise_ingest, path))
 
 
 class TestCachedEvaluator:
