@@ -64,8 +64,9 @@ grows, and neither do its verdict and its ``%.6g`` text, which is
 correctly rounded. So when both ends give the same verdict and the same
 text, ``exact_stdev`` gives them too, and the filter's outputs are the
 gate's. Otherwise ``exact_stdev`` decides: for a mean out of the range,
-for equal samples or ``rho > 2**-20``, and for a half-width within about
-16 ulps of the bound or of a ``%.6g`` rounding boundary.
+for equal samples, for nearly equal ones, whose large ``rho`` puts the
+ends far apart, and for a half-width within about 16 ulps of the bound
+or of a ``%.6g`` rounding boundary.
 ``MeasurementSeries.half_width`` is not taken from the filter: it is
 computed from the samples by the exact path when it is read, so it stays
 the correctly rounded float that ``ci_check`` returns. Only the ``%.6g``
@@ -324,8 +325,6 @@ _FILTER_LO, _FILTER_HI = 2.0 ** -300, 2.0 ** 300
 # rho, the share of the sum of squares that the mean's rounding could
 # remove, is at most 4.41 n (u mean)**2 / squares; this constant is 5 u**2.
 _RHO_SCALE = 5 * _U * _U
-# The filter gives up when rho exceeds this: the samples are too nearly equal.
-_FILTER_MAX_RHO = 2.0 ** -20
 # The relative margins of the stdev's lower and upper bounds.
 _LOW, _HIGH = 1 - 16 * _U, 1 + 16 * _U
 
@@ -345,8 +344,6 @@ def _screen(samples: tuple[float, ...], mean: float) -> tuple[Verdict, str] | No
     if not squares:
         return None
     rho = _RHO_SCALE * n * mean * mean / squares
-    if rho > _FILTER_MAX_RHO:
-        return None
     stdev = math.sqrt(squares / (n - 1))
     q, root_n = _scale(n)
     low = q * (stdev * (_LOW - rho)) / root_n
