@@ -497,8 +497,8 @@ def _axis_deltas(anchor: PreparedAnchor, test: RdeCurve, axis: QualityAxis,
     if side:
         lo, hi = max(nodes.lo, side[0][0]), min(nodes.hi, side[2][1])
     if side and lo < hi:
-        (test_rate, test_energy) = _four_point_integrals(side, lo, hi)
-        (anchor_rate, anchor_energy) = _four_point_integrals(anchor.four_point[axis], lo, hi)
+        test_rate, test_energy = _four_point_integrals(side, lo, hi)
+        anchor_rate, anchor_energy = _four_point_integrals(anchor.four_point[axis], lo, hi)
     else:
         # Other point counts, and a repeated test quality or an empty
         # overlap, whose errors the node sets raise.
