@@ -33,7 +33,7 @@ def data_rows(lines, header: tuple[str, ...], where):
 
     # A skipped line is read as an empty row, so csv still counts it.
     reader = csv.reader("" if line.strip()[:1] in ("", "#") else line for line in lines)
-    rows = filter(None, reader)
+    rows = (row for row in reader if row)
     try:
         first = next(rows, None)
         if first is None:
@@ -48,6 +48,6 @@ def data_rows(lines, header: tuple[str, ...], where):
                 raise ConfigError(
                     f"{where}:{reader.line_num}: expected {len(header)} fields, got {len(row)}"
                 )
-            yield reader.line_num, list(map(str.strip, row))
+            yield reader.line_num, [f.strip() for f in row]
     except UnicodeDecodeError as exc:
         raise ConfigError(not_utf8(where, exc)) from None

@@ -26,15 +26,9 @@ one exception and is imported with this module: the benchmark harness
 times each child job by swapping ``evaluators.subprocess.run`` after
 import.
 
-A cached-table row and an external job's result row become a point by
-the rules of ``parse_measurement`` alone, so both obey the same checks;
-each caller only decides what a CI verdict means. ``ingest_measurements``
-reads a table row in one ``try`` of plain ``int`` and ``float`` calls,
-the CI gate, the point and the duplicate-key check, and stores nothing
-until all have passed. A row that fails anywhere in it is read again by
-``parse_measurement`` and ``MeasurementTable.add``, one field at a time,
-and that result stands: the row is added, or the error names the rule
-it breaks, with the same ``path:line:`` prefix as always.
+A cached-table row and an external job's result row become a point through
+``parse_measurement`` alone, so both obey the same checks; each caller
+only decides what a CI verdict means.
 """
 
 from __future__ import annotations
@@ -122,13 +116,8 @@ def parse_measurement(fields: Sequence[str]) -> tuple[RdePoint, MeasurementSerie
             raise ConfigError(
                 f"energy_j {energy_j} does not match the sample mean {series.mean}"
             )
-    point = RdePoint(
-        qp=qp,
-        bitrate=parse_float(rate, "bitrate_kbps"),
-        psnr=parse_float(psnr, "psnr_db"),
-        vmaf=parse_float(vmaf, "vmaf"),
-        energy=energy_j,
-    )
+    point = RdePoint(qp, parse_float(rate, "bitrate_kbps"), parse_float(psnr, "psnr_db"),
+                     parse_float(vmaf, "vmaf"), energy_j)
     return point, series
 
 
@@ -166,16 +155,6 @@ class MeasurementTable:
 _MASK = re.compile("[0-9A-F]+")
 
 
-def _add_row(table: MeasurementTable, ctp_id: str, sequence: str, fields: Sequence[str]) -> None:
-    """Check one table row by the row rules, one field at a time, and add it to ``table``."""
-    if not _MASK.fullmatch(ctp_id):
-        raise ConfigError(f"ctp_id {ctp_id!r} is not an upper-case hex mask")
-    if not sequence:
-        raise ConfigError("sequence is empty")
-    point, series = parse_measurement(fields)
-    table.add((ctp_id, sequence, point.qp), point, series)
-
-
 def ingest_measurements(path) -> MeasurementTable:
     """Load a measurement CSV, validating schema, masks, ranges and sample means.
 
@@ -184,35 +163,17 @@ def ingest_measurements(path) -> MeasurementTable:
     the CI gate and the verdicts land in ``table.diagnostics``; a failing
     verdict is a diagnostic here, not an error, since cached tables hold
     already-vetted measurements.
-
-    A row that raises or fails a check in the one-``try`` read (see the
-    module docstring), an empty item of ``energy_samples`` included, goes
-    to ``_add_row``. It adds the row or raises the error that names the
-    rule the row breaks.
     """
     table = MeasurementTable()
-    rows, diagnostics = table.rows, table.diagnostics
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        for lineno, row in data_rows(handle, CSV_HEADER, path):
-            ctp_id, sequence, qp_text, rate, psnr, vmaf, energy, samples_text = row
+        for lineno, (ctp_id, sequence, *fields) in data_rows(handle, CSV_HEADER, path):
             try:
-                qp = int(qp_text)
-                key = (ctp_id, sequence, qp)
-                energy_j = float(energy)
-                series = None
-                if samples_text:
-                    series = MeasurementSeries.validate(tuple(map(float, samples_text.split(";"))))
-                if (_MASK.fullmatch(ctp_id) and sequence and key not in rows and (
-                        not series
-                        or math.isclose(series.mean, energy_j, rel_tol=ENERGY_MEAN_REL_TOL))):
-                    rows[key] = RdePoint(qp, float(rate), float(psnr), float(vmaf), energy_j)
-                    if series:
-                        diagnostics.append(f"{ctp_id}/{sequence}/qp{qp}: {series.describe()}")
-                    continue
-            except Exception:
-                pass  # _add_row reads the row again and decides
-            try:
-                _add_row(table, ctp_id, sequence, row[2:])
+                if not _MASK.fullmatch(ctp_id):
+                    raise ConfigError(f"ctp_id {ctp_id!r} is not an upper-case hex mask")
+                if not sequence:
+                    raise ConfigError("sequence is empty")
+                point, series = parse_measurement(fields)
+                table.add((ctp_id, sequence, point.qp), point, series)
             except ConfigError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return table

@@ -104,19 +104,12 @@ def points_csv(points: Iterable[ProfilePoint], comment: str) -> str:
 
 
 def read_points_csv(path) -> list[ProfilePoint]:
-    """Read a two-column (bdr, bdde) CSV, by the rules of ``csvrows.data_rows``.
-
-    A row is read by plain ``float`` calls; one that fails there is read
-    again field by field, which raises the error that names the field.
-    """
+    """Read a two-column (bdr, bdde) CSV, by the rules of ``csvrows.data_rows``."""
     points = []
     with open(path, newline="", encoding="utf-8-sig") as handle:
         for lineno, (bdr, bdde) in data_rows(handle, POINTS_HEADER, path):
             try:
-                points.append(ProfilePoint(float(bdr), float(bdde)))
-            except Exception:
-                try:
-                    points.append(ProfilePoint(parse_float(bdr, "bdr"), parse_float(bdde, "bdde")))
-                except ConfigError as exc:
-                    raise ConfigError(f"{path}:{lineno}: {exc}") from None
+                points.append(ProfilePoint(parse_float(bdr, "bdr"), parse_float(bdde, "bdde")))
+            except ConfigError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return points

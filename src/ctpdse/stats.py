@@ -282,19 +282,13 @@ def _checked_mean(samples: Sequence[float]) -> float:
         raise ConfigError(f"the sum of the energy samples overflows a float: {samples}") from None
 
 
-@functools.lru_cache(maxsize=None)
-def _scale(n: int) -> tuple[float, float]:
-    """The Student-t quantile and the root of ``n`` that scale the stdev of ``n`` samples."""
-    return t_quantile((1 + DEFAULT_CONFIDENCE) / 2, n - 1), math.sqrt(n)
-
-
 def _half_width(samples: Sequence[float]) -> float:
     """The CI half-width of checked samples from ``exact_stdev``; infinite for one sample."""
     n = len(samples)
     if n < 2:
         return math.inf
-    q, root_n = _scale(n)
-    return q * exact_stdev(samples) / root_n
+    q = t_quantile((1 + DEFAULT_CONFIDENCE) / 2, n - 1)
+    return q * exact_stdev(samples) / math.sqrt(n)
 
 
 def _verdict(half_width: float, mean: float) -> Verdict:
@@ -345,7 +339,7 @@ def _screen(samples: tuple[float, ...], mean: float) -> tuple[Verdict, str] | No
         return None
     rho = _RHO_SCALE * n * mean * mean / squares
     stdev = math.sqrt(squares / (n - 1))
-    q, root_n = _scale(n)
+    q, root_n = t_quantile((1 + DEFAULT_CONFIDENCE) / 2, n - 1), math.sqrt(n)
     low = q * (stdev * (_LOW - rho)) / root_n
     high = q * (stdev * _HIGH) / root_n
     bound = DEFAULT_REL_HALF_WIDTH * mean
@@ -395,7 +389,5 @@ class MeasurementSeries(Frozen):
         return cls(samples, settled[0], mean, settled[1])
 
     def describe(self) -> str:
-        # ``_value_`` is ``value`` without the enum property, which costs
-        # about 0.4 us on Python 3.11; ingest describes every gated row.
-        return (f"{self.verdict._value_}: n={len(self.samples)} mean={self.mean:.6g} J "
+        return (f"{self.verdict.value}: n={len(self.samples)} mean={self.mean:.6g} J "
                 f"half_width={self.half_width_text} J {_SETTING}")

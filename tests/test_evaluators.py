@@ -1,3 +1,4 @@
+import math
 import re
 import subprocess
 import sys
@@ -11,10 +12,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctpdse import evaluators
-from ctpdse.csvrows import data_rows
+from ctpdse.csvrows import data_rows, parse_float
+from ctpdse.curves import RdePoint
 from ctpdse.errors import ConfigError, EvaluationError, MeasurementMissError
 from ctpdse.evaluators import (
     CSV_HEADER,
+    ENERGY_MEAN_REL_TOL,
     CachedTableEvaluator,
     EvaluationRequest,
     ExternalCommandEvaluator,
@@ -23,9 +26,9 @@ from ctpdse.evaluators import (
     SyntheticModelParams,
     MeasurementTable,
     ingest_measurements,
-    parse_measurement,
 )
 from ctpdse.profiles import Ctp, default_ctp, default_registry, serialize_ctp
+from ctpdse.stats import DEFAULT_CONFIDENCE, DEFAULT_REL_HALF_WIDTH, ci_check
 
 from conftest import (
     BASE_QPS,
@@ -153,18 +156,41 @@ class TestIngest:
         assert "mean=120 J" in table.diagnostics[0]
 
 
-def rowwise_ingest(path):
-    """``ingest_measurements`` as one row at a time through ``parse_measurement``: the row rules."""
+def reference_ingest(path):
+    """``ingest_measurements`` spelled out one field at a time, with ``ci_check``'s exact gate."""
     table = MeasurementTable()
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        for lineno, (ctp_id, sequence, *fields) in data_rows(handle, CSV_HEADER, path):
+        for lineno, row in data_rows(handle, CSV_HEADER, path):
+            ctp_id, sequence, qp_text, rate, psnr, vmaf, energy, samples_text = row
             try:
                 if not re.fullmatch("[0-9A-F]+", ctp_id):
                     raise ConfigError(f"ctp_id {ctp_id!r} is not an upper-case hex mask")
                 if not sequence:
                     raise ConfigError("sequence is empty")
-                point, series = parse_measurement(fields)
-                table.add((ctp_id, sequence, point.qp), point, series)
+                try:
+                    qp = int(qp_text)
+                except ValueError:
+                    raise ConfigError(f"qp is not an integer: {qp_text!r}") from None
+                energy_j = parse_float(energy, "energy_j")
+                samples = tuple(parse_float(s, "energy sample")
+                                for s in samples_text.split(";") if s)
+                if samples:
+                    verdict, mean, half_width = ci_check(samples)
+                    if not math.isclose(mean, energy_j, rel_tol=ENERGY_MEAN_REL_TOL):
+                        raise ConfigError(
+                            f"energy_j {energy_j} does not match the sample mean {mean}")
+                point = RdePoint(qp=qp, bitrate=parse_float(rate, "bitrate_kbps"),
+                                 psnr=parse_float(psnr, "psnr_db"),
+                                 vmaf=parse_float(vmaf, "vmaf"), energy=energy_j)
+                key = (ctp_id, sequence, qp)
+                if key in table.rows:
+                    raise ConfigError(f"duplicate measurement key {key}")
+                table.rows[key] = point
+                if samples:
+                    table.diagnostics.append(
+                        f"{ctp_id}/{sequence}/qp{qp}: {verdict.value}: n={len(samples)} "
+                        f"mean={mean:.6g} J half_width={half_width:.6g} J "
+                        f"(confidence={DEFAULT_CONFIDENCE}, bound={DEFAULT_REL_HALF_WIDTH})")
             except ConfigError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return table
@@ -205,13 +231,13 @@ def mutate(text, mutations):
     return text
 
 
-class TestIngestRowLoop:
-    """The fast row loop gives what the row rules give, on every input."""
+class TestIngestRowRules:
+    """Ingest with the filtered gate gives what the exact row rules give, on every input."""
 
     def test_empty_sample_items_are_skipped(self, tmp_path):
         path = write_table(tmp_path / "m.csv", ["3,s01,22,8000.0,42.5,92.0,10.0,9.9;;10.1;"])
         table = ingest_measurements(path)
-        assert table.diagnostics == rowwise_ingest(path).diagnostics
+        assert table.diagnostics == reference_ingest(path).diagnostics
         assert table.diagnostics[0].startswith("3/s01/qp22: fail: n=2 mean=10 J")
 
     def test_base_table_is_ingested(self, tmp_path):
@@ -226,11 +252,11 @@ class TestIngestRowLoop:
     @example([("insert", 80, ";;")])
     @example([("insert", 82, "1e308")])
     @example([("delete", 55, "")])
-    def test_mutated_table_gives_the_row_rules_outcome(self, tmp_path_factory, mutations):
+    def test_mutated_table_gives_the_reference_outcome(self, tmp_path_factory, mutations):
         path = tmp_path_factory.mktemp("fuzz") / "m.csv"
         path.write_text(mutate(FUZZ_BASE, mutations), encoding="utf-8")
         assert (ingest_outcome(ingest_measurements, path)
-                == ingest_outcome(rowwise_ingest, path))
+                == ingest_outcome(reference_ingest, path))
 
 
 class TestCachedEvaluator:
