@@ -1,13 +1,15 @@
-"""Byte-identity gate: the eight seed-7 synthetic walks keep their output files
-and their ``terminal …`` line, and ``ctp bd`` keeps its output on a table drawn
-from the seed-7 model.
+"""Byte-identity gate: the synthetic walks at seeds 3, 7, 11 and 13 keep their
+output files and their ``terminal …`` line, and ``ctp bd`` keeps its output on
+tables drawn from the seed-7 model.
 
-The walk digests were taken from the program before the anchor curve was
-prepared once per run (commit 6834e88), the ``ctp bd`` digests before BD
-integrated a node set's costs in one loop (commit df3d9c2). Those runs use
-four qps, so BD takes its four-point pass. One more walk, over five qps,
-pins the general node-set path; its digests were taken before the
-four-point pass existed (commit 71da4d0). The gated table's digests,
+The seed-7 walk digests were taken from the program before the anchor curve
+was prepared once per run (commit 6834e88), the four-qp ``ctp bd`` digests
+before BD integrated a node set's costs in one loop (commit df3d9c2). Those
+runs use four qps, so BD takes its four-point pass. One more walk, over five
+qps, and the ``ctp bd`` table over five and six qps pin the general node-set
+path. The walk's digests were taken before the four-point pass existed
+(commit 71da4d0); the tables', and those of the four-qp walks at seeds 3,
+11 and 13, at commit 4e2c9af. The gated table's digests,
 ``ctp bd`` and a cached walk over rows with five energy readings each, pin
 the ``measurement:`` lines; they were taken before the CI gate filtered
 the exact standard deviation (commit 8ca3438). Any change
@@ -97,6 +99,180 @@ SEED_7_DIGESTS = {
 }
 
 
+# sha256 of each of DIGESTED, in order, per (seed, strategy, axis), for the
+# uncapped four-qp walks at seeds 3, 11 and 13.
+OTHER_SEED_DIGESTS = {
+    (3, "ea", "vmaf"): (
+        "e688e54ece0f6ac32e9dd29732f8a456aa4cab5d38480980ef96e153a95a628e",
+        "b52e5ab26bd5c14702c3dc9b97db09aeb783fa7ddbc1479ff16a4705c9ef7cf2",
+        "e4f64804687c8a2bc098be6768941bfbd3c42e930e92da920951d79fe5dadba8",
+        "48efd13705c3f50f4f3f79a7b6d4c3ce01811a4e9a0f84d9ed89bf45e1558828",
+        "ee96f138e5c980cec318ec180678425ba7df3e881ca8d9948e5d756bd0a8142f",
+    ),
+    (3, "ea", "psnr"): (
+        "cefa7657b951b3400250c383ad8c478e80b0fd2c2967b8f48454758e86513777",
+        "052cb302fa0ba122871e1e756d09fcbad42596f755fa70cd2ca783707499db63",
+        "f73cbbec8d9b19e5850785d1e8ebe9d03c831eddae84064dc0ef94be87d6e08e",
+        "22b1709e6c813b7934ed8d46c28f008198c7ad234a24290b55ee0cb058665728",
+        "120aaede768ec3c4577e175192ab9db32388f49cd2d2a29d8b7bba924b161601",
+    ),
+    (3, "e1", "vmaf"): (
+        "1cc4a9a633937e76cab4b9a445b7260dc1cc33e13003c536650c61a79075db60",
+        "026c0c073e56ce9d4a44319cfc16a6dc9ad9d3a462cc559e10210db44054c0e6",
+        "200882abcb88687bd53fac040496e389007c47a6a5d305d530c307076edafe4b",
+        "c5f012b7fe94f1dcbd04166de1817981af8c996bd3b0eaca4b5130e8e9836773",
+        "bd8eb119c41725f2aebc18705dc9edb08a501bf726c978ea6d770e06d54bcc60",
+    ),
+    (3, "e1", "psnr"): (
+        "325a6b39ad2d3a3b159b305ea93bd433cba26e7c997c49496b2a9a33ec1fea5e",
+        "5db337c7a7ed64c3b23b20d01e67002e344b10c57777e5eddb029e7f14918095",
+        "b138f25240ec4f2a805ec3b0c6bfec2e928d3b419c9a99a22af21476719729aa",
+        "e7465dab7b4ae5fc86c683cd1fa70b89f1338665412e5c959cc5b9d1173f2cd3",
+        "d4cea3d764e418720e3c4ed3f0373035756847f8110d1f508132b45267d5491c",
+    ),
+    (3, "ca", "vmaf"): (
+        "002ff6ffd227eefccc03eb839406f70ea545b88e9818a9bbd088d5d1fad2c213",
+        "ea2323dde7c1bf2524a71ead2621f1947517262e07da7cd142c1c0a311c2cbe9",
+        "f26e241f5abf62167ce6a5cf8c40c12d75a5e1899d30535bb1a03587bbec6044",
+        "9fd70476072d7b5fc44d8332bd8d1e87ab2e55c7c1b6d0280d7e11c5773e2c98",
+        "b892a9911b93cb9c6302f8d08bcb038cde2e222b08c6921c63d7ae34ece8636b",
+    ),
+    (3, "ca", "psnr"): (
+        "648ecd7ba766e7475427237e4b96433b9d3a8d1992d961e8a2a3ec65d5dbb413",
+        "e0e670e507a77de03bb0cf311ee5d57780f484ca570aeaa6fa42b9aa93f06a36",
+        "2c4cab9cd852e5a68952482aa5fecfbbdef8dfdafc1f13265ea0fbe8879648c0",
+        "43005b23bacd0ef7a960d420e5508469192ef5a0383685777ead82551ccaf687",
+        "5207d4888c7b3f09666a1ffa312b943dff96cb3aba239c49b02872566ba9f7fa",
+    ),
+    (3, "c1", "vmaf"): (
+        "e4d3cf68c4ac9311d9cf6dbf1b7c03e0c78041e9d842898a884763264456b710",
+        "366f62cfd2f57952f34e570b01a0cb8c88e7ba23ec670767699abc57b5b41d36",
+        "cd0d56fbfd550655648455714cccba6c2eabf93c51645e2906cb1b4f0419ac1b",
+        "0744870cc30c39092fba82da7fd8825227f454e2e68c4c01ce298cb4d9c0dc24",
+        "c6d4d5ad39789f1265046b7d9ee1c06b505c840ba2d1aa9ebdc3f81417485370",
+    ),
+    (3, "c1", "psnr"): (
+        "5dfa03f5663dac6c2d82deac7d451e6cc6ae0c4a7419340ab4fcca63d690a529",
+        "8dbbac6905bed2c91c37f742cb55867167de712b80c1d6e4dcffb36c501e3e1c",
+        "7ab7e242ba97ec465351666e10fdaac5edd6aeb83118714f826059f8caea0a23",
+        "fbab10a5ab0bb92ff99ae5457b65864203191e53cdea0cc170e1f4c60acc59eb",
+        "207d5a2fc9469ddb0bce2807714dd1a0f600a6d065c6d5042790850bb6156678",
+    ),
+    (11, "ea", "vmaf"): (
+        "e2cdc7618b65d746ce505df271da6c352accd97bf17983069dbc84747b181cc9",
+        "77459707e719e0523d13a86367ebe16ebd240ef74ffd382d028cb70b4f98fd36",
+        "e8e4c9cccd304d99378d8eef5cabced0bd5257765207d268991c356675255d91",
+        "821bee3b1a2a7c98f2c1723d9093d3f2702f7ceb6f04fbb6b586101c20469f07",
+        "425181842122c90a8b716d3e3d847b27bef3d1663425595ea6c970b7f4975ef1",
+    ),
+    (11, "ea", "psnr"): (
+        "7aadf86190a6adf4ae42cd190b98ad1c18adb6e7ea7f899a8489cc0dbe34d3a8",
+        "09d3c99d01864e44d632c60b5a102cad4d4b383dc1d52b4a85ec053c7e88f737",
+        "e30e18b1b807363f27cecb81ebc3787593bf4e33fe414c0bbf717d3a2d74dde4",
+        "d3b84c754d287ba8de23b7aae95e632663c0eaacd611346ce1b469ed08972d48",
+        "1f4b6e1460bc1cd8e2acfe96c9ee2d73ec01f14892ce9a2644e3c69c5341e93e",
+    ),
+    (11, "e1", "vmaf"): (
+        "bd4247de47022d6eb07d55a145953e80e0aba3192ffb18db5a9e83181795f4a2",
+        "b20775ec60edcf3ffb4388e24e147f8da01f1861f766c52f4e662e83e14bd101",
+        "68ab8c88de06d664ed356bd08c894325fb20ca5eba05ef4530e30a219f9caaaa",
+        "440bad47f891c045c79ff28eb9bcde937d5f20b83dcf1698eef4402f11b0cad7",
+        "7dcbd27786e0e23095370fdc70d37ab6a27a6b3a6ce868b0230942dabd5bdb81",
+    ),
+    (11, "e1", "psnr"): (
+        "193c0786a66f5ae192342265688fdb2f53407615ae7460c31ea4599963c9c203",
+        "6a0bef38ebfa1db24ece8acd3885791ca99f2aac43a3aea0820418b2007be1c3",
+        "a7d67a1da2c2870940d0ef13a4e5ef5cd7b28ebb84a45df3eab7975e235dcb24",
+        "efa5b2cf7a9beecc0f769f866dca0fedb8bc10506009638cca20e22d8aa10a35",
+        "d613f252c2400c69aec1aa9d21c70f3180dc4e089966bae4207a55fbb177c613",
+    ),
+    (11, "ca", "vmaf"): (
+        "3b23d1b06c4e764af4f1e5005df22962777232c48c7f93cc4f0bf96059311761",
+        "4c1359c12798a875ac7e83c9adcbfaa0ba04d0cc197a0d3503db3cf7951b87bc",
+        "0411aad2b9d0e109cb2e909c721b8bef47e40245113887824b212b2e9206a6aa",
+        "4c1ec45441c0c7532419edc3d90d124e2d4f5e92b2985ecacbce401087cc3644",
+        "baf86ddf5f65f28931d41bea8899c47ff6c28bb2eb57ae478770aa2350b77d50",
+    ),
+    (11, "ca", "psnr"): (
+        "ba47697be4b54c40e70df817d877b97a5d9367919a57c1d89c7259714fbb7cec",
+        "11e140b63e6155596ccdb49e4dfe323e4c23ce3739c93f5dd3ce62b5d250273b",
+        "cde06827deb50013e12caa589fdc74a237e55c899189962a114aec6c757106aa",
+        "86725de087c2bbbef9af2dd2d704b32484679c841fabfb5f7d148f3a4cb36031",
+        "650ddffd64e1f687167c79ecf68c6c67afacb8bddd4220dca49a7e683338b07a",
+    ),
+    (11, "c1", "vmaf"): (
+        "2c1dca7ce5516bc5eff20fc93d71df508c6405aab628da03e7fd89e1a4b40b1b",
+        "38f70003ccbe6c1ee97010337024fe76c9f569a8719ba55daa79b7dbd1831f73",
+        "bf6b67acd6ed314a3b5af421705dae95f243685da4335c80851ce74bef528507",
+        "6531426076f5d413c5f356eb6419166ed2d42b377cbe6332e8cc08abb6a04959",
+        "dbf978ecf08b7257f769a3ae58d1bc496d71bcc1d37a12b44034feb1219c0fe5",
+    ),
+    (11, "c1", "psnr"): (
+        "a5522280d4faacafcf7939447c1285a4ea2c3d4c2276f9b10572ef45328d3989",
+        "ec41d255eb89bc4a2753149d1da7f91471c0f58d36f4ea5864c2290c8479ea43",
+        "e8bd7a4398c68b7d9894a97206664f5d2a47b1ce749f854373427c5c75ccb18e",
+        "899d77499573a113c39bd36a9090a2b497dcd4bb4a6f308d22a16c00cb8c8ffd",
+        "194accb916808570c938d745c463bb304433f0a849d3d47b5bda41c42284c189",
+    ),
+    (13, "ea", "vmaf"): (
+        "bbca37b8c97de504ac36c9b2628c383b6a1512234a6bbbcd72e59db9830ffdbb",
+        "c2a958b57ee04100f96feea63f348b2882e5795b664a6e642aea04f9ca883593",
+        "e629b10be7f8eba44c3b9dfba332748563a4040cdce56fdcadca8ba1c3b6f18a",
+        "9ca83a0861374208b9c189b1e47c3869022b6b1c0d878cd560d81dcc5141be34",
+        "501beec56fe5769c3990ce82cab304f8863d1e0f010159210597a4f4bd8caf14",
+    ),
+    (13, "ea", "psnr"): (
+        "e8e09efe750d6f403acc50ab7b6bd1e58a6bec816c21c0470657a543efd693ee",
+        "ac86b24904357c752f027c852adc2874733e1f9c2876853eca66e88b39833bd5",
+        "ba04cbb1b8ce1d5ecc006be88858931736b04966cb0e6f975e6284a74efda332",
+        "47b1cfb1968b4c443fe6a0881e0464e40cb44dc527c5c0e02c5bd1f43ebbf704",
+        "1bd9609033fe0acc1bdfb90a053bfc1a1532f9ffdd87c3284843d8a22287d7a1",
+    ),
+    (13, "e1", "vmaf"): (
+        "fd12141bbb9c3524f1809115fb7091c7d45d1fd3857a1cc0ad38067091d588d7",
+        "68ff8903ef8f9a4e8397ba59ed6ddafc1eb003d88ee470220e662104d973e9d4",
+        "d7803a2ccd1671811f93c77a04d26734178f6fc0f3661b9c5feb769b94e32b67",
+        "208e9169f2239aa4fbaf477ddaee33b28103e800749c9cebb91c8842e662734e",
+        "21c771e35f9358d9d5985e0318e694a275be77a8b735a14c483f00b41b95cc5b",
+    ),
+    (13, "e1", "psnr"): (
+        "b02918350de2351f37fa362ee6124a63291fdd9895fd788aa95dc44fe984ad1d",
+        "b54608b6931e5a8673f7a001a707716f306355d4bec0e9b7a29afa9773b3f9a0",
+        "2023ab8740cd7243cdf0e0ca72163b5769d8616de1a968182febfccadf61d97b",
+        "f372cbe5ea9e984d5a8a30b335d45595fd26903a7cc6c80dbb62fc3fe7a62eb3",
+        "a0eebfa5d0390df1c95f984bd8e77700d4875b5af6faed533ee54ff935ae3dfb",
+    ),
+    (13, "ca", "vmaf"): (
+        "aa6021733b25b6ec4933e8c4fc49af2a10460dd8489cbc0efa92203f87f32785",
+        "1baa7dd0998f39f6a13fe56d06b418555afc37a850598075ae3e9af3abcaf7c7",
+        "cc7ff893f57488f1f28ab0fd56eac258ed0d6bf8feee64be39c370b58aca3320",
+        "2d311e76b145e54f45158e78beaa6afab8e10beec52baebdda279594d5d283e7",
+        "b7a67024915ffb10b3fd4ab4fd9b9e286547b13e98a3dd96680c082a946b9866",
+    ),
+    (13, "ca", "psnr"): (
+        "91cd7d0aaefcb1c570aea03c705ceeb47454a5a6aca7a31dc657481c431a0fad",
+        "f7bfc00b486d847666173da52fd304aa8c31f99ecdc7b4359bc95ce8e6200f03",
+        "1f1fe03cc59c5b1d005663ab1398bfa9cbb0dc83d2cfdf110fde58b9c1b79e82",
+        "e1366d0c986e57d1b95c55c77cc2cb137f9268733750abfa63e9eaab11ed8a1a",
+        "c5650576bb138e9c4d48517ed9ce74d34d5ec10395e55918b2bce1f0b73eb9e7",
+    ),
+    (13, "c1", "vmaf"): (
+        "b8a17dfc208f517f5a78e845ce3192ac6b5f27174d2ca139b17b4a110732be1b",
+        "715b11e223ca8cf2af53f9c5726fe6e5b589ba9da993d0d29a593ce79ca93d05",
+        "87a78e57f9ec1a5c8cd6fa6bac3eea439baacdc4c5ccd2b2c7546c642f4f9ed2",
+        "d78a0cba28f5415bd4929279c869aa496f929193f44adf4b145a11caacd49a94",
+        "9a2739ba899f884737b458ae0cf835ec694a56d9ae3e2b3cf45f35af51f04467",
+    ),
+    (13, "c1", "psnr"): (
+        "b6cd391f693affcf4f24e0d9b30bafd4b37db3c79cfc20c7084ae926e4cbcc4f",
+        "ade6f2f4fbdec1e2e1277f0049594c88a64b40d6d25b26418077effedd7099b7",
+        "974e9a666552fdbfbe75acfd99d24c7588187140f408f2533aa62e3d95f0c2df",
+        "6c4e5dfcd925df002f76648309682173266cdab4c52a13107d7a1f7af55f451f",
+        "0fc645a0db56165446b6cc8546041e41189db765f7e6a1e9b5a2b16ef9317b37",
+    ),
+}
+
+
 def test_synthetic_quality_deltas_add_left_to_right():
     # Left to right, 1e16 + 1.0 rounds back to 1e16 and the deltas cancel;
     # sum() compensates float sums since Python 3.12 and would shift PSNR by 1.
@@ -116,9 +292,9 @@ FIVE_QP_DIGESTS = (
 )
 
 
-def walk_digests(out, capsys, *flags):
-    """sha256 of each of DIGESTED after a seed-7 synthetic ``ctp dse`` with ``flags``."""
-    assert cli.main(["dse", *flags, "--backend", "synthetic", "--seed", "7",
+def walk_digests(out, capsys, *flags, seed=7):
+    """sha256 of each of DIGESTED after a synthetic ``ctp dse`` at ``seed`` with ``flags``."""
+    assert cli.main(["dse", *flags, "--backend", "synthetic", "--seed", str(seed),
                      "--out", str(out)]) == 0
     terminal = capsys.readouterr().out.splitlines()[0]
     texts = [(out / name).read_bytes() for name in FILES] + [terminal.encode()]
@@ -137,6 +313,13 @@ def test_seed_7_five_qp_walk_keeps_its_bytes(tmp_path, capsys):
     assert digests == dict(zip(DIGESTED, FIVE_QP_DIGESTS))
 
 
+@pytest.mark.parametrize("seed, strategy, axis", list(OTHER_SEED_DIGESTS))
+def test_other_seed_walk_keeps_its_bytes(tmp_path, capsys, seed, strategy, axis):
+    digests = walk_digests(tmp_path / "run", capsys, "--strategy", strategy, "--axis", axis,
+                           seed=seed)
+    assert digests == dict(zip(DIGESTED, OTHER_SEED_DIGESTS[seed, strategy, axis]))
+
+
 BD_SEQUENCES = ("s01", "s02")
 BD_QPS = (22, 27, 32, 37)
 BD_TESTS = 20
@@ -150,16 +333,30 @@ BD_DIGESTS = (
     "baa6b487173bd1da814a282a92325b1ec6f0975efa074d9d4a0b06dafb205b40",
 )
 
+# sha256 of (stdout, stderr) of ``ctp bd --axis both --qps …`` on
+# ``write_bd_table`` over five and six qps, per qps.
+MORE_QP_BD_DIGESTS = {
+    (22, 27, 32, 37, 42): (
+        "56c681f702c1aca1de9a707d78299e0ef4ec0c70454a1ef1770884f66c71aeff",
+        "baa6b487173bd1da814a282a92325b1ec6f0975efa074d9d4a0b06dafb205b40",
+    ),
+    (22, 27, 32, 37, 42, 47): (
+        "32ea5d8fa84aba1d4a378fa0ddde37b4c5617071a86be009d4c250d22123fa32",
+        "baa6b487173bd1da814a282a92325b1ec6f0975efa074d9d4a0b06dafb205b40",
+    ),
+}
 
-def write_bd_table(path):
+
+def write_bd_table(path, qps=BD_QPS):
     """The anchor, ``BD_TESTS`` random profiles and the thin-overlap one, from the seed-7 model.
 
-    Floats are written by ``repr``, so ingest reads back the model's
-    floats. Returns the test masks in table order.
+    Each profile has one row per sequence and qp in ``qps``. Floats are
+    written by ``repr``, so ingest reads back the model's floats. Returns
+    the test masks in table order.
     """
     registry = default_registry()
     evaluate = SyntheticModelEvaluator(
-        SyntheticModelParams.random(registry, BD_SEQUENCES, BD_QPS, seed=7)).evaluate
+        SyntheticModelParams.random(registry, BD_SEQUENCES, qps, seed=7)).evaluate
     rng = random.Random("bd-table-7")
     profiles = [default_ctp(registry)] + [
         Ctp(registry, sum((rng.random() < 0.5) << i for i in range(len(registry))))
@@ -168,7 +365,7 @@ def write_bd_table(path):
     rows = [",".join(CSV_HEADER)]
     anchor_curves = []
     for ctp in profiles:
-        curves = evaluate(EvaluationRequest(ctp, BD_SEQUENCES, BD_QPS))
+        curves = evaluate(EvaluationRequest(ctp, BD_SEQUENCES, qps))
         anchor_curves = anchor_curves or curves
         rows += [f"{serialize_ctp(ctp)},{c.sequence},{p.qp},{p.bitrate!r},{p.psnr!r},"
                  f"{p.vmaf!r},{p.energy!r}," for c in curves for p in c.points]
@@ -181,16 +378,27 @@ def write_bd_table(path):
     return [serialize_ctp(ctp) for ctp in profiles[1:]] + [THIN_MASK]
 
 
-def test_seed_7_bd_table_keeps_its_bytes(tmp_path, capsys):
+def bd_table_digests(tmp_path, capsys, *flags, qps=BD_QPS):
+    """sha256 of (stdout, stderr) of ``ctp bd --axis both`` with ``flags`` on ``write_bd_table``."""
     table = tmp_path / "m.csv"
-    tests = write_bd_table(table)
-    argv = ["bd", "--measurements", str(table), "--axis", "both"]
+    tests = write_bd_table(table, qps)
+    argv = ["bd", "--measurements", str(table), "--axis", "both", *flags]
     for mask in tests:
         argv += ["--test", mask]
     assert cli.main(argv) == 0
     out, err = capsys.readouterr()
     assert "warning: 00000000: bdr_psnr (s01): quality overlap is only" in err
-    assert tuple(hashlib.sha256(text.encode()).hexdigest() for text in (out, err)) == BD_DIGESTS
+    return tuple(hashlib.sha256(text.encode()).hexdigest() for text in (out, err))
+
+
+def test_seed_7_bd_table_keeps_its_bytes(tmp_path, capsys):
+    assert bd_table_digests(tmp_path, capsys) == BD_DIGESTS
+
+
+@pytest.mark.parametrize("qps", list(MORE_QP_BD_DIGESTS), ids=len)
+def test_seed_7_bd_table_over_more_qps_keeps_its_bytes(tmp_path, capsys, qps):
+    digests = bd_table_digests(tmp_path, capsys, "--qps", ",".join(map(str, qps)), qps=qps)
+    assert digests == MORE_QP_BD_DIGESTS[qps]
 
 
 # The gated table's profiles: every mask of a five-tool registry, so a
