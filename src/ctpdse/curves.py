@@ -18,36 +18,30 @@ when the two secants nearest the end differ in sign and the estimate
 exceeds that. Each interval's integral is the closed form of the cubic
 Hermite basis over the part of the interval inside the overlap.
 
-Both sides of a BD integral are a ``NodeSet``: one curve on one quality
-axis, holding the sorted quality, the interval widths and, for each cost,
-its log10 values and PCHIP slopes. The width-only weights of the slope
-rules are computed once for all costs. A ``PreparedAnchor`` holds the
-anchor's node set for each axis, built once per run; ``bd_report`` builds
-the test's node set once per axis, finds the overlap once, and runs one
-test pass and one anchor pass of ``NodeSet.integrals``, which integrates
-all of a node set's costs over the overlap in one loop. The loop computes
-the Hermite weights of a cut end once and shares them among the costs; a
+Both sides of a BD integral are one curve on one quality axis in one
+format: the tuple of its intervals in quality order, each holding its
+ends and width and, for each of two costs, its log10 values at the ends
+and its PCHIP end slopes times the width. Two builders make a side.
+``_intervals`` takes any point count: it sorts the nodes, rejects a
+repeated quality, and finds the slopes by ``_pchip_slopes``, which
+computes the width-only weights of the slope rules once for both costs.
+``_four_point_side`` builds a four-node side in straight-line code with
+the same expressions in the same order, so its side is ``_intervals``'
+bit for bit; on a repeated quality it returns None and ``_intervals``
+raises. A ``PreparedAnchor`` holds the anchor's side for each axis,
+built once per run. ``bd_report`` builds the test's side once per axis,
+by the four-point builder whenever the test has four points, as on the
+four-QP ladder of the common test conditions, whatever the anchor's
+point count. Then ``_overlap`` finds the common range from the two
+sides' first and last nodes, and one test pass and one anchor pass of
+``_integrals`` integrate both costs in one loop. The loop computes the
+Hermite weights of a cut end once and shares them between the costs; a
 whole interval uses the weights at 1. A whole interval's term is the
 float that integrating that interval on its own gives, because the
 interval's ends map to exactly 0.0 and 1.0 (and the weights at 0.0 are
-all zero), and each side adds its terms in node order. So no side stores
-any per-interval term, and sharing the weights changes no bit of any
-result.
-
-That is the general path. When the anchor curve and the test curve both
-have four points, as on the four-QP ladder of the common test conditions,
-``bd_report`` takes a four-point pass instead. The prepared anchor also
-keeps each axis's node set as ``_intervals``. The test's side is built in
-straight-line code: log10 of each point's costs once for both axes, then
-per axis the four nodes sorted as ``NodeSet`` sorts them, and the widths,
-weights and slopes by ``_pchip_slopes``' expressions.
-``_four_point_integrals`` integrates both costs of a side in one loop over
-the three intervals, with the same Hermite weights and each cost's terms
-added in node order. The expressions and their order are the general
-path's, so every BD value and warning is the general path's, bit for bit.
-A repeated test quality or an empty overlap goes to the general path,
-which raises its error; so does every other point count. The general
-path stays the reference the tests hold the four-point pass to.
+all zero), and each cost adds its terms in node order. So no side
+stores any per-interval term, and sharing the weights changes no bit of
+any result.
 
 Only the piecewise-cubic form is provided; the older global third-order
 polynomial fit is deliberately not implemented. Quality values are used
@@ -262,142 +256,45 @@ def _weights(t: float) -> tuple[float, float, float, float]:
 _WHOLE = _weights(1.0)
 
 
-class NodeSet:
-    """One curve on one quality axis: the nodes and each cost, ready to integrate.
+def _intervals(quality: Sequence[float], costs: Sequence[Sequence[float]], role: str) -> tuple:
+    """One curve on one quality axis as the tuple of its intervals, sorted by quality.
 
-    ``quality`` is sorted ascending and ``widths`` holds the interval
-    widths. For each cost, ``log_costs`` holds log10 of its values at the
-    nodes and ``slopes`` its PCHIP node slopes. ``lo``, ``hi`` and
-    ``span`` give the quality range.
+    ``quality`` holds one value per node and each of the two lists in
+    ``costs`` one cost per node: at least ``MIN_CURVE_POINTS`` finite
+    floats, the costs positive, as ``RdeCurve`` guarantees and
+    ``_pair_nodes`` checks. ``role`` names the curve in the error raised
+    when a quality repeats. Each interval is its ends and width, then for
+    each cost its log10 values at the ends and its PCHIP end slopes times
+    the width: ``(a, b, w, y0, y1, d0, d1, z0, z1, e0, e1)``, as
+    ``_integrals`` reads it.
     """
-
-    __slots__ = ("quality", "widths", "log_costs", "slopes", "lo", "hi", "span")
-
-    def __init__(self, quality: Sequence[float], costs: Sequence[Sequence[float]], role: str):
-        """Sort one curve's nodes by quality and check that no quality repeats.
-
-        ``quality`` holds one value per node and each list in ``costs``
-        one cost per node: at least ``MIN_CURVE_POINTS`` finite floats,
-        the costs positive, as ``RdeCurve`` guarantees and ``_pair_nodes``
-        checks. ``role`` names the curve in the error.
-        """
-        order = sorted(range(len(quality)), key=quality.__getitem__)
-        x = self.quality = list(map(quality.__getitem__, order))
-        # The difference of two finite floats is zero only when they are equal.
-        h = self.widths = list(map(sub, x[1:], x))
-        if min(h) <= 0:
-            prev = next(a for a, w in zip(x, h) if w <= 0)
-            raise CurveDataError(
-                f"{role} curve quality values are not strictly monotone "
-                f"(repeated quality near {prev:g})"
-            )
-        self.log_costs = [list(map(math.log10, map(cost.__getitem__, order))) for cost in costs]
-        self.slopes = _pchip_slopes(h, self.log_costs)
-        self.lo, self.hi = x[0], x[-1]
-        self.span = self.hi - self.lo
-
-    @classmethod
-    def of_curve(cls, curve: RdeCurve, axis: QualityAxis, role: str) -> NodeSet:
-        """The curve's costs, in ``_COSTS`` order, against one quality axis."""
-        quality, *costs = zip(*map(_NODE_FIELDS[axis], curve.points))
-        return cls(quality, costs, role)
-
-    def integrals(self, lo: float, hi: float) -> list[float]:
-        """Integral over [lo, hi] of each cost's PCHIP interpolant, in ``log_costs`` order.
-
-        [lo, hi] lies within the nodes' range. Each interval the range
-        touches adds its term in node order. A cut end's Hermite weights
-        are computed once and serve every cost; a whole interval uses the
-        weights at 1. The weights at 0 are all zero, so a term whose
-        interval starts inside the range subtracts nothing.
-        """
-        x = self.quality
-        # The intervals the range touches, each with the weights at its
-        # right end and, where lo cuts it, at its left end.
-        pieces = []
-        for k, w in enumerate(self.widths):
-            a = x[k]
-            if a >= hi:
-                break
-            b = x[k + 1]
-            if b > lo:
-                pieces.append((k, w, _WHOLE if b <= hi else _weights((hi - a) / w),
-                               _weights((lo - a) / w) if lo > a else None))
-        totals = []
-        for y, s in zip(self.log_costs, self.slopes):
-            total = 0.0
-            for k, w, (r0, r1, r2, r3), left in pieces:
-                y0, y1, d0, d1 = y[k], y[k + 1], w * s[k], w * s[k + 1]
-                area = y0 * r0 + d0 * r1 + y1 * r2 + d1 * r3
-                if left:
-                    l0, l1, l2, l3 = left
-                    area -= y0 * l0 + d0 * l1 + y1 * l2 + d1 * l3
-                total += w * area
-            totals.append(total)
-        return totals
-
-
-def _overlap(anchor: NodeSet, test: NodeSet) -> tuple[float, float]:
-    """The quality range both node sets cover."""
-    lo = max(anchor.lo, test.lo)
-    hi = min(anchor.hi, test.hi)
-    if not lo < hi:
+    order = sorted(range(len(quality)), key=quality.__getitem__)
+    x = list(map(quality.__getitem__, order))
+    # The difference of two finite floats is zero only when they are equal.
+    h = list(map(sub, x[1:], x))
+    if min(h) <= 0:
+        prev = next(a for a, w in zip(x, h) if w <= 0)
         raise CurveDataError(
-            f"empty quality overlap: anchor spans [{anchor.lo:g}, {anchor.hi:g}], "
-            f"test spans [{test.lo:g}, {test.hi:g}]"
+            f"{role} curve quality values are not strictly monotone "
+            f"(repeated quality near {prev:g})"
         )
-    return lo, hi
-
-
-def _percent(delta: float) -> float:
-    """A mean log10 cost difference as a percent cost difference."""
-    try:
-        return 100.0 * (10.0 ** delta - 1.0)
-    except OverflowError:
-        raise CurveDataError(
-            f"costs too far apart: the mean log10 cost difference {delta:g} overflows"
-        ) from None
-
-
-def _pair_nodes(points: Sequence[tuple[float, float]], role: str) -> NodeSet:
-    """The ``NodeSet`` of (cost, quality) pairs, checked for what ``RdeCurve`` guarantees."""
-    quality, cost = [q for _, q in points], [c for c, _ in points]
-    if len(quality) < MIN_CURVE_POINTS:
-        raise CurveDataError(
-            f"{role} curve has {len(quality)} points, need at least {MIN_CURVE_POINTS}"
-        )
-    quality, cost = list(map(float, quality)), list(map(float, cost))
-    if not all(map(math.isfinite, quality + cost)):
-        raise CurveDataError(f"{role} curve contains non-finite values")
-    if min(cost) <= 0:
-        raise CurveDataError(f"{role} curve has non-positive cost values")
-    return NodeSet(quality, [cost], role)
-
-
-def bd_delta(anchor: Sequence[tuple[float, float]],
-             test: Sequence[tuple[float, float]]) -> float:
-    """Percent cost difference of ``test`` vs ``anchor`` at equal quality.
-
-    Each side is (cost, quality) pairs in any order. Returns
-    100 * (10**d - 1) where d is the mean difference of the two
-    log10-cost interpolants over the common quality interval.
-    """
-    anchor, test = _pair_nodes(anchor, "anchor"), _pair_nodes(test, "test")
-    lo, hi = _overlap(anchor, test)
-    (test_total,), (anchor_total,) = test.integrals(lo, hi), anchor.integrals(lo, hi)
-    return _percent((test_total - anchor_total) / (hi - lo))
+    ya, yb = logs = [list(map(math.log10, map(cost.__getitem__, order))) for cost in costs]
+    sa, sb = _pchip_slopes(h, logs)
+    return tuple((x[k], x[k + 1], w, ya[k], ya[k + 1], w * sa[k], w * sa[k + 1],
+                  yb[k], yb[k + 1], w * sb[k], w * sb[k + 1])
+                 for k, w in enumerate(h))
 
 
 def _four_point_side(quality: Sequence[float],
                      costs: Iterable[Sequence[float]]) -> tuple | None:
-    """A four-node curve on one quality axis, as ``_four_point_integrals`` reads it.
+    """A four-node curve on one quality axis: ``_intervals`` in straight-line code.
 
     ``quality`` holds the four nodes' qualities in any order and each of
     the two lists in ``costs`` one cost's log10 values at them. The
-    nodes are sorted as ``NodeSet`` sorts them, and the widths, weights
-    and slopes are ``_pchip_slopes``' expressions written out for four
-    nodes. Returns the side's ``_intervals``, or None when a quality
-    repeats.
+    nodes are sorted as ``_intervals`` sorts them, and the widths,
+    weights and slopes are ``_pchip_slopes``' expressions written out for
+    four nodes, so the side is the one ``_intervals`` builds, bit for
+    bit. Returns None when a quality repeats.
     """
     i, j, k, n = sorted(range(4), key=quality.__getitem__)
     x0, x1, x2, x3 = quality[i], quality[j], quality[k], quality[n]
@@ -422,27 +319,17 @@ def _four_point_side(quality: Sequence[float],
             (x2, x3, h2, a2, a3, h2 * p2, h2 * p3, b2, b3, h2 * q2, h2 * q3))
 
 
-def _intervals(nodes: NodeSet) -> tuple:
-    """A two-cost node set's intervals as ``_four_point_integrals`` reads them.
+def _integrals(side: tuple, lo: float, hi: float) -> tuple[float, float]:
+    """Integral over [lo, hi] of each cost's PCHIP interpolant over a side's intervals.
 
-    Each interval is its ends and width, then for each cost its values
-    at the ends and its end slopes times the width, the ``y0``, ``y1``,
-    ``d0`` and ``d1`` of ``NodeSet.integrals``.
-    """
-    x, (ya, yb), (sa, sb) = nodes.quality, nodes.log_costs, nodes.slopes
-    return tuple((x[k], x[k + 1], w, ya[k], ya[k + 1], w * sa[k], w * sa[k + 1],
-                  yb[k], yb[k + 1], w * sb[k], w * sb[k + 1])
-                 for k, w in enumerate(nodes.widths))
-
-
-def _four_point_integrals(intervals: tuple, lo: float, hi: float) -> tuple[float, float]:
-    """``NodeSet.integrals`` over ``_intervals``: both costs in one loop.
-
-    Each cost adds its terms in node order with the kernel's
-    expressions, so each total is the kernel's float.
+    [lo, hi] lies within the side's range. Each interval the range
+    touches adds its term in node order, one sum per cost. A cut end's
+    Hermite weights are computed once and serve both costs; a whole
+    interval uses the weights at 1. The weights at 0 are all zero, so a
+    term whose interval starts inside the range subtracts nothing.
     """
     total_a = total_b = 0.0
-    for a, b, w, y0, y1, d0, d1, z0, z1, e0, e1 in intervals:
+    for a, b, w, y0, y1, d0, d1, z0, z1, e0, e1 in side:
         if a >= hi:
             break
         if b > lo:
@@ -458,30 +345,78 @@ def _four_point_integrals(intervals: tuple, lo: float, hi: float) -> tuple[float
     return total_a, total_b
 
 
+def _overlap(anchor: tuple, test: tuple) -> tuple[float, float]:
+    """The quality range two sides cover, from each side's first and last nodes."""
+    lo = max(anchor[0][0], test[0][0])
+    hi = min(anchor[-1][1], test[-1][1])
+    if not lo < hi:
+        raise CurveDataError(
+            f"empty quality overlap: anchor spans [{anchor[0][0]:g}, {anchor[-1][1]:g}], "
+            f"test spans [{test[0][0]:g}, {test[-1][1]:g}]"
+        )
+    return lo, hi
+
+
+def _percent(delta: float) -> float:
+    """A mean log10 cost difference as a percent cost difference."""
+    try:
+        return 100.0 * (10.0 ** delta - 1.0)
+    except OverflowError:
+        raise CurveDataError(
+            f"costs too far apart: the mean log10 cost difference {delta:g} overflows"
+        ) from None
+
+
+def _pair_nodes(points: Sequence[tuple[float, float]], role: str) -> tuple:
+    """The ``_intervals`` of (cost, quality) pairs, checked for what ``RdeCurve`` guarantees.
+
+    The one cost serves as both of the side's costs.
+    """
+    quality, cost = [q for _, q in points], [c for c, _ in points]
+    if len(quality) < MIN_CURVE_POINTS:
+        raise CurveDataError(
+            f"{role} curve has {len(quality)} points, need at least {MIN_CURVE_POINTS}"
+        )
+    quality, cost = list(map(float, quality)), list(map(float, cost))
+    if not all(map(math.isfinite, quality + cost)):
+        raise CurveDataError(f"{role} curve contains non-finite values")
+    if min(cost) <= 0:
+        raise CurveDataError(f"{role} curve has non-positive cost values")
+    return _intervals(quality, [cost, cost], role)
+
+
+def bd_delta(anchor: Sequence[tuple[float, float]],
+             test: Sequence[tuple[float, float]]) -> float:
+    """Percent cost difference of ``test`` vs ``anchor`` at equal quality.
+
+    Each side is (cost, quality) pairs in any order. Returns
+    100 * (10**d - 1) where d is the mean difference of the two
+    log10-cost interpolants over the common quality interval.
+    """
+    anchor, test = _pair_nodes(anchor, "anchor"), _pair_nodes(test, "test")
+    lo, hi = _overlap(anchor, test)
+    return _percent((_integrals(test, lo, hi)[0] - _integrals(anchor, lo, hi)[0]) / (hi - lo))
+
+
 class PreparedAnchor:
-    """One sequence's anchor curve as a ``NodeSet`` per quality axis, built once per run.
+    """One sequence's anchor curve as ``_intervals`` per quality axis, built once per run.
 
     An invalid curve is rejected here, tagged with the first field of the
-    axis it fails on, as ``bd_report`` tags its errors. A four-point
-    curve also keeps each axis's node set as ``_intervals`` in
-    ``four_point``, for ``bd_report``'s four-point pass; otherwise
-    ``four_point`` is None.
+    axis it fails on, as ``bd_report`` tags its errors.
     """
 
-    __slots__ = ("sequence", "axes", "four_point")
+    __slots__ = ("sequence", "axes")
 
     def __init__(self, curve: RdeCurve):
         self.sequence = curve.sequence
         self.axes = {}
         for name, _, axis in BD_FIELDS:
             if axis not in self.axes:
+                quality, *costs = zip(*map(_NODE_FIELDS[axis], curve.points))
                 try:
-                    self.axes[axis] = NodeSet.of_curve(curve, axis, "anchor")
+                    self.axes[axis] = _intervals(quality, costs, "anchor")
                 except CtpDseError as exc:
                     raise CurveDataError(f"{name} ({curve.sequence}): {exc}") from exc
-        self.four_point = None
-        if len(curve.points) == 4:
-            self.four_point = {axis: _intervals(nodes) for axis, nodes in self.axes.items()}
 
 
 def _axis_deltas(anchor: PreparedAnchor, test: RdeCurve, axis: QualityAxis,
@@ -489,25 +424,22 @@ def _axis_deltas(anchor: PreparedAnchor, test: RdeCurve, axis: QualityAxis,
     """One quality axis's pass of ``bd_report``.
 
     Returns the share of the anchor's quality span that the two curves
-    share, and the mean log10 rate and energy differences over it. The
-    four-point pass runs when ``logs`` holds the test's log10 costs.
+    share, and the mean log10 rate and energy differences over it. When
+    ``logs`` holds a four-point test's log10 costs, its side is
+    ``_four_point_side``; otherwise, and when a test quality repeats,
+    ``_intervals`` builds it or raises.
     """
-    nodes = anchor.axes[axis]
+    anchor_side = anchor.axes[axis]
     side = logs and _four_point_side(tuple(map(_QUALITY[axis], test.points)), logs)
-    if side:
-        lo, hi = max(nodes.lo, side[0][0]), min(nodes.hi, side[2][1])
-    if side and lo < hi:
-        test_rate, test_energy = _four_point_integrals(side, lo, hi)
-        anchor_rate, anchor_energy = _four_point_integrals(anchor.four_point[axis], lo, hi)
-    else:
-        # Other point counts, and a repeated test quality or an empty
-        # overlap, whose errors the node sets raise.
-        test_nodes = NodeSet.of_curve(test, axis, "test")
-        lo, hi = _overlap(nodes, test_nodes)
-        (test_rate, test_energy), (anchor_rate, anchor_energy) = (
-            test_nodes.integrals(lo, hi), nodes.integrals(lo, hi))
+    if not side:
+        quality, *costs = zip(*map(_NODE_FIELDS[axis], test.points))
+        side = _intervals(quality, costs, "test")
+    lo, hi = _overlap(anchor_side, side)
+    test_rate, test_energy = _integrals(side, lo, hi)
+    anchor_rate, anchor_energy = _integrals(anchor_side, lo, hi)
     width = hi - lo
-    return width / nodes.span, (test_rate - anchor_rate) / width, (test_energy - anchor_energy) / width
+    return (width / (anchor_side[-1][1] - anchor_side[0][0]),
+            (test_rate - anchor_rate) / width, (test_energy - anchor_energy) / width)
 
 
 def bd_report(anchor: PreparedAnchor, test: RdeCurve) -> BdReport:
@@ -517,8 +449,9 @@ def bd_report(anchor: PreparedAnchor, test: RdeCurve) -> BdReport:
     quality axis runs that axis's one pass: the test's nodes are sorted
     and checked once, the overlap and its share of the anchor span are
     found once, and one test pass and one anchor pass integrate both
-    costs. When both curves have four points, the pass is the four-point
-    pass, with the general path's floats. The first field that fails
+    costs. A four-point test's side comes from the four-point builder,
+    against an anchor of any point count, with the general builder's
+    floats. The first field that fails
     raises, tagged with its name, so a node or overlap error belongs to
     the axis's first field and an overflow to its own; warnings come in
     field order.
@@ -528,7 +461,7 @@ def bd_report(anchor: PreparedAnchor, test: RdeCurve) -> BdReport:
             f"sequence mismatch: anchor is {anchor.sequence!r}, test is {test.sequence!r}"
         )
     logs = None
-    if anchor.four_point and len(test.points) == 4:
+    if len(test.points) == 4:
         logs = [tuple(map(math.log10, map(cost, test.points))) for cost in _COST_VALUES]
     name = "bdr_psnr"
     try:

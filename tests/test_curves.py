@@ -17,14 +17,16 @@ from ctpdse.curves import (
     MIN_OVERLAP_FRACTION,
     BdReport,
     CurveDataError,
-    NodeSet,
     PreparedAnchor,
-    QualityAxis,
     RdeCurve,
     RdePoint,
     aggregate_reports,
     bd_delta,
     bd_report,
+    _four_point_side,
+    _integrals,
+    _intervals,
+    _pchip_slopes,
 )
 
 
@@ -115,6 +117,22 @@ def ladder_curve(psnr, vmaf, rate=(8000.0, 4500.0, 2500.0, 1400.0, 800.0),
 def axis_pairs(curve, cost, quality):
     """The (cost, quality) pairs of ``curve``'s points, in qp order."""
     return [(getattr(p, cost), getattr(p, quality)) for p in curve.points]
+
+
+def side_nodes(side):
+    """Quality, widths and both costs' log10 values at the nodes of an ``_intervals`` side."""
+    quality = [a for a, *_ in side] + [side[-1][1]]
+    widths = [w for _, _, w, *_ in side]
+    log_costs = [[i[3] for i in side] + [side[-1][4]], [i[7] for i in side] + [side[-1][8]]]
+    return quality, widths, log_costs
+
+
+def holds_slopes(side, slopes):
+    """Whether each interval of a side holds both costs' end ``slopes`` times its width."""
+    sa, sb = slopes
+    held = [(d0, d1, e0, e1) for _, _, _, _, _, d0, d1, _, _, e0, e1 in side]
+    return held == [(w * sa[k], w * sa[k + 1], w * sb[k], w * sb[k + 1])
+                    for k, (_, _, w, *_) in enumerate(side)]
 
 
 class TestPointValidation:
@@ -230,9 +248,11 @@ class TestBdDelta:
     def test_interpolant_recovers_nodes(self):
         # the closed-form integration rests on the interpolant passing
         # exactly through the measured points
-        nodes = NodeSet([40.1, 34.6, 42.5, 37.4], [[4500.0, 1400.0, 8000.0, 2500.0]], "anchor")
-        spline = PchipInterpolator(nodes.quality, nodes.log_costs[0])
-        assert np.array_equal(spline(nodes.quality), nodes.log_costs[0])
+        cost = [4500.0, 1400.0, 8000.0, 2500.0]
+        side = _intervals([40.1, 34.6, 42.5, 37.4], [cost, cost], "anchor")
+        quality, _, (log_cost, _) = side_nodes(side)
+        spline = PchipInterpolator(quality, log_cost)
+        assert np.array_equal(spline(quality), log_cost)
 
     def test_too_few_points(self):
         pts3 = [(1400.0, 34.6), (2500.0, 37.4), (4500.0, 40.1)]
@@ -299,27 +319,27 @@ def anchor_and_tests(draw):
 def anchor_and_test_curve(draw):
     """An anchor ``RdeCurve`` and one test curve placed anywhere around it.
 
-    On each quality axis the test's range starts and ends between 4 below
-    the anchor's first node and 4 above its last, and its nodes fall on
-    the qps in any order. Some tests repeat a quality value on one axis or
-    on both.
+    Each curve has 4-6 points, drawn independently. On each quality axis
+    the test's range starts and ends between 4 below the anchor's first
+    node and 4 above its last, and its nodes fall on the qps in any order.
+    Some tests repeat a quality value on one axis or on both.
     """
-    n = draw(st.integers(4, 6))
-    qps = (22, 27, 32, 37, 42, 47)[:n]
+    n_anchor, n_test = draw(st.integers(4, 6)), draw(st.integers(4, 6))
 
-    def falling():
+    def falling(n):
         costs = draw(st.lists(st.floats(1.0, 1e4), min_size=n, max_size=n, unique=True))
         return sorted(costs, reverse=True)
 
     def rising(start, max_step):
-        steps = draw(st.lists(st.floats(0.5, max_step), min_size=n - 1, max_size=n - 1))
+        steps = draw(st.lists(st.floats(0.5, max_step), min_size=n_anchor - 1,
+                              max_size=n_anchor - 1))
         return list(itertools.accumulate(steps, initial=start))
 
     def around(nodes, floor, ceiling):
         lo, hi = sorted(draw(st.lists(st.floats(max(floor, nodes[0] - 4.0),
                                                 min(ceiling, nodes[-1] + 4.0)),
                                       min_size=2, max_size=2, unique=True)))
-        inner = draw(st.lists(st.floats(0.05, 0.95), min_size=n - 2, max_size=n - 2,
+        inner = draw(st.lists(st.floats(0.05, 0.95), min_size=n_test - 2, max_size=n_test - 2,
                               unique=True))
         return draw(st.permutations([lo, *(lo + f * (hi - lo) for f in sorted(inner)), hi]))
 
@@ -332,7 +352,9 @@ def anchor_and_test_curve(draw):
         test_vmaf[1] = test_vmaf[0]
 
     def curve(psnr, vmaf):
-        return RdeCurve("s01", tuple(map(RdePoint, qps, falling(), psnr, vmaf, falling())))
+        n = len(psnr)
+        return RdeCurve("s01", tuple(map(RdePoint, (22, 27, 32, 37, 42, 47)[:n], falling(n),
+                                         psnr, vmaf, falling(n))))
 
     return (curve(psnr[::-1], vmaf[::-1]), curve(test_psnr, test_vmaf))
 
@@ -459,20 +481,21 @@ class TestPreparedCurve:
     def test_reused_anchor_gives_the_floats_of_a_fresh_one(self, case):
         anchor, tests = case
 
-        def nodes(points, role):
-            return NodeSet([q for _, q in points], [[c for c, _ in points]], role)
+        def side(points, role):
+            cost = [c for c, _ in points]
+            return _intervals([q for _, q in points], [cost, cost], role)
 
-        reused = nodes(anchor, "anchor")
+        reused = side(anchor, "anchor")
         for test in tests:
             fresh = bd_or_error(anchor, test)
             if isinstance(fresh, str):
                 continue
             assert fresh == per_call_bd(anchor, test)
-            test_nodes = nodes(test, "test")
-            lo, hi = max(reused.lo, test_nodes.lo), min(reused.hi, test_nodes.hi)
-            assert reused.integrals(lo, hi) == nodes(anchor, "anchor").integrals(lo, hi)
-            assert reused.integrals(lo, hi) == [
-                reference_integral(reference_curve(anchor), lo, hi)]
+            test_side = side(test, "test")
+            lo, hi = max(reused[0][0], test_side[0][0]), min(reused[-1][1], test_side[-1][1])
+            assert _integrals(reused, lo, hi) == _integrals(side(anchor, "anchor"), lo, hi)
+            reference = reference_integral(reference_curve(anchor), lo, hi)
+            assert _integrals(reused, lo, hi) == (reference, reference)
 
     def test_holds_sorted_nodes_and_full_interval_integrals(self):
         # A whole interval's term is the reference's piece from 0 to 1,
@@ -480,19 +503,22 @@ class TestPreparedCurve:
         # whole range is their plain sum, bit for bit.
         quality = [37.0, 35.0, 32.0, 30.0]
         falling, rising = [60.0, 120.0, 180.0, 300.0], [100.0, 60.0, 40.0, 20.0]
-        nodes = NodeSet(quality, [falling, rising], "anchor")
-        assert nodes.quality == [30.0, 32.0, 35.0, 37.0]
-        assert nodes.log_costs == [[math.log10(c) for c in reversed(falling)],
-                                   [math.log10(c) for c in reversed(rising)]]
-        assert nodes.widths == [2.0, 3.0, 2.0]
-        assert (nodes.lo, nodes.hi, nodes.span) == (30.0, 37.0, 7.0)
-        intervals = list(zip(nodes.quality, nodes.quality[1:]))
-        for j, costs in enumerate((falling, rising)):
-            curve = reference_curve(list(zip(costs, quality)))
-            assert nodes.slopes[j] == curve[3]
+        side = _intervals(quality, [falling, rising], "anchor")
+        nodes, widths, log_costs = side_nodes(side)
+        assert nodes == [30.0, 32.0, 35.0, 37.0]
+        assert log_costs == [[math.log10(c) for c in reversed(falling)],
+                             [math.log10(c) for c in reversed(rising)]]
+        assert widths == [2.0, 3.0, 2.0]
+        assert (side[0][0], side[-1][1]) == (30.0, 37.0)
+        curves = [reference_curve(list(zip(costs, quality))) for costs in (falling, rising)]
+        slopes = _pchip_slopes(widths, log_costs)
+        assert slopes == [curve[3] for curve in curves]
+        assert holds_slopes(side, slopes)
+        intervals = list(zip(nodes, nodes[1:]))
+        for j, curve in enumerate(curves):
             full = [reference_piece(curve, k, a, b) for k, (a, b) in enumerate(intervals)]
-            assert [nodes.integrals(a, b)[j] for a, b in intervals] == full
-            assert nodes.integrals(30.0, 37.0)[j] == full[0] + full[1] + full[2]
+            assert [_integrals(side, a, b)[j] for a, b in intervals] == full
+            assert _integrals(side, 30.0, 37.0)[j] == full[0] + full[1] + full[2]
 
     def test_too_few_points_rejected(self):
         with pytest.raises(CurveDataError,
@@ -531,9 +557,17 @@ class TestPreparedCurve:
     @example((make_curve(), ladder_curve((37.0, 36.5, 35.5, 35.0), (77.0, 74.0, 70.0, 67.0))))
     # The VMAF ranges do not overlap: bdr_psnr is computed, then bdr_vmaf raises.
     @example((make_curve(), ladder_curve((42.0, 40.0, 37.0, 35.0), (60.0, 50.0, 40.0, 30.0))))
-    # A five-point test against a four-point anchor takes the general path.
+    # A five-point test against a four-point anchor takes the general builder.
     @example((make_curve(), ladder_curve((43.0, 41.0, 38.5, 36.0, 33.0),
                                          (94.0, 88.0, 80.0, 70.0, 58.0))))
+    # A four-point test against a five-point anchor takes the four-point
+    # builder; the overlap cuts anchor intervals at both ends on both axes.
+    @example((ladder_curve((43.0, 41.0, 38.5, 36.0, 33.0), (94.0, 88.0, 80.0, 70.0, 58.0)),
+              make_curve()))
+    # A four-point test whose PSNR range misses a five-point anchor's:
+    # bdr_psnr raises from the overlap of the four-point side.
+    @example((ladder_curve((43.0, 41.0, 38.5, 36.0, 33.0), (94.0, 88.0, 80.0, 70.0, 58.0)),
+              make_curve(psnr_shift=-15.0)))
     def test_shared_test_axis_gives_the_floats_of_separate_fields(self, case):
         anchor, test = case
         prepared = PreparedAnchor(anchor)
@@ -553,17 +587,22 @@ class TestPreparedCurve:
         assert report.warnings == warnings
 
     def test_test_axis_shares_its_nodes_and_stores_no_full_terms(self):
-        # One node set holds both costs of an axis; its slopes are each
-        # cost's own, and it keeps no per-interval integrals.
+        # One side holds both costs of an axis; its slopes are each
+        # cost's own, and it keeps no per-interval integrals. A four-point
+        # test's side is the one the general builder makes.
         curve = make_curve()
-        nodes = NodeSet.of_curve(curve, QualityAxis.PSNR, "test")
-        assert nodes.quality == [34.6, 37.4, 40.1, 42.5]
-        assert nodes.log_costs == [[math.log10(c) for c in (1400.0, 2500.0, 4500.0, 8000.0)],
-                                   [math.log10(c) for c in (45.0, 65.0, 90.0, 120.0)]]
-        assert nodes.slopes == [reference_curve(axis_pairs(curve, cost, "psnr"))[3]
-                                for cost in ("bitrate", "energy")]
-        assert set(NodeSet.__slots__) == {"quality", "widths", "log_costs", "slopes",
-                                          "lo", "hi", "span"}
+        psnr = [p.psnr for p in curve.points]
+        costs = [[getattr(p, cost) for p in curve.points] for cost in ("bitrate", "energy")]
+        side = _intervals(psnr, costs, "test")
+        nodes, widths, log_costs = side_nodes(side)
+        assert nodes == [34.6, 37.4, 40.1, 42.5]
+        assert log_costs == [[math.log10(c) for c in (1400.0, 2500.0, 4500.0, 8000.0)],
+                             [math.log10(c) for c in (45.0, 65.0, 90.0, 120.0)]]
+        slopes = _pchip_slopes(widths, log_costs)
+        assert slopes == [reference_curve(axis_pairs(curve, cost, "psnr"))[3]
+                          for cost in ("bitrate", "energy")]
+        assert holds_slopes(side, slopes)
+        assert _four_point_side(psnr, [list(map(math.log10, c)) for c in costs]) == side
 
     @pytest.mark.parametrize("axes, name", [
         (("psnr",), "bdr_psnr"), (("vmaf",), "bdr_vmaf"), (("psnr", "vmaf"), "bdr_psnr"),
