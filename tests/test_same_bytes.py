@@ -8,16 +8,16 @@ before BD integrated a node set's costs in one loop (commit df3d9c2). Those
 runs use four qps, so BD builds each test curve's side of the integral with
 its four-point builder. One more walk, over five qps, and the ``ctp bd`` table
 over five and six qps pin the general builder, which serves every other point
-count; one loop integrates the sides of both. The walk's digests were taken
-before the four-point pass existed (commit 71da4d0); the tables', and those of
-the four-qp walks at seeds 3, 11 and 13, at commit 4e2c9af. The gated table's
-digests, ``ctp bd`` and a cached walk over rows with five energy readings
-each, pin the ``measurement:`` lines; they were taken before the CI gate
-filtered the exact standard deviation (commit 8ca3438). Any change to a BD
-float, the walk, the Pareto selection or the rendering of these outputs shows
-here. A change that means to move these bytes must say so and update the
-digests. The bytes are the same on Python 3.10 to 3.13, so this file imports
-only pytest, the package and the shared fixtures.
+count; one loop integrates the sides of both. The five-qp walk's digests were
+taken before the four-point pass existed (commit 71da4d0); those of the five-
+and six-qp tables and of the four-qp walks at seeds 3, 11 and 13, at commit
+4e2c9af. The gated table's digests, ``ctp bd`` and a cached walk over rows
+with five energy readings each, pin the ``measurement:`` lines; they were
+taken before the CI gate filtered the exact standard deviation (commit
+8ca3438). Any change to a BD float, the walk, the Pareto selection or the
+rendering of these outputs shows here. A change that means to move these bytes
+must say so and update the digests. The bytes are the same on Python 3.10 to
+3.13, so this file imports only pytest, the package and the shared fixtures.
 """
 
 import hashlib
