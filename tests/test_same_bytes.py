@@ -14,7 +14,10 @@ and six-qp tables and of the four-qp walks at seeds 3, 11 and 13, at commit
 4e2c9af. The gated table's digests, ``ctp bd`` and a cached walk over rows
 with five energy readings each, pin the ``measurement:`` lines; they were
 taken before the CI gate filtered the exact standard deviation (commit
-8ca3438). Any change to a BD float, the walk, the Pareto selection or the
+8ca3438). The digests of ``ctp pareto`` over a seeded points file, of a
+failing external walk and of a cached walk that misses a row were taken at
+commit 4e5eb7c; the two failing walks pin their ``error:`` lines and exit
+codes. Any change to a BD float, the walk, the Pareto selection or the
 rendering of these outputs shows here. A change that means to move these bytes
 must say so and update the digests. The bytes are the same on Python 3.10 to
 3.13, so this file imports only pytest, the package and the shared fixtures.
@@ -23,6 +26,7 @@ must say so and update the digests. The bytes are the same on Python 3.10 to
 import hashlib
 import math
 import random
+import sys
 
 import pytest
 
@@ -485,3 +489,103 @@ def test_gated_cached_walk_keeps_its_bytes(tmp_path, capsys):
     err = capsys.readouterr().err
     texts = [(out / name).read_bytes() for name in GATED_FILES] + [err.encode()]
     assert tuple(hashlib.sha256(text).hexdigest() for text in texts) == GATED_DSE_DIGESTS
+
+
+# The seeded point set of ``ctp pareto``: coordinates scattered above a
+# convex front, so that some hundreds of the points are non-dominated,
+# and every 150th point repeated, so that duplicates collapse.
+PARETO_POINTS = 3000
+PARETO_FILES = ("manifest.json", "points.csv", "front.csv")
+# sha256 of each of PARETO_FILES and of stdout of ``ctp pareto --points FILE --out DIR``.
+PARETO_DIGESTS = (
+    "881479ce7cf693407700ee2f5b19d9b3874d0768e9e2bc7ba76c28d5ecce243d",
+    "18e104bbca4be5088325ab4e8de1089225d4116b4de9670648e5253a219686dc",
+    "daeaa721f2bd347223157a1af769bb69a2646ebe7339889300c2300663843bb2",
+    "a6af9f33c649b0d31a87ac6f8124b5dc0d1492b37c0728cb95b0616c4f0f7b11",
+)
+
+
+def write_points(path):
+    """``PARETO_POINTS`` seeded (bdr, bdde) rows and their repeats, floats written by ``repr``."""
+    rng = random.Random("pareto-points-7")
+    points = []
+    for _ in range(PARETO_POINTS):
+        bdr = rng.uniform(-5.0, 80.0)
+        points.append((bdr, -45.0 * (1 - math.exp(-(bdr + 5.0) / 20.0)) + rng.expovariate(1.0)))
+    points += points[::150]
+    path.write_text("# seeded points\nbdr,bdde\n"
+                    + "".join(f"{bdr!r},{bdde!r}\n" for bdr, bdde in points), encoding="utf-8")
+
+
+def test_pareto_of_a_points_file_keeps_its_bytes(tmp_path, capsys):
+    source, out = tmp_path / "points.csv", tmp_path / "sel"
+    write_points(source)
+    assert cli.main(["pareto", "--points", str(source), "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert stdout.startswith("front 371 of 3020 points (axis vmaf)\n")
+    texts = [(out / name).read_bytes() for name in PARETO_FILES] + [stdout.encode()]
+    assert tuple(hashlib.sha256(text).hexdigest() for text in texts) == PARETO_DIGESTS
+
+
+# An encoder for the external backend: each tool that a profile turns off
+# moves every cost and quality by a fixed factor or offset. It fails, with
+# exit code 1 and a message, at one job, ``FAILED_JOB`` = (profile,
+# sequence, qp), which the first
+# iteration of an e1 walk on three tools reaches after the anchor and
+# profile 6.
+FAILED_JOB = ("5", "s02", 27)
+ENCODER = """import sys
+mask, sequence, qp, out = int(sys.argv[1], 16), sys.argv[2], int(sys.argv[3]), sys.argv[4]
+if (sys.argv[1], sequence, qp) == {failed!r}:
+    sys.exit(f"encoder stopped at {{sequence}} qp {{qp}}")
+k = (qp - 22) // 5
+rate, psnr, vmaf, energy = 8000.0 / 1.8 ** k, 42.5 - 2.7 * k, 92.0 - 8.0 * k, 120.0 / 1.35 ** k
+if sequence == "s02":
+    rate, energy = rate * 1.5, energy * 1.2
+for i in range(3):
+    if not mask >> i & 1:
+        rate, energy = rate * (1.04 + 0.01 * i), energy * (0.9 - 0.05 * i)
+        psnr, vmaf = psnr - 0.05 * (i + 1), vmaf - 0.3 * (i + 1)
+with open(out, "w") as handle:
+    handle.write("qp,bitrate_kbps,psnr_db,vmaf,energy_j,energy_samples\\n")
+    handle.write(f"{{qp}},{{rate!r}},{{psnr!r}},{{vmaf!r}},{{energy!r}},\\n")
+"""
+# sha256 of stderr of the external walk that fails at FAILED_JOB.
+FAILED_WALK_DIGEST = "9c281ddd04712b7b583067853294b8cc01d341385d9b5b06f3db9a7e43ca0923"
+
+
+def test_failing_external_walk_keeps_its_error(tmp_path, capsys):
+    registry, encoder = tmp_path / "r.reg", tmp_path / "enc.py"
+    registry.write_text("".join(f"T{i:02d},Other,1\n" for i in range(3)), encoding="utf-8")
+    encoder.write_text(ENCODER.format(failed=FAILED_JOB), encoding="utf-8")
+    # -S: no site module, so each of the 22 jobs starts quickly.
+    template = f"{sys.executable} -S {encoder} {{ctp_mask}} {{sequence}} {{qp}} {{out}}"
+    assert cli.main(["dse", "--strategy", "e1", "--backend", "external", "--registry",
+                     str(registry), "--sequences", "s01,s02", "--max-parallel", "2",
+                     "--command-template", template, "--out", str(tmp_path / "run")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: profile 5: (s02, qp 27): command exited with 1;")
+    assert hashlib.sha256(err.encode()).hexdigest() == FAILED_WALK_DIGEST
+
+
+# The row that the cached walk misses: (profile, sequence, qp) of a single
+# flip of the anchor, which the first iteration of an e1 walk evaluates.
+MISSED_ROW = ("1D", "s02", 32)
+# sha256 of stderr of a cached e1 walk on the gated table without MISSED_ROW.
+MISSED_WALK_DIGEST = "bd24365f4cd7a8c4ddb24238eb6cf1622cce45cd98097e97230c436a0bcf8d36"
+
+
+def test_cached_walk_that_misses_a_row_keeps_its_error(tmp_path, capsys):
+    registry, table, _ = write_gated_table(tmp_path)
+    with open(table, encoding="utf-8") as handle:
+        rows = handle.read().splitlines(keepends=True)
+    missed = "{},{},{},".format(*MISSED_ROW)
+    kept = [row for row in rows if not row.startswith(missed)]
+    assert len(kept) == len(rows) - 1
+    with open(table, "w", encoding="utf-8") as handle:
+        handle.write("".join(kept))
+    assert cli.main(["dse", "--strategy", "e1", "--backend", "cached", "--measurements", table,
+                     "--registry", registry, "--out", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    assert err.endswith("error: profile 1D: measurement miss: no rows for (sequence=s02, qp=32)\n")
+    assert hashlib.sha256(err.encode()).hexdigest() == MISSED_WALK_DIGEST
