@@ -53,11 +53,11 @@ from __future__ import annotations
 
 import enum
 import math
-from operator import attrgetter, sub, truediv
+from operator import itemgetter, sub, truediv
 from typing import Iterable, Sequence
 
 from .errors import ConfigError, CtpDseError
-from .frozen import Frozen, compare_by, set_field
+from .frozen import Frozen
 from .stats import exact_mean
 
 # Warn when the common quality range covers less than this fraction of
@@ -92,21 +92,18 @@ BD_FIELDS = (
     ("bdde_psnr", "energy", QualityAxis.PSNR),
     ("bdde_vmaf", "energy", QualityAxis.VMAF),
 )
-# The RdePoint costs a BD field can compare, in BD_FIELDS order.
-_COSTS = tuple(dict.fromkeys(cost for _, cost, _ in BD_FIELDS))
-# Reads a point's quality on each axis and then its costs in _COSTS order.
-_NODE_FIELDS = {axis: attrgetter(axis.value, *_COSTS) for axis in QualityAxis}
-# Read a point's quality on each axis, and each of its costs in _COSTS order.
-_QUALITY = {axis: attrgetter(axis.value) for axis in QualityAxis}
-_COST_VALUES = tuple(map(attrgetter, _COSTS))
+# Reads a report's (BDR, BDDE) pair on each quality axis by position.
+_PAIR = {axis: itemgetter(*[i for i, (_, _, quality) in enumerate(BD_FIELDS) if quality is axis])
+         for axis in QualityAxis}
 
 
 class RdePoint(Frozen):
     """One operating point: bit rate in kbit/s, PSNR in dB, VMAF score, energy in J."""
 
-    __slots__ = ("qp", "bitrate", "psnr", "vmaf", "energy")
+    __slots__ = ()
+    _fields = ("qp", "bitrate", "psnr", "vmaf", "energy")
 
-    def __init__(self, qp: int, bitrate: float, psnr: float, vmaf: float, energy: float):
+    def __new__(cls, qp: int, bitrate: float, psnr: float, vmaf: float, energy: float):
         if not 0 < bitrate < math.inf:
             raise CurveDataError(f"qp {qp}: bitrate must be finite and > 0, got {bitrate}")
         if not 0 < energy < math.inf:
@@ -115,75 +112,83 @@ class RdePoint(Frozen):
             raise CurveDataError(f"qp {qp}: psnr must be finite, got {psnr}")
         if not 0.0 <= vmaf <= 100.0:
             raise CurveDataError(f"qp {qp}: vmaf must be in [0, 100], got {vmaf}")
-        set_field(self, "qp", qp)
-        set_field(self, "bitrate", bitrate)
-        set_field(self, "psnr", psnr)
-        set_field(self, "vmaf", vmaf)
-        set_field(self, "energy", energy)
+        return tuple.__new__(cls, (qp, bitrate, psnr, vmaf, energy))
 
-    __eq__, __hash__ = compare_by(*__slots__)
+
+# The RdePoint costs a BD field can compare, in BD_FIELDS order, and the
+# position of each RdePoint field.
+_COSTS = tuple(dict.fromkeys(cost for _, cost, _ in BD_FIELDS))
+_POSITION = {name: i for i, name in enumerate(RdePoint._fields)}
+# Reads a point's quality on each axis and then its costs in _COSTS order.
+_NODE_FIELDS = {axis: itemgetter(_POSITION[axis.value], *map(_POSITION.get, _COSTS))
+                for axis in QualityAxis}
+# Read a point's quality on each axis, and each of its costs in _COSTS order.
+_QUALITY = {axis: itemgetter(_POSITION[axis.value]) for axis in QualityAxis}
+_COST_VALUES = tuple(itemgetter(_POSITION[cost]) for cost in _COSTS)
 
 
 class RdeCurve(Frozen):
     """Per-sequence measurements of one profile over a QP sweep."""
 
-    __slots__ = ("sequence", "points")
+    __slots__ = ()
+    _fields = ("sequence", "points")
 
-    def __init__(self, sequence: str, points: tuple[RdePoint, ...]):
+    def __new__(cls, sequence: str, points: tuple[RdePoint, ...]):
         if len(points) < MIN_CURVE_POINTS:
             raise CurveDataError(
                 f"curve ({sequence}) has {len(points)} points; "
                 f"BD interpolation needs at least {MIN_CURVE_POINTS}"
             )
-        for prev, cur in zip(points, points[1:]):
-            if cur.qp <= prev.qp:
+        # Each point read by position: (qp, bitrate, psnr, vmaf, energy).
+        for (qp0, rate0, _, _, energy0), (qp, rate, _, _, energy) in zip(points, points[1:]):
+            if qp <= qp0:
+                raise CurveDataError(f"curve ({sequence}): qps not strictly increasing at qp {qp}")
+            if rate >= rate0:
                 raise CurveDataError(
-                    f"curve ({sequence}): qps not strictly increasing at qp {cur.qp}"
+                    f"curve ({sequence}): bitrate not strictly decreasing with qp at qp {qp}"
                 )
-            if cur.bitrate >= prev.bitrate:
+            if energy >= energy0:
                 raise CurveDataError(
-                    f"curve ({sequence}): bitrate not strictly decreasing with qp "
-                    f"at qp {cur.qp}"
+                    f"curve ({sequence}): energy not strictly decreasing with qp at qp {qp}"
                 )
-            if cur.energy >= prev.energy:
-                raise CurveDataError(
-                    f"curve ({sequence}): energy not strictly decreasing with qp "
-                    f"at qp {cur.qp}"
-                )
-        set_field(self, "sequence", sequence)
-        set_field(self, "points", points)
-
-    __eq__, __hash__ = compare_by(*__slots__)
+        return tuple.__new__(cls, (sequence, points))
 
 
 class BdReport(Frozen):
     """The four BD values of a test profile versus the anchor, in percent.
 
+    The fields are the BD values in ``BD_FIELDS`` order, then the warnings.
     Two reports are equal when their values are; the warnings are not compared.
     """
 
-    __slots__ = ("bdr_psnr", "bdr_vmaf", "bdde_psnr", "bdde_vmaf", "warnings")
+    __slots__ = ()
+    _fields = tuple(name for name, _, _ in BD_FIELDS) + ("warnings",)
 
-    def __init__(self, bdr_psnr: float, bdr_vmaf: float, bdde_psnr: float, bdde_vmaf: float,
-                 warnings: tuple[str, ...] = ()):
-        set_field(self, "bdr_psnr", bdr_psnr)
-        set_field(self, "bdr_vmaf", bdr_vmaf)
-        set_field(self, "bdde_psnr", bdde_psnr)
-        set_field(self, "bdde_vmaf", bdde_vmaf)
-        set_field(self, "warnings", warnings)
-        for name, _, _ in BD_FIELDS:
-            if not math.isfinite(getattr(self, name)):
-                raise CurveDataError(f"BD value {name} is not finite")
+    def __new__(cls, bdr_psnr: float, bdr_vmaf: float, bdde_psnr: float, bdde_vmaf: float,
+                warnings: tuple[str, ...] = ()):
+        isfinite = math.isfinite
+        if not (isfinite(bdr_psnr) and isfinite(bdr_vmaf) and isfinite(bdde_psnr)
+                and isfinite(bdde_vmaf)):
+            for (name, _, _), value in zip(BD_FIELDS, (bdr_psnr, bdr_vmaf, bdde_psnr, bdde_vmaf)):
+                if not isfinite(value):
+                    raise CurveDataError(f"BD value {name} is not finite")
+        return tuple.__new__(cls, (bdr_psnr, bdr_vmaf, bdde_psnr, bdde_vmaf, warnings))
 
-    __eq__, __hash__ = compare_by(*(name for name, _, _ in BD_FIELDS))
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self[:4] == other[:4]
+        return Frozen.__eq__(self, other)
+
+    def __hash__(self):
+        return hash(self[:4])
 
     def pair(self, axis: QualityAxis) -> tuple[float, float]:
         """(BDR, BDDE) on one quality axis."""
-        return tuple(getattr(self, name) for name, _, quality in BD_FIELDS if quality is axis)
+        return _PAIR[axis](self)
 
     def as_dict(self) -> dict:
         """The report as a ``result.json`` entry: the BD fields, then any warnings."""
-        doc = {name: getattr(self, name) for name, _, _ in BD_FIELDS}
+        doc = {name: value for (name, _, _), value in zip(BD_FIELDS, self)}
         if self.warnings:
             doc["warnings"] = list(self.warnings)
         return doc
@@ -489,19 +494,14 @@ def bd_report(anchor: PreparedAnchor, test: RdeCurve) -> BdReport:
 
 def aggregate_reports(reports: Iterable[BdReport]) -> BdReport:
     """Arithmetic per-field mean of several reports; warnings are merged."""
-    reports = list(reports)
+    reports = tuple(reports)
     if not reports:
         raise CurveDataError("cannot aggregate an empty list of reports")
-    merged = []
-    for report in reports:
-        for warning in report.warnings:
-            if warning not in merged:
-                merged.append(warning)
+    # One column per field: the four BD values, then the warnings.
+    *columns, warnings = zip(*reports)
     # exact_mean is the correctly rounded mean, so the mean of n equal
     # reports is that report, bit for bit. For a power-of-two count, as
     # with two or eight sequences, it divides math.fsum's sum and makes
     # no big integers.
-    return BdReport(
-        warnings=tuple(merged),
-        **{name: exact_mean([getattr(r, name) for r in reports]) for name, _, _ in BD_FIELDS},
-    )
+    return BdReport(*map(exact_mean, columns),
+                    tuple(dict.fromkeys(warning for some in warnings for warning in some)))

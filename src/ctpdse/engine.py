@@ -20,7 +20,7 @@ import enum
 from .curves import BdReport, PreparedAnchor, QualityAxis, aggregate_reports, bd_report
 from .errors import ConfigError, CtpDseError
 from .evaluators import EvaluationRequest, Evaluator, check_qps, check_sequences
-from .frozen import Frozen, set_field
+from .frozen import Frozen
 from .profiles import Ctp, flip_tool, serialize_ctp
 
 DEFAULT_MAX_ITERATIONS = 64
@@ -68,24 +68,20 @@ def score(report: BdReport, objective: Objective, quality_axis: QualityAxis) -> 
 
 
 class DseConfig(Frozen):
-    __slots__ = ("objective", "flip_policy", "anchor", "sequences", "qps", "quality_axis",
-                 "max_iterations")
+    __slots__ = ()
+    _fields = ("objective", "flip_policy", "anchor", "sequences", "qps", "quality_axis",
+               "max_iterations")
 
-    def __init__(self, objective: Objective, flip_policy: FlipPolicy, anchor: Ctp,
-                 sequences: tuple[str, ...], qps: tuple[int, ...],
-                 quality_axis: QualityAxis = QualityAxis.VMAF,
-                 max_iterations: int = DEFAULT_MAX_ITERATIONS):
+    def __new__(cls, objective: Objective, flip_policy: FlipPolicy, anchor: Ctp,
+                sequences: tuple[str, ...], qps: tuple[int, ...],
+                quality_axis: QualityAxis = QualityAxis.VMAF,
+                max_iterations: int = DEFAULT_MAX_ITERATIONS):
         if max_iterations < 1:
             raise ConfigError(f"max_iterations must be >= 1, got {max_iterations}")
         check_sequences(sequences)
         check_qps(qps)
-        set_field(self, "objective", objective)
-        set_field(self, "flip_policy", flip_policy)
-        set_field(self, "anchor", anchor)
-        set_field(self, "sequences", sequences)
-        set_field(self, "qps", qps)
-        set_field(self, "quality_axis", quality_axis)
-        set_field(self, "max_iterations", max_iterations)
+        return tuple.__new__(
+            cls, (objective, flip_policy, anchor, sequences, qps, quality_axis, max_iterations))
 
     @property
     def strategy(self) -> str:

@@ -45,7 +45,7 @@ from typing import Mapping, Protocol, Sequence
 from .csvrows import data_rows, not_utf8, parse_float
 from .curves import MIN_CURVE_POINTS, CurveDataError, RdeCurve, RdePoint
 from .errors import ConfigError, EvaluationError, MeasurementMissError
-from .frozen import Frozen, compare_by, set_field
+from .frozen import Frozen
 from .profiles import Ctp, ToolRegistry, serialize_ctp
 from .stats import MeasurementSeries, Verdict
 
@@ -79,14 +79,13 @@ def check_qps(qps: tuple[int, ...]) -> None:
 class EvaluationRequest(Frozen):
     """One profile to evaluate over a set of sequences and operating points."""
 
-    __slots__ = ("ctp", "sequences", "qps")
+    __slots__ = ()
+    _fields = ("ctp", "sequences", "qps")
 
-    def __init__(self, ctp: Ctp, sequences: tuple[str, ...], qps: tuple[int, ...]):
+    def __new__(cls, ctp: Ctp, sequences: tuple[str, ...], qps: tuple[int, ...]):
         check_sequences(sequences)
         check_qps(qps)
-        set_field(self, "ctp", ctp)
-        set_field(self, "sequences", sequences)
-        set_field(self, "qps", qps)
+        return tuple.__new__(cls, (ctp, sequences, qps))
 
 
 class Evaluator(Protocol):
@@ -193,10 +192,11 @@ class CachedTableEvaluator:
 class SequenceBaseline(Frozen):
     """Per-qp baseline tables of one synthetic sequence."""
 
-    __slots__ = ("qps", "rate", "psnr", "vmaf", "energy")
+    __slots__ = ()
+    _fields = ("qps", "rate", "psnr", "vmaf", "energy")
 
-    def __init__(self, qps: tuple[int, ...], rate: tuple[float, ...], psnr: tuple[float, ...],
-                 vmaf: tuple[float, ...], energy: tuple[float, ...]):
+    def __new__(cls, qps: tuple[int, ...], rate: tuple[float, ...], psnr: tuple[float, ...],
+                vmaf: tuple[float, ...], energy: tuple[float, ...]):
         n = len(qps)
         if any(len(t) != n for t in (rate, psnr, vmaf, energy)):
             raise ConfigError("baseline tables must all cover the same qps")
@@ -204,13 +204,7 @@ class SequenceBaseline(Frozen):
             raise ConfigError(f"baseline qps must be strictly increasing, got {qps}")
         if any(v <= 0 for v in rate) or any(v <= 0 for v in energy):
             raise ConfigError("baseline rate and energy values must be > 0")
-        set_field(self, "qps", qps)
-        set_field(self, "rate", rate)
-        set_field(self, "psnr", psnr)
-        set_field(self, "vmaf", vmaf)
-        set_field(self, "energy", energy)
-
-    __eq__, __hash__ = compare_by(*__slots__)
+        return tuple.__new__(cls, (qps, rate, psnr, vmaf, energy))
 
     def index(self, qp: int) -> int:
         try:
@@ -350,11 +344,12 @@ class SyntheticModelParams(Frozen):
     search on crafted instances.
     """
 
-    __slots__ = ("baselines", "rate_mult", "energy_mult", "dq_psnr", "dq_vmaf", "interactions")
+    __slots__ = ()
+    _fields = ("baselines", "rate_mult", "energy_mult", "dq_psnr", "dq_vmaf", "interactions")
 
-    def __init__(self, baselines: Mapping[str, SequenceBaseline], rate_mult: tuple[float, ...],
-                 energy_mult: tuple[float, ...], dq_psnr: tuple[float, ...],
-                 dq_vmaf: tuple[float, ...], interactions: tuple[tuple[int, int, float], ...] = ()):
+    def __new__(cls, baselines: Mapping[str, SequenceBaseline], rate_mult: tuple[float, ...],
+                energy_mult: tuple[float, ...], dq_psnr: tuple[float, ...],
+                dq_vmaf: tuple[float, ...], interactions: tuple[tuple[int, int, float], ...] = ()):
         n = len(rate_mult)
         if any(len(t) != n for t in (energy_mult, dq_psnr, dq_vmaf)):
             raise ConfigError("per-tool factor tables must have equal length")
@@ -365,14 +360,8 @@ class SyntheticModelParams(Frozen):
                 raise ConfigError(f"interaction ({j}, {k}) is not a valid ordered tool pair")
             if mult <= 0:
                 raise ConfigError(f"interaction ({j}, {k}) multiplier must be > 0")
-        set_field(self, "baselines", baselines)
-        set_field(self, "rate_mult", rate_mult)
-        set_field(self, "energy_mult", energy_mult)
-        set_field(self, "dq_psnr", dq_psnr)
-        set_field(self, "dq_vmaf", dq_vmaf)
-        set_field(self, "interactions", interactions)
-
-    __eq__, __hash__ = compare_by(*__slots__)
+        return tuple.__new__(
+            cls, (baselines, rate_mult, energy_mult, dq_psnr, dq_vmaf, interactions))
 
     @property
     def tool_count(self) -> int:

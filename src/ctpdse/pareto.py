@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 from .csvrows import data_rows, parse_float
 from .errors import ConfigError
-from .frozen import Frozen, compare_by, set_field
+from .frozen import Frozen
 
 DEFAULT_LBE_THRESHOLD = 5.0
 POINTS_HEADER = ("bdr", "bdde")
@@ -26,27 +26,25 @@ class ProfilePoint(Frozen):
     Points ingested from plain tables carry only their coordinates.
     """
 
-    __slots__ = ("bdr", "bdde", "label")
+    __slots__ = ()
+    _fields = ("bdr", "bdde", "label")
 
-    def __init__(self, bdr: float, bdde: float, label: str = ""):
+    def __new__(cls, bdr: float, bdde: float, label: str = ""):
         if not (math.isfinite(bdr) and math.isfinite(bdde)):
             raise ConfigError(f"profile point {label!r} has non-finite coordinates")
-        set_field(self, "bdr", bdr)
-        set_field(self, "bdde", bdde)
-        set_field(self, "label", label)
-
-    __eq__, __hash__ = compare_by(*__slots__)
+        return tuple.__new__(cls, (bdr, bdde, label))
 
 
 class SelectionCriteria(Frozen):
-    __slots__ = ("lbe_bdr_threshold",)
+    __slots__ = ()
+    _fields = ("lbe_bdr_threshold",)
 
-    def __init__(self, lbe_bdr_threshold: float = DEFAULT_LBE_THRESHOLD):
+    def __new__(cls, lbe_bdr_threshold: float = DEFAULT_LBE_THRESHOLD):
         if not 0 < lbe_bdr_threshold < math.inf:
             raise ConfigError(
                 f"lbe_bdr_threshold must be finite and > 0, got {lbe_bdr_threshold}"
             )
-        set_field(self, "lbe_bdr_threshold", lbe_bdr_threshold)
+        return tuple.__new__(cls, (lbe_bdr_threshold,))
 
 
 def pareto_front(points: Sequence[ProfilePoint]) -> list[ProfilePoint]:
@@ -67,14 +65,12 @@ def pareto_front(points: Sequence[ProfilePoint]) -> list[ProfilePoint]:
 
 
 class Selection(Frozen):
-    __slots__ = ("front", "ee", "ebe", "lbe")
+    __slots__ = ()
+    _fields = ("front", "ee", "ebe", "lbe")
 
-    def __init__(self, front: tuple[ProfilePoint, ...], ee: ProfilePoint, ebe: ProfilePoint,
-                 lbe: tuple[ProfilePoint, ...]):
-        set_field(self, "front", front)
-        set_field(self, "ee", ee)
-        set_field(self, "ebe", ebe)
-        set_field(self, "lbe", lbe)
+    def __new__(cls, front: tuple[ProfilePoint, ...], ee: ProfilePoint, ebe: ProfilePoint,
+                lbe: tuple[ProfilePoint, ...]):
+        return tuple.__new__(cls, (front, ee, ebe, lbe))
 
 
 def select_profiles(

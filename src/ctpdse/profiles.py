@@ -13,7 +13,7 @@ from typing import Iterable
 
 from .csvrows import not_utf8
 from .errors import ConfigError
-from .frozen import Frozen, compare_by, set_field
+from .frozen import Frozen
 
 CATEGORIES = ("Intra", "Inter", "TransformQuant", "InLoopFilter", "Other")
 
@@ -72,14 +72,11 @@ class ToolDescriptor(Frozen):
     The category never influences the search; it is carried for reports.
     """
 
-    __slots__ = ("name", "category", "default_enabled")
+    __slots__ = ()
+    _fields = ("name", "category", "default_enabled")
 
-    def __init__(self, name: str, category: str, default_enabled: bool = True):
-        set_field(self, "name", name)
-        set_field(self, "category", category)
-        set_field(self, "default_enabled", default_enabled)
-
-    __eq__, __hash__ = compare_by(*__slots__)
+    def __new__(cls, name: str, category: str, default_enabled: bool = True):
+        return tuple.__new__(cls, (name, category, default_enabled))
 
 
 class ToolRegistry:
@@ -135,17 +132,15 @@ def default_registry() -> ToolRegistry:
 class Ctp(Frozen):
     """A coding-tool profile: its mask over the registry, bit i = tool i."""
 
-    __slots__ = ("registry", "mask")
+    __slots__ = ()
+    _fields = ("registry", "mask")
 
-    def __init__(self, registry: ToolRegistry, mask: int):
+    def __new__(cls, registry: ToolRegistry, mask: int):
         if not 0 <= mask < 1 << len(registry):
             raise ConfigError(
                 f"profile mask {mask:#x} is out of range for a {len(registry)}-tool registry"
             )
-        set_field(self, "registry", registry)
-        set_field(self, "mask", mask)
-
-    __eq__, __hash__ = compare_by(*__slots__)
+        return tuple.__new__(cls, (registry, mask))
 
     def __repr__(self) -> str:
         return f"Ctp({serialize_ctp(self)})"

@@ -91,7 +91,7 @@ import sys
 from typing import Sequence
 
 from .errors import ConfigError
-from .frozen import Frozen, set_field
+from .frozen import Frozen
 
 DEFAULT_CONFIDENCE = 0.99
 DEFAULT_REL_HALF_WIDTH = 0.02
@@ -362,14 +362,12 @@ class MeasurementSeries(Frozen):
     path; ``describe`` prints the ``%.6g`` text that ``validate`` settled.
     """
 
-    __slots__ = ("samples", "verdict", "mean", "half_width_text")
+    __slots__ = ()
+    _fields = ("samples", "verdict", "mean", "half_width_text")
 
-    def __init__(self, samples: tuple[float, ...], verdict: Verdict, mean: float,
-                 half_width_text: str):
-        set_field(self, "samples", samples)
-        set_field(self, "verdict", verdict)
-        set_field(self, "mean", mean)
-        set_field(self, "half_width_text", half_width_text)
+    def __new__(cls, samples: tuple[float, ...], verdict: Verdict, mean: float,
+                half_width_text: str):
+        return tuple.__new__(cls, (samples, verdict, mean, half_width_text))
 
     @property
     def half_width(self) -> float:

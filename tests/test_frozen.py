@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from ctpdse.curves import BdReport, CurveDataError, RdeCurve, RdePoint
+from ctpdse.curves import BdReport, CurveDataError, QualityAxis, RdeCurve, RdePoint
 from ctpdse.engine import DseConfig, FlipPolicy, Objective
 from ctpdse.errors import ConfigError
 from ctpdse.evaluators import (
@@ -13,8 +13,10 @@ from ctpdse.evaluators import (
     SequenceBaseline,
     SyntheticModelParams,
 )
-from ctpdse.pareto import ProfilePoint, SelectionCriteria
-from ctpdse.profiles import Ctp, default_ctp, default_registry, flip_tool
+from ctpdse.frozen import Frozen
+from ctpdse.pareto import ProfilePoint, Selection, SelectionCriteria
+from ctpdse.profiles import Ctp, ToolDescriptor, default_ctp, default_registry, flip_tool
+from ctpdse.stats import MeasurementSeries, Verdict
 
 REGISTRY = default_registry()
 ANCHOR = default_ctp(REGISTRY)
@@ -22,24 +24,73 @@ QPS = (22, 27, 32, 37)
 POINTS = tuple(RdePoint(qp, 8000.0 / 2 ** i, 42.0 - 2 * i, 90.0 - 8 * i, 100.0 / 1.3 ** i)
                for i, qp in enumerate(QPS))
 REPORT = BdReport(1.0, 2.0, -3.0, -4.0)
+BASELINE = SequenceBaseline((22, 27), (2.0, 1.0), (40.0, 38.0), (90.0, 80.0), (2.0, 1.0))
+PROFILE_POINT = ProfilePoint(1.5, -2.5, "p")
+
+# Each of the 13 value classes, with fields that pass its checks.
+VALUES = [pytest.param(cls, fields, id=cls.__name__) for cls, fields in [
+    (RdePoint, (22, 8000.0, 42.0, 90.0, 100.0)),
+    (RdeCurve, ("s01", POINTS)),
+    (BdReport, (1.0, 2.0, -3.0, -4.0, ("bdr_psnr (s01): thin",))),
+    (DseConfig, (Objective.ENERGY, FlipPolicy.ONE, ANCHOR, ("s01",), QPS, QualityAxis.PSNR, 3)),
+    (EvaluationRequest, (ANCHOR, ("s01",), QPS)),
+    (SequenceBaseline, ((22, 27), (2.0, 1.0), (40.0, 38.0), (90.0, 80.0), (2.0, 1.0))),
+    (SyntheticModelParams, ({"s01": BASELINE}, (1.0,), (1.0,), (0.0,), (0.0,), ())),
+    (ProfilePoint, (1.5, -2.5, "p")),
+    (SelectionCriteria, (4.0,)),
+    (Selection, ((PROFILE_POINT,), PROFILE_POINT, PROFILE_POINT, ())),
+    (ToolDescriptor, ("T00", "Other", True)),
+    (Ctp, (REGISTRY, 0x5)),
+    (MeasurementSeries, ((1.0, 1.0), Verdict.INSUFFICIENT, 1.0, "inf")),
+]]
 
 
-@pytest.mark.parametrize("value, field", [
-    pytest.param(POINTS[0], "energy", id="RdePoint"),
-    pytest.param(RdeCurve("s01", POINTS), "points", id="RdeCurve"),
-    pytest.param(REPORT, "warnings", id="BdReport"),
-    pytest.param(ANCHOR, "mask", id="Ctp"),
-    pytest.param(EvaluationRequest(ANCHOR, ("s01",), QPS), "qps", id="EvaluationRequest"),
-])
-def test_a_field_cannot_be_assigned_or_deleted(value, field):
-    before = getattr(value, field)
-    with pytest.raises(AttributeError, match=f"^cannot assign to field '{field}'$"):
-        setattr(value, field, before)
-    with pytest.raises(AttributeError, match=f"^cannot delete field '{field}'$"):
-        delattr(value, field)
+@pytest.mark.parametrize("cls, fields", VALUES)
+def test_a_field_cannot_be_assigned_or_deleted(cls, fields):
+    value = cls(*fields)
+    for field in cls._fields:
+        before = getattr(value, field)
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{field}'$"):
+            setattr(value, field, before)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{field}'$"):
+            delattr(value, field)
+        assert getattr(value, field) is before
     with pytest.raises(AttributeError):
         value.note = "no such field"
-    assert getattr(value, field) is before
+
+
+def _hash(value):
+    """``hash(value)``, or TypeError for a value whose fields cannot be hashed (a dict)."""
+    try:
+        return hash(value)
+    except TypeError:
+        return TypeError
+
+
+@pytest.mark.parametrize("cls, fields", VALUES)
+def test_a_value_is_its_class_and_its_fields(cls, fields):
+    value, twin = cls(*fields), cls(*fields)
+    assert tuple(getattr(value, name) for name in cls._fields) == fields
+    assert all(getattr(value, name) is field for name, field in zip(cls._fields, fields))
+    assert value == twin and not value != twin and value is not twin
+    assert _hash(value) == _hash(twin)
+    # Not a plain tuple, nor another class's value, with the same items; either way round.
+    other = tuple.__new__(type("Other", (Frozen,), {"__slots__": (), "_fields": cls._fields}),
+                          fields)
+    for items in (fields, other):
+        assert not value == items and value != items
+        assert not items == value and items != value
+    assert value not in [fields, other]
+    for left, right in ((value, twin), (value, fields), (fields, value)):
+        with pytest.raises(TypeError):
+            left < right
+    assert not hasattr(value, "__dict__")
+
+
+def test_values_of_two_classes_with_equal_items_differ():
+    point, tool = ProfilePoint(1.0, 2.0, "x"), ToolDescriptor(1.0, 2.0, "x")
+    assert point != tool and not point == tool
+    assert len({point, tool}) == 2
 
 
 def test_report_equality_ignores_warnings():
