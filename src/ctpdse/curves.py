@@ -92,7 +92,8 @@ BD_FIELDS = (
     ("bdde_psnr", "energy", QualityAxis.PSNR),
     ("bdde_vmaf", "energy", QualityAxis.VMAF),
 )
-# Reads a report's (BDR, BDDE) pair on each quality axis by position.
+# Reads a report's (BDR, BDDE) pair on each quality axis; a report holds its
+# BD values in BD_FIELDS order.
 _PAIR = {axis: itemgetter(*[i for i, (_, _, quality) in enumerate(BD_FIELDS) if quality is axis])
          for axis in QualityAxis}
 
@@ -120,7 +121,7 @@ class RdePoint(Frozen):
 _COSTS = tuple(dict.fromkeys(cost for _, cost, _ in BD_FIELDS))
 _POSITION = {name: i for i, name in enumerate(RdePoint._fields)}
 # Reads a point's quality on each axis and then its costs in _COSTS order.
-_NODE_FIELDS = {axis: itemgetter(_POSITION[axis.value], *map(_POSITION.get, _COSTS))
+_NODE_FIELDS = {axis: itemgetter(_POSITION[axis.value], *[_POSITION[cost] for cost in _COSTS])
                 for axis in QualityAxis}
 # Read a point's quality on each axis, and each of its costs in _COSTS order.
 _QUALITY = {axis: itemgetter(_POSITION[axis.value]) for axis in QualityAxis}

@@ -50,9 +50,6 @@ class Frozen(tuple):
 
     __le__ = __gt__ = __ge__ = __lt__
 
-    def __repr__(self):
-        return f"{self.__class__.__name__}{tuple.__repr__(self)}"
-
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 

@@ -87,12 +87,6 @@ def test_a_value_is_its_class_and_its_fields(cls, fields):
     assert not hasattr(value, "__dict__")
 
 
-def test_values_of_two_classes_with_equal_items_differ():
-    point, tool = ProfilePoint(1.0, 2.0, "x"), ToolDescriptor(1.0, 2.0, "x")
-    assert point != tool and not point == tool
-    assert len({point, tool}) == 2
-
-
 def test_report_equality_ignores_warnings():
     warned = BdReport(1.0, 2.0, -3.0, -4.0,
                       warnings=("bdr_psnr (s01): quality overlap is only 5.0% of the anchor span",))
