@@ -398,6 +398,11 @@ def bd_delta(anchor: Sequence[tuple[float, float]],
     Each side is (cost, quality) pairs in any order. Returns
     100 * (10**d - 1) where d is the mean difference of the two
     log10-cost interpolants over the common quality interval.
+
+    Nothing in the package calls it; ``bd_report`` is the BD entry point.
+    Its two callers are the benchmark's ``curves.bd_delta`` span and the
+    input-check tests of ``TestBdDelta``, and all three go in the next
+    benchmark change.
     """
     anchor, test = _pair_nodes(anchor, "anchor"), _pair_nodes(test, "test")
     lo, hi = _overlap(anchor, test)

@@ -58,7 +58,8 @@ def pareto_front(points: Sequence[ProfilePoint]) -> list[ProfilePoint]:
     if not points:
         raise ConfigError("cannot compute a Pareto front of zero points")
     front: list[ProfilePoint] = []
-    for point in sorted(points, key=lambda p: (p.bdr, p.bdde, p.label)):
+    # A point is the tuple (bdr, bdde, label), so it sorts by those fields.
+    for point in sorted(points, key=tuple):
         if not front or point.bdde < front[-1].bdde:
             front.append(point)
     return front
@@ -95,7 +96,7 @@ def select_profiles(
 def points_csv(points: Iterable[ProfilePoint], comment: str) -> str:
     """Two-column (bdr, bdde) CSV text under one ``# comment`` line; floats written by ``repr``."""
     lines = [f"# {comment}", ",".join(POINTS_HEADER)]
-    lines += [f"{point.bdr!r},{point.bdde!r}" for point in points]
+    lines += [f"{bdr!r},{bdde!r}" for bdr, bdde, _ in points]
     return "\n".join(lines) + "\n"
 
 

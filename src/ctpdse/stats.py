@@ -67,10 +67,8 @@ gate's. Otherwise ``exact_stdev`` decides: for a mean out of the range,
 for equal samples, for nearly equal ones, whose large ``rho`` puts the
 ends far apart, and for a half-width within about 16 ulps of the bound
 or of a ``%.6g`` rounding boundary.
-``MeasurementSeries.half_width`` is not taken from the filter: it is
-computed from the samples by the exact path when it is read, so it stays
-the correctly rounded float that ``ci_check`` returns. Only the ``%.6g``
-text that ``describe`` prints comes from the filter.
+A series keeps its half-width only as that ``%.6g`` text, which
+``describe`` prints; the correctly rounded float is ``ci_check``'s.
 
 The Student-t quantile is exact in the same sense. For an integer number
 of degrees of freedom the CDF has a finite closed form (Abramowitz and
@@ -356,10 +354,10 @@ _SETTING = f"(confidence={DEFAULT_CONFIDENCE}, bound={DEFAULT_REL_HALF_WIDTH})"
 class MeasurementSeries(Frozen):
     """Raw samples of one decode job together with their validation verdict.
 
-    ``mean`` and ``half_width`` are those of ``ci_check``: ``mean`` is
+    ``verdict`` and ``mean`` are those of ``ci_check``: ``mean`` is
     ``math.fsum(samples) / n``, which can be one ulp from ``exact_mean``.
-    ``half_width`` is computed from the samples on each read, by the exact
-    path; ``describe`` prints the ``%.6g`` text that ``validate`` settled.
+    ``half_width_text`` is the ``%.6g`` text of ``ci_check``'s half-width
+    that ``validate`` settled, and ``describe`` prints it.
     """
 
     __slots__ = ()
@@ -368,10 +366,6 @@ class MeasurementSeries(Frozen):
     def __new__(cls, samples: tuple[float, ...], verdict: Verdict, mean: float,
                 half_width_text: str):
         return tuple.__new__(cls, (samples, verdict, mean, half_width_text))
-
-    @property
-    def half_width(self) -> float:
-        return _half_width(self.samples)
 
     @classmethod
     def validate(cls, samples: Sequence[float]) -> "MeasurementSeries":

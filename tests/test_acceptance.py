@@ -10,7 +10,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from ctpdse.curves import PreparedAnchor, bd_delta, bd_report
+from ctpdse.curves import PreparedAnchor, bd_report
 from ctpdse.engine import (
     DseConfig,
     EvaluationCache,
@@ -25,7 +25,7 @@ from ctpdse.profiles import Ctp, default_ctp, flip_tool, parse_ctp
 from ctpdse import cli
 
 from conftest import BASE_QPS, make_params, make_registry
-from test_curves import bd_trapezoid_oracle, random_curve_pair
+from test_curves import bd_trapezoid_oracle, random_curve_pair, report_bd
 
 
 @contextmanager
@@ -46,7 +46,7 @@ def test_bd_oracle_equivalence():
         started = time.monotonic()
         for _ in range(100):
             anchor, test = random_curve_pair(rng)
-            closed = bd_delta(anchor, test)
+            closed = report_bd(anchor, test)
             oracle = bd_trapezoid_oracle(anchor, test)
             assert abs(closed - oracle) <= 1e-6 * max(abs(oracle), 1e-9)
         elapsed = time.monotonic() - started
@@ -56,9 +56,9 @@ def test_bd_oracle_equivalence():
 def test_bd_analytic_cases():
     with criterion("BD analytic cases (identical=0, doubled=+100, halved=-50)"):
         nodes = [(1400.0, 34.6), (2500.0, 37.4), (4500.0, 40.1), (8000.0, 42.5)]
-        assert bd_delta(nodes, nodes) == 0.0
+        assert report_bd(nodes, nodes) == 0.0
         doubled = [(c * 2.0, q) for c, q in nodes]
-        assert abs(bd_delta(nodes, doubled) - 100.0) < 1e-9
+        assert abs(report_bd(nodes, doubled) - 100.0) < 1e-9
 
         registry = make_registry(2)
         params = make_params(2, energy_mult=(2.0, 1.0))
@@ -103,22 +103,20 @@ def test_benchmark_fixture_pareto(benchmark_points):
 def enumerate_vmaf_scores(params, registry):
     """Brute-force (bdr_vmaf, bdde_vmaf) of every profile vs the all-on anchor.
 
-    Deliberately bypasses the engine's report/aggregate path: raw bd_delta
-    on the two axes the objectives read.
+    Deliberately bypasses the engine's ``EvaluationCache``, report
+    aggregation and scoring: one ``bd_report`` per profile against the
+    anchor prepared once, read on the two fields the objectives read.
     """
     evaluator = SyntheticModelEvaluator(params)
     anchor = default_ctp(registry)
     (anchor_curve,) = evaluator.evaluate(EvaluationRequest(anchor, ("s01",), BASE_QPS))
-    anchor_rate = [(p.bitrate, p.vmaf) for p in anchor_curve.points]
-    anchor_energy = [(p.energy, p.vmaf) for p in anchor_curve.points]
+    prepared = PreparedAnchor(anchor_curve)
     scores = {}
     for value in range(2 ** len(registry)):
         ctp = Ctp(registry, value)
         (curve,) = evaluator.evaluate(EvaluationRequest(ctp, ("s01",), BASE_QPS))
-        scores[ctp] = (
-            bd_delta(anchor_rate, [(p.bitrate, p.vmaf) for p in curve.points]),
-            bd_delta(anchor_energy, [(p.energy, p.vmaf) for p in curve.points]),
-        )
+        report = bd_report(prepared, curve)
+        scores[ctp] = (report.bdr_vmaf, report.bdde_vmaf)
     return scores
 
 

@@ -57,7 +57,6 @@ def assert_same_as_exact(samples):
     assert series.samples == expected.samples
     assert series.verdict is expected.verdict
     assert series.mean.hex() == expected.mean.hex()
-    assert series.half_width.hex() == ci_check(samples)[2].hex()
     assert series.describe() == expected.describe()
 
 
@@ -147,9 +146,3 @@ def test_separated_series_skip_the_exact_path(samples, exact_calls):
     series = MeasurementSeries.validate(samples)
     assert exact_calls == []
     assert series.describe() == exact_series(samples).describe()
-
-
-def test_half_width_is_read_from_the_samples(exact_calls):
-    series = MeasurementSeries.validate(ON_THE_BOUND)
-    assert series.half_width == ci_check(ON_THE_BOUND)[2]
-    assert len(exact_calls) == 3

@@ -26,7 +26,9 @@ from ctpdse.curves import (
     _four_point_side,
     _integrals,
     _intervals,
+    _overlap,
     _pchip_slopes,
+    _percent,
 )
 
 
@@ -127,6 +129,42 @@ def side_nodes(side):
     return quality, widths, log_costs
 
 
+def pair_curve(pairs):
+    """An ``s01`` curve of (cost, quality) pairs, sorted by falling cost, with qps from 0.
+
+    Each cost is a point's bitrate and its energy, each quality its PSNR
+    and its VMAF, so the four fields of a report are one BD value. A
+    repeated cost is rejected, as ``RdeCurve`` rejects it.
+    """
+    ordered = sorted(pairs, key=lambda pair: pair[0], reverse=True)
+    return RdeCurve("s01", tuple(RdePoint(qp, float(c), float(q), float(q), float(c))
+                                 for qp, (c, q) in enumerate(ordered)))
+
+
+def report_bd(anchor, test):
+    """The BD value of (cost, quality) pairs by ``bd_report``, the path ``ctp`` runs."""
+    report = bd_report(PreparedAnchor(pair_curve(anchor)), pair_curve(test))
+    assert report.bdr_psnr == report.bdr_vmaf == report.bdde_psnr == report.bdde_vmaf
+    return report.bdr_psnr
+
+
+def pair_side(points, role):
+    """The ``_intervals`` side of (cost, quality) pairs, the one cost serving as both costs."""
+    cost = [c for c, _ in points]
+    return _intervals([q for _, q in points], [cost, cost], role)
+
+
+def kernel_bd(anchor, test):
+    """The BD value of (cost, quality) pairs in any order, repeated costs included.
+
+    The kernel's steps without ``RdeCurve``: each side by ``_intervals``,
+    then ``_overlap``, ``_integrals`` and ``_percent``.
+    """
+    anchor, test = pair_side(anchor, "anchor"), pair_side(test, "test")
+    lo, hi = _overlap(anchor, test)
+    return _percent((_integrals(test, lo, hi)[0] - _integrals(anchor, lo, hi)[0]) / (hi - lo))
+
+
 def holds_slopes(side, slopes):
     """Whether each interval of a side holds both costs' end ``slopes`` times its width."""
     sa, sb = slopes
@@ -184,27 +222,35 @@ class TestCurveValidation:
 
 
 class TestBdDelta:
+    """BD values of (cost, quality) pairs, and the pair entry point's own input checks.
+
+    The values come from ``report_bd``, the path ``ctp`` runs, or from
+    ``kernel_bd`` where an ``RdeCurve`` cannot hold the pairs. Only the
+    input-check tests call the entry point this class is named for, and
+    they go with it.
+    """
+
     def test_identical_curves_give_exactly_zero(self):
         pts = [(1400.0, 34.6), (2500.0, 37.4), (4500.0, 40.1), (8000.0, 42.5)]
-        assert bd_delta(pts, pts) == 0.0
+        assert report_bd(pts, pts) == 0.0
 
     def test_doubled_cost_is_plus_hundred(self):
         anchor = [(1400.0, 34.6), (2500.0, 37.4), (4500.0, 40.1), (8000.0, 42.5)]
         test = [(c * 2.0, q) for c, q in anchor]
-        assert abs(bd_delta(anchor, test) - 100.0) < 1e-9
+        assert abs(report_bd(anchor, test) - 100.0) < 1e-9
 
     @pytest.mark.parametrize("factor", [0.5, 0.75, 1.25, 2.0])
     def test_constant_factor_maps_to_percent(self, factor):
         anchor = [(1400.0, 34.6), (2500.0, 37.4), (4500.0, 40.1), (8000.0, 42.5)]
         test = [(c * factor, q) for c, q in anchor]
         expected = 100.0 * (factor - 1.0)
-        assert bd_delta(anchor, test) == pytest.approx(expected, abs=1e-9)
+        assert report_bd(anchor, test) == pytest.approx(expected, abs=1e-9)
 
     def test_matches_trapezoid_oracle_on_random_pairs(self):
         rng = np.random.default_rng(2024)
         for _ in range(10):
             anchor, test = random_curve_pair(rng)
-            closed = bd_delta(anchor, test)
+            closed = report_bd(anchor, test)
             oracle = bd_trapezoid_oracle(anchor, test)
             assert closed == pytest.approx(oracle, rel=1e-6)
 
@@ -213,26 +259,32 @@ class TestBdDelta:
         ([(100.0, 30.0), (120.0, 31.0), (30.0, 32.0), (40.0, 33.0)],
          [(100.0, 30.5), (100.0, 31.5), (50.0, 32.5), (80.0, 33.5), (20.0, 34.0)]),
     )
+    @example(  # distinct costs and unequal widths: a four-point test side on the path ctp runs
+        ([(1400.0, 34.6), (2500.0, 37.4), (4500.0, 40.1), (8000.0, 42.5)],
+         [(900.0, 33.0), (2100.0, 36.8), (5000.0, 40.9), (7000.0, 41.9)]),
+    )
     def test_matches_scipy_pchip_integral(self, pair):
         anchor, test = pair
-        assert bd_delta(anchor, test) == pytest.approx(bd_scipy_oracle(anchor, test),
-                                                       rel=1e-9, abs=1e-12)
+        # An RdeCurve needs distinct costs; pairs that repeat one take the kernel's steps.
+        repeats = any(len({c for c, _ in pairs}) < len(pairs) for pairs in pair)
+        value = (kernel_bd if repeats else report_bd)(anchor, test)
+        assert value == pytest.approx(bd_scipy_oracle(anchor, test), rel=1e-9, abs=1e-12)
 
     def test_antisymmetry_on_offset_curves(self):
         anchor = [(1400.0, 34.6), (2500.0, 37.4), (4500.0, 40.1), (8000.0, 42.5)]
         for factor in (0.6, 1.4, 2.2):
             test = [(c * factor, q) for c, q in anchor]
-            forward = bd_delta(anchor, test)
-            backward = bd_delta(test, anchor)
+            forward = report_bd(anchor, test)
+            backward = report_bd(test, anchor)
             expected = 100.0 * (1.0 / (1.0 + forward / 100.0) - 1.0)
             assert backward == pytest.approx(expected, rel=1e-6)
 
     def test_scale_invariance_of_costs(self):
         rng = np.random.default_rng(5)
         anchor, test = random_curve_pair(rng)
-        base = bd_delta(anchor, test)
+        base = report_bd(anchor, test)
         for scale in (1e-3, 7.0, 1e4):
-            scaled = bd_delta(
+            scaled = report_bd(
                 [(c * scale, q) for c, q in anchor],
                 [(c * scale, q) for c, q in test],
             )
@@ -240,10 +292,11 @@ class TestBdDelta:
 
     @given(st.permutations(range(4)))
     def test_reorder_invariance(self, order):
+        # pair_curve would sort the shuffle away, so the kernel's steps take the pairs as given.
         anchor = [(1400.0, 34.6), (2500.0, 37.4), (4500.0, 40.1), (8000.0, 42.5)]
         test = [(900.0, 33.0), (2100.0, 36.8), (5000.0, 40.9), (7000.0, 41.9)]
         shuffled = [test[i] for i in order]
-        assert bd_delta(anchor, shuffled) == bd_delta(anchor, test)
+        assert kernel_bd(anchor, shuffled) == kernel_bd(anchor, test)
 
     def test_interpolant_recovers_nodes(self):
         # the closed-form integration rests on the interpolant passing
@@ -258,6 +311,11 @@ class TestBdDelta:
         pts3 = [(1400.0, 34.6), (2500.0, 37.4), (4500.0, 40.1)]
         with pytest.raises(CurveDataError, match="at least 4"):
             bd_delta(pts3, pts3 + [(8000.0, 42.5)])
+
+    def test_too_few_points_rejected(self):
+        with pytest.raises(CurveDataError,
+                           match="^anchor curve has 3 points, need at least 4$"):
+            bd_delta(ANCHOR_4[:3], ANCHOR_4)
 
     def test_empty_overlap(self):
         anchor = [(1400.0, 10.0), (2500.0, 12.0), (4500.0, 14.0), (8000.0, 16.0)]
@@ -440,7 +498,7 @@ def per_call_bd(anchor, test):
 
 def bd_or_error(anchor, test):
     try:
-        return bd_delta(anchor, test)
+        return kernel_bd(anchor, test)
     except CurveDataError as exc:
         return str(exc)
 
@@ -480,20 +538,15 @@ class TestPreparedCurve:
     ]))
     def test_reused_anchor_gives_the_floats_of_a_fresh_one(self, case):
         anchor, tests = case
-
-        def side(points, role):
-            cost = [c for c, _ in points]
-            return _intervals([q for _, q in points], [cost, cost], role)
-
-        reused = side(anchor, "anchor")
+        reused = pair_side(anchor, "anchor")
         for test in tests:
             fresh = bd_or_error(anchor, test)
             if isinstance(fresh, str):
                 continue
             assert fresh == per_call_bd(anchor, test)
-            test_side = side(test, "test")
+            test_side = pair_side(test, "test")
             lo, hi = max(reused[0][0], test_side[0][0]), min(reused[-1][1], test_side[-1][1])
-            assert _integrals(reused, lo, hi) == _integrals(side(anchor, "anchor"), lo, hi)
+            assert _integrals(reused, lo, hi) == _integrals(pair_side(anchor, "anchor"), lo, hi)
             reference = reference_integral(reference_curve(anchor), lo, hi)
             assert _integrals(reused, lo, hi) == (reference, reference)
 
@@ -519,11 +572,6 @@ class TestPreparedCurve:
             full = [reference_piece(curve, k, a, b) for k, (a, b) in enumerate(intervals)]
             assert [_integrals(side, a, b)[j] for a, b in intervals] == full
             assert _integrals(side, 30.0, 37.0)[j] == full[0] + full[1] + full[2]
-
-    def test_too_few_points_rejected(self):
-        with pytest.raises(CurveDataError,
-                           match="^anchor curve has 3 points, need at least 4$"):
-            bd_delta(ANCHOR_4[:3], ANCHOR_4)
 
     @pytest.mark.parametrize("axis, name", [("psnr", "bdr_psnr"), ("vmaf", "bdr_vmaf")])
     def test_repeated_anchor_quality_is_tagged(self, axis, name):
@@ -659,18 +707,13 @@ class TestBdReport:
         assert report.bdde_psnr == pytest.approx(-50.0, abs=1e-9)
         assert report.bdde_vmaf == pytest.approx(-50.0, abs=1e-9)
 
-    def test_composition_matches_bd_delta(self):
+    def test_composition_matches_per_call_bd(self):
         anchor = make_curve()
         test = make_curve(rate_mult=1.2, energy_mult=0.8, psnr_shift=-0.4, vmaf_shift=-1.0)
         report = bd_report(PreparedAnchor(anchor), test)
-        assert report.bdr_psnr == bd_delta(axis_pairs(anchor, "bitrate", "psnr"),
-                                           axis_pairs(test, "bitrate", "psnr"))
-        assert report.bdr_vmaf == bd_delta(axis_pairs(anchor, "bitrate", "vmaf"),
-                                           axis_pairs(test, "bitrate", "vmaf"))
-        assert report.bdde_psnr == bd_delta(axis_pairs(anchor, "energy", "psnr"),
-                                            axis_pairs(test, "energy", "psnr"))
-        assert report.bdde_vmaf == bd_delta(axis_pairs(anchor, "energy", "vmaf"),
-                                            axis_pairs(test, "energy", "vmaf"))
+        for name, cost, axis in BD_FIELDS:
+            assert getattr(report, name) == per_call_bd(axis_pairs(anchor, cost, axis.value),
+                                                        axis_pairs(test, cost, axis.value))
 
     def test_sequence_mismatch_rejected(self):
         with pytest.raises(CurveDataError, match="sequence mismatch"):

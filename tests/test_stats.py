@@ -259,7 +259,7 @@ class TestMeasurementSeries:
         assert series.verdict is Verdict.PASS
         assert series.samples == (10.0, 10.0, 10.0)
         assert series.mean == 10.0
-        assert series.half_width == 0.0
+        assert series.half_width_text == "0"
 
     def test_describe_echoes_configuration(self):
         series = MeasurementSeries.validate([9.0, 11.0])
