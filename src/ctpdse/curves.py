@@ -28,11 +28,12 @@ computes the width-only weights of the slope rules once for both costs.
 ``_four_point_side`` builds a four-node side in straight-line code with
 the same expressions in the same order, so its side is ``_intervals``'
 bit for bit; on a repeated quality it returns None and ``_intervals``
-raises. A ``PreparedAnchor`` holds the anchor's side for each axis,
-built once per run. ``bd_report`` builds the test's side once per axis,
-by the four-point builder whenever the test has four points, as on the
-four-QP ladder of the common test conditions, whatever the anchor's
-point count. Then ``_overlap`` finds the common range from the two
+raises. It takes strictly falling qualities, a ladder's in qp order, in
+reverse without a sort. A ``PreparedAnchor`` holds the anchor's side for
+each axis, built once per run. ``bd_report`` builds the test's side once
+per axis, by the four-point builder whenever the test has four points,
+as on the four-QP ladder of the common test conditions, whatever the
+anchor's point count. Then ``_overlap`` finds the common range from the two
 sides' first and last nodes, and one test pass and one anchor pass of
 ``_integrals`` integrate both costs in one loop. The loop computes the
 Hermite weights of a cut end once and shares them between the costs; a
@@ -209,6 +210,9 @@ def _end_slope(num: float, h0: float, den: float, m0: float, m1: float) -> float
     the next interval's width.
     """
     d = (num * m0 - h0 * m1) / den
+    # The shape holds when d and both secants share a sign, as on a ladder.
+    if d > 0 < m0 and m1 > 0 or d < 0 > m0 and m1 < 0:
+        return d
     sign = (m0 > 0) - (m0 < 0)
     if (d > 0) - (d < 0) != sign:
         return 0.0
@@ -301,9 +305,18 @@ def _four_point_side(quality: Sequence[float],
     weights and slopes are ``_pchip_slopes``' expressions written out for
     four nodes, so the side is the one ``_intervals`` builds, bit for
     bit. Returns None when a quality repeats.
+
+    Qualities that strictly fall, as a measured ladder's do in qp order,
+    take the order (3, 2, 1, 0) without a sort: ``sorted`` gives that
+    order for them. Any other qualities are sorted.
     """
-    i, j, k, n = sorted(range(4), key=quality.__getitem__)
-    x0, x1, x2, x3 = quality[i], quality[j], quality[k], quality[n]
+    q0, q1, q2, q3 = quality
+    if q0 > q1 > q2 > q3:
+        i, j, k, n = 3, 2, 1, 0
+        x0, x1, x2, x3 = q3, q2, q1, q0
+    else:
+        i, j, k, n = sorted(range(4), key=quality.__getitem__)
+        x0, x1, x2, x3 = quality[i], quality[j], quality[k], quality[n]
     h0, h1, h2 = x1 - x0, x2 - x1, x3 - x2
     if not (h0 > 0 and h1 > 0 and h2 > 0):
         return None

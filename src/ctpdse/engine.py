@@ -129,9 +129,11 @@ class EvaluationCache:
         return self._evaluate(ctp)
 
     def report(self, ctp: Ctp) -> BdReport:
-        if ctp not in self.reports:
-            self.reports[ctp] = self.compute(ctp)
-        return self.reports[ctp]
+        """The cached report of ``ctp``; on a miss, ``compute`` and cache it."""
+        report = self.reports.get(ctp)
+        if report is None:
+            report = self.reports[ctp] = self.compute(ctp)
+        return report
 
 
 def run_iteration(reference: Ctp, cache: EvaluationCache) -> tuple[dict, Ctp]:

@@ -39,6 +39,7 @@ import re
 import subprocess  # perfbench times jobs by this name; ROADMAP 3b moves that, 16 drops it
 import threading
 from functools import reduce
+from itertools import compress
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
@@ -431,11 +432,37 @@ class SyntheticModelEvaluator:
 
     ``max_parallel`` is accepted and ignored: the model always runs in the
     caller's thread. It stays so that callers passing it keep working.
+
+    The baseline rows of each (sequence, qps) are looked up once and
+    kept, so a profile costs its factors and its points.
     """
 
     def __init__(self, params: SyntheticModelParams, max_parallel: int | None = None):
         self.params = params
         self.max_parallel = max_parallel
+        self._rows: dict[tuple[str, tuple[int, ...]], tuple[tuple, str | None]] = {}
+
+    def _baseline_rows(self, sequence: str, qps: tuple[int, ...]) -> tuple[tuple, str | None]:
+        """The ``(qp, rate, psnr, vmaf, energy)`` rows of ``sequence`` at ``qps``.
+
+        The rows stop before the first qp the baseline lacks, and the text
+        of that qp's error comes with them; it is None when every qp is
+        there. An unknown sequence raises.
+        """
+        try:
+            baseline = self.params.baselines[sequence]
+        except KeyError:
+            raise ConfigError(f"synthetic model has no baseline for sequence "
+                              f"{sequence!r}") from None
+        rows = []
+        for qp in qps:
+            try:
+                i = baseline.index(qp)
+            except ConfigError as exc:
+                return tuple(rows), str(exc)
+            rows.append((qp, baseline.rate[i], baseline.psnr[i], baseline.vmaf[i],
+                         baseline.energy[i]))
+        return tuple(rows), None
 
     def evaluate(self, request: EvaluationRequest) -> list[RdeCurve]:
         params = self.params
@@ -444,32 +471,35 @@ class SyntheticModelEvaluator:
                 f"model has {params.tool_count} tools but profile registry has "
                 f"{len(request.ctp.registry)}"
             )
-        bits = [request.ctp.mask >> i & 1 for i in range(params.tool_count)]
-        rate_factor = math.prod(m for m, b in zip(params.rate_mult, bits) if b)
-        energy_factor = math.prod(m for m, b in zip(params.energy_mult, bits) if b)
+        mask = request.ctp.mask
+        bits = [mask >> i & 1 for i in range(params.tool_count)]
+        # The enabled factors in tool order, multiplied and added left to right.
+        rate_factor = math.prod(compress(params.rate_mult, bits))
+        energy_factor = math.prod(compress(params.energy_mult, bits))
         for j, k, mult in params.interactions:
             if bits[j] and bits[k]:
                 energy_factor *= mult
         # Not sum(): it compensates float sums since Python 3.12.
-        d_psnr = reduce(operator.add, (d for d, b in zip(params.dq_psnr, bits) if b), 0.0)
-        d_vmaf = reduce(operator.add, (d for d, b in zip(params.dq_vmaf, bits) if b), 0.0)
+        d_psnr = reduce(operator.add, compress(params.dq_psnr, bits), 0.0)
+        d_vmaf = reduce(operator.add, compress(params.dq_vmaf, bits), 0.0)
         curves = []
+        qps = request.qps
         for sequence in request.sequences:
             try:
-                baseline = params.baselines[sequence]
+                rows, missing = self._rows[sequence, qps]
             except KeyError:
-                raise ConfigError(f"synthetic model has no baseline for sequence "
-                                  f"{sequence!r}") from None
+                rows, missing = self._rows[sequence, qps] = self._baseline_rows(sequence, qps)
             points = []
-            for qp in request.qps:
-                i = baseline.index(qp)
+            for qp, rate, psnr, vmaf, energy in rows:
+                vmaf += d_vmaf
+                # min(100.0, max(0.0, vmaf)) without the calls: NaN and -0.0 give 0.0 there too.
                 points.append(RdePoint(
-                    qp=qp,
-                    bitrate=baseline.rate[i] * rate_factor,
-                    psnr=baseline.psnr[i] + d_psnr,
-                    vmaf=min(100.0, max(0.0, baseline.vmaf[i] + d_vmaf)),
-                    energy=baseline.energy[i] * energy_factor,
-                ))
+                    qp, rate * rate_factor, psnr + d_psnr,
+                    vmaf if 0.0 < vmaf < 100.0 else 100.0 if vmaf >= 100.0 else 0.0,
+                    energy * energy_factor))
+            # An unknown qp raises after the points before it, as a lookup per point would.
+            if missing is not None:
+                raise ConfigError(missing)
             curves.append(RdeCurve(sequence, tuple(points)))
         return curves
 

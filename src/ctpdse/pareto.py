@@ -10,6 +10,7 @@ and LBE (front members below a bit-rate-increase threshold).
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .csvrows import data_rows, parse_float
@@ -87,8 +88,9 @@ def select_profiles(
     if not points:
         raise ConfigError("cannot select profiles from zero points")
     front = tuple(pareto_front(points))
-    ee = min(points, key=lambda p: (p.bdde, p.bdr))
-    ebe = min(points, key=lambda p: (p.bdde + p.bdr, p.bdr))
+    # A point is the tuple (bdr, bdde, label): the keys read it by position.
+    ee = min(points, key=itemgetter(1, 0))
+    ebe = min(points, key=lambda p: (p[1] + p[0], p[0]))
     lbe = tuple(p for p in front if p.bdr < criteria.lbe_bdr_threshold)
     return Selection(front=front, ee=ee, ebe=ebe, lbe=lbe)
 

@@ -99,6 +99,8 @@ class ToolRegistry:
                 raise RegistryFormatError(f"duplicate tool name {tool.name!r}")
             self._index[tool.name] = i
         self._hash = hash(self.tools)
+        # Number of hex digits in the canonical bitmask form.
+        self.mask_width = math.ceil(len(self.tools) / 4)
 
     def __len__(self) -> int:
         return len(self.tools)
@@ -117,11 +119,6 @@ class ToolRegistry:
             return self._index[name]
         except KeyError:
             raise ProfileFormatError(f"unknown tool name {name!r}") from None
-
-    @property
-    def mask_width(self) -> int:
-        """Number of hex digits in the canonical bitmask form."""
-        return math.ceil(len(self.tools) / 4)
 
 
 def default_registry() -> ToolRegistry:

@@ -280,19 +280,6 @@ def _checked_mean(samples: Sequence[float]) -> float:
         raise ConfigError(f"the sum of the energy samples overflows a float: {samples}") from None
 
 
-def _half_width(samples: Sequence[float]) -> float:
-    """The CI half-width of checked samples from ``exact_stdev``; infinite for one sample."""
-    n = len(samples)
-    if n < 2:
-        return math.inf
-    q = t_quantile((1 + DEFAULT_CONFIDENCE) / 2, n - 1)
-    return q * exact_stdev(samples) / math.sqrt(n)
-
-
-def _verdict(half_width: float, mean: float) -> Verdict:
-    return Verdict.PASS if half_width <= DEFAULT_REL_HALF_WIDTH * mean else Verdict.FAIL
-
-
 def ci_check(samples: Sequence[float]) -> tuple[Verdict, float, float]:
     """Two-sided Student-t interval test on repeated readings.
 
@@ -301,13 +288,17 @@ def ci_check(samples: Sequence[float]) -> tuple[Verdict, float, float]:
     ``DEFAULT_CONFIDENCE`` is at most ``DEFAULT_REL_HALF_WIDTH`` times the
     mean, FAIL when it is wider, and INSUFFICIENT for fewer than two
     samples (half-width is then infinite). This is the exact path that
-    ``MeasurementSeries.validate`` filters.
+    ``MeasurementSeries.validate`` filters, and it runs when the filter
+    cannot settle a series.
     """
     mean = _checked_mean(samples)
-    half_width = _half_width(samples)
-    if len(samples) < 2:
-        return Verdict.INSUFFICIENT, mean, half_width
-    return _verdict(half_width, mean), mean, half_width
+    n = len(samples)
+    if n < 2:
+        return Verdict.INSUFFICIENT, mean, math.inf
+    q = t_quantile((1 + DEFAULT_CONFIDENCE) / 2, n - 1)
+    half_width = q * exact_stdev(samples) / math.sqrt(n)
+    verdict = Verdict.PASS if half_width <= DEFAULT_REL_HALF_WIDTH * mean else Verdict.FAIL
+    return verdict, mean, half_width
 
 
 # Unit roundoff of a float.
@@ -369,15 +360,15 @@ class MeasurementSeries(Frozen):
 
     @classmethod
     def validate(cls, samples: Sequence[float]) -> "MeasurementSeries":
-        """``ci_check`` of ``samples``, filtered: the exact stdev runs only when the filter fails."""
+        """``ci_check`` of ``samples``, filtered: ``ci_check`` runs only when the filter fails."""
         mean = _checked_mean(samples)
         samples = tuple(samples)
         if len(samples) < 2:
             return cls(samples, Verdict.INSUFFICIENT, mean, "inf")
         settled = _screen(samples, mean)
         if settled is None:
-            half_width = _half_width(samples)
-            settled = _verdict(half_width, mean), f"{half_width:.6g}"
+            verdict, _, half_width = ci_check(samples)
+            settled = verdict, f"{half_width:.6g}"
         return cls(samples, settled[0], mean, settled[1])
 
     def describe(self) -> str:

@@ -65,12 +65,27 @@ def bd_scipy_oracle(anchor, test):
 def overlapping_curve_pairs(draw):
     """Two curves of 4-6 points whose quality ranges overlap at least in part.
 
-    Costs are drawn in any order with repeats, so secants change sign or
-    vanish and the PCHIP zero-slope and end-clamp rules are exercised.
+    A pair's costs come from one of three branches, chosen once per pair:
+    - in any order with repeats, so secants change sign or vanish and the
+      PCHIP zero-slope and end-clamp rules are exercised;
+    - distinct and in any order, so both curves are ``RdeCurve``s and
+      most of them have a quality that does not fall with qp;
+    - distinct and rising with quality, as a measured ladder's costs are.
+    The last two reach ``bd_report``, and a four-point test there takes
+    each of ``_four_point_side``'s two orders.
     """
+    branch = draw(st.sampled_from(("repeats", "distinct", "rising")))
+
     def curve(start, steps):
-        costs = draw(st.lists(st.sampled_from((10.0, 100.0)) | st.floats(1.0, 1e4),
-                              min_size=len(steps) + 1, max_size=len(steps) + 1))
+        size = len(steps) + 1
+        if branch == "repeats":
+            costs = draw(st.lists(st.sampled_from((10.0, 100.0)) | st.floats(1.0, 1e4),
+                                  min_size=size, max_size=size))
+        else:
+            costs = draw(st.lists(st.floats(1.0, 1e4), min_size=size, max_size=size,
+                                  unique=True))
+            if branch == "rising":
+                costs.sort()
         return list(zip(costs, itertools.accumulate(steps, initial=start)))
 
     def steps():

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import re
 import subprocess
 import sys
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from ctpdse import evaluators
 from ctpdse.csvrows import data_rows, parse_float
-from ctpdse.curves import RdePoint
+from ctpdse.curves import RdeCurve, RdePoint
 from ctpdse.errors import ConfigError, EvaluationError, MeasurementMissError
 from ctpdse.evaluators import (
     CSV_HEADER,
@@ -498,6 +500,108 @@ class TestSyntheticModel:
             SequenceBaseline((27, 22), (1.0, 2.0), (1.0, 2.0), (1.0, 2.0), (1.0, 2.0))
         with pytest.raises(ConfigError, match="same qps"):
             SequenceBaseline((22, 27), (1.0,), (1.0, 2.0), (1.0, 2.0), (1.0, 2.0))
+
+
+def reference_evaluate(params, request):
+    """``SyntheticModelEvaluator.evaluate`` as it was first written: generator
+    ``math.prod`` and ``reduce``, a ``baseline.index`` lookup per point and
+    keyword ``RdePoint``s. The evaluator must give its floats."""
+    bits = [request.ctp.mask >> i & 1 for i in range(params.tool_count)]
+    rate_factor = math.prod(m for m, b in zip(params.rate_mult, bits) if b)
+    energy_factor = math.prod(m for m, b in zip(params.energy_mult, bits) if b)
+    for j, k, mult in params.interactions:
+        if bits[j] and bits[k]:
+            energy_factor *= mult
+    d_psnr = functools.reduce(operator.add, (d for d, b in zip(params.dq_psnr, bits) if b), 0.0)
+    d_vmaf = functools.reduce(operator.add, (d for d, b in zip(params.dq_vmaf, bits) if b), 0.0)
+    curves = []
+    for sequence in request.sequences:
+        try:
+            baseline = params.baselines[sequence]
+        except KeyError:
+            raise ConfigError(f"synthetic model has no baseline for sequence "
+                              f"{sequence!r}") from None
+        points = []
+        for qp in request.qps:
+            i = baseline.index(qp)
+            points.append(RdePoint(
+                qp=qp,
+                bitrate=baseline.rate[i] * rate_factor,
+                psnr=baseline.psnr[i] + d_psnr,
+                vmaf=min(100.0, max(0.0, baseline.vmaf[i] + d_vmaf)),
+                energy=baseline.energy[i] * energy_factor,
+            ))
+        curves.append(RdeCurve(sequence, tuple(points)))
+    return curves
+
+
+def curves_or_error(evaluate, request):
+    """Each curve's points with every float as ``float.hex``, or the error class and text."""
+    try:
+        curves = evaluate(request)
+    except ConfigError as exc:
+        return type(exc), str(exc)
+    return [(c.sequence, [(p.qp, *map(float.hex, p[1:])) for p in c.points]) for c in curves]
+
+
+class TestSyntheticModelReference:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**64),
+        tools=st.integers(min_value=1, max_value=30),
+        sequences=st.integers(min_value=1, max_value=3),
+        qps=st.lists(st.integers(min_value=0, max_value=63), min_size=4, max_size=6,
+                     unique=True).map(sorted).map(tuple),
+        data=st.data(),
+    )
+    @example(seed=7, tools=30, sequences=2, qps=BASE_QPS, data=None)
+    def test_evaluate_gives_the_reference_floats(self, seed, tools, sequences, qps, data):
+        registry = make_registry(tools)
+        names = tuple(f"s{i:02d}" for i in range(sequences))
+        params = SyntheticModelParams.random(registry, names, qps, seed=seed)
+        evaluator = SyntheticModelEvaluator(params)
+        every = (1 << tools) - 1
+        # The anchor, no tool, and drawn masks, through one evaluator and its row cache.
+        masks = [every, 0]
+        if data is not None:
+            masks += data.draw(st.lists(st.integers(0, every), min_size=1, max_size=4))
+        for mask in masks:
+            request = EvaluationRequest(Ctp(registry, mask), names, qps)
+            assert curves_or_error(evaluator.evaluate, request) \
+                == curves_or_error(functools.partial(reference_evaluate, params), request)
+
+    @pytest.mark.parametrize("dq_vmaf", [(20.0, -100.0), (8.0, -66.0), (math.inf, -math.inf)])
+    def test_vmaf_clamp_gives_the_reference_floats(self, dq_vmaf):
+        # VMAF 92, 86.5, 78, 66 plus the deltas: above 100, exactly 100 or 0, below 0, NaN.
+        params = make_params(2, dq_vmaf=dq_vmaf)
+        evaluator = SyntheticModelEvaluator(params)
+        for mask in range(4):
+            request = EvaluationRequest(Ctp(make_registry(2), mask), ("s01",), BASE_QPS)
+            assert curves_or_error(evaluator.evaluate, request) \
+                == curves_or_error(functools.partial(reference_evaluate, params), request)
+
+    @pytest.mark.parametrize("sequences, qps", [
+        (("s01",), (22, 25, 27, 32)),
+        (("s01", "nope"), BASE_QPS),
+        (("nope", "s01"), BASE_QPS),
+        (("s02",), (22, 27, 32, 40)),
+        (("s02", "s01"), (22, 25, 27, 32)),
+    ])
+    def test_errors_come_at_the_reference_point(self, sequences, qps):
+        # s02's first rate is NaN, which no point can hold.
+        baseline = make_baseline()
+        params = make_params(3, sequences=("s01",))
+        params = SyntheticModelParams(
+            {**params.baselines, "s02": SequenceBaseline(
+                baseline.qps, (math.nan,) + baseline.rate[1:], baseline.psnr, baseline.vmaf,
+                baseline.energy)},
+            params.rate_mult, params.energy_mult, params.dq_psnr, params.dq_vmaf)
+        evaluator = SyntheticModelEvaluator(params)
+        request = EvaluationRequest(default_ctp(make_registry(3)), sequences, qps)
+        expected = curves_or_error(functools.partial(reference_evaluate, params), request)
+        assert isinstance(expected, tuple)
+        # The second call reads the cached rows and must fail as the first did.
+        assert curves_or_error(evaluator.evaluate, request) == expected
+        assert curves_or_error(evaluator.evaluate, request) == expected
 
 
 RESULT_ROWS = {
