@@ -46,9 +46,6 @@ def build_manifest(command: str, config: dict, inputs: dict[str, str] | None = N
     }
 
 
-_INFINITY = float("inf")
-
-
 def canonical_json(document: dict) -> str:
     """The one rendering of every JSON output file: sorted keys, indent 2, final newline.
 
@@ -62,7 +59,7 @@ def canonical_json(document: dict) -> str:
     ``"key": `` texts, are made once per call.
     """
     layouts: dict[tuple, list[tuple[str, str]]] = {}
-    float_text, encode, inf = float.__repr__, encode_basestring_ascii, _INFINITY
+    float_text, encode, inf = float.__repr__, encode_basestring_ascii, float("inf")
 
     def render(value, indent: str) -> str:
         # json.encoder's order, after the two commonest exact types.
