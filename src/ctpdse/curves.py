@@ -160,7 +160,7 @@ class BdReport(Frozen):
     """The four BD values of a test profile versus the anchor, in percent.
 
     The fields are the BD values in ``BD_FIELDS`` order, then the warnings.
-    Two reports are equal when their values are; the warnings are not compared.
+    Two reports are equal when all five fields are, the warnings included.
     """
 
     __slots__ = ()
@@ -175,14 +175,6 @@ class BdReport(Frozen):
                 if not isfinite(value):
                     raise CurveDataError(f"BD value {name} is not finite")
         return tuple.__new__(cls, (bdr_psnr, bdr_vmaf, bdde_psnr, bdde_vmaf, warnings))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self[:4] == other[:4]
-        return Frozen.__eq__(self, other)
-
-    def __hash__(self):
-        return hash(self[:4])
 
     def pair(self, axis: QualityAxis) -> tuple[float, float]:
         """(BDR, BDDE) on one quality axis."""

@@ -78,14 +78,17 @@ def check_qps(qps: tuple[int, ...]) -> None:
 
 
 class EvaluationRequest(Frozen):
-    """One profile to evaluate over a set of sequences and operating points."""
+    """One profile to evaluate over a set of sequences and operating points.
+
+    The sequences and qps are those of the run's ``DseConfig``, which
+    checked them once with ``check_sequences`` and ``check_qps``; a
+    request does not check them again.
+    """
 
     __slots__ = ()
     _fields = ("ctp", "sequences", "qps")
 
     def __new__(cls, ctp: Ctp, sequences: tuple[str, ...], qps: tuple[int, ...]):
-        check_sequences(sequences)
-        check_qps(qps)
         return tuple.__new__(cls, (ctp, sequences, qps))
 
 

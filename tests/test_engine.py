@@ -121,6 +121,25 @@ class TestConfig:
         with pytest.raises(ConfigError, match="max_iterations"):
             make_config(registry, max_iterations=0)
 
+    def test_validates_sequences_and_qps(self):
+        ctp = default_ctp(make_registry(3))
+
+        def config(sequences, qps):
+            return DseConfig(Objective.ENERGY, FlipPolicy.ONE, ctp, sequences, qps)
+
+        with pytest.raises(ConfigError, match="sequence"):
+            config((), (22,))
+        with pytest.raises(ConfigError, match="sequence"):
+            config(("s01", ""), (22,))
+        with pytest.raises(ConfigError, match=r"must not repeat, got \('s01', 's02', 's01'\)"):
+            config(("s01", "s02", "s01"), (22,))
+        with pytest.raises(ConfigError, match="qp"):
+            config(("s01",), ())
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            config(("s01",), (27, 22))
+        with pytest.raises(ConfigError, match="BD needs at least 4 qps, got 3"):
+            config(("s01",), (22, 27, 32))
+
 
 class TestRunIteration:
     def test_unique_improver_flips_for_both_policies(self):

@@ -47,23 +47,6 @@ from conftest import (
 TWELVE_QPS = tuple(range(22, 56, 3))
 
 
-class TestEvaluationRequest:
-    def test_validates_sequences_and_qps(self):
-        ctp = default_ctp(make_registry(3))
-        with pytest.raises(ConfigError, match="sequence"):
-            EvaluationRequest(ctp, (), (22,))
-        with pytest.raises(ConfigError, match="sequence"):
-            EvaluationRequest(ctp, ("s01", ""), (22,))
-        with pytest.raises(ConfigError, match=r"must not repeat, got \('s01', 's02', 's01'\)"):
-            EvaluationRequest(ctp, ("s01", "s02", "s01"), (22,))
-        with pytest.raises(ConfigError, match="qp"):
-            EvaluationRequest(ctp, ("s01",), ())
-        with pytest.raises(ConfigError, match="strictly increasing"):
-            EvaluationRequest(ctp, ("s01",), (27, 22))
-        with pytest.raises(ConfigError, match="BD needs at least 4 qps, got 3"):
-            EvaluationRequest(ctp, ("s01",), (22, 27, 32))
-
-
 class TestIngest:
     def test_header_only_gives_empty_table(self, tmp_path):
         table = ingest_measurements(write_table(tmp_path / "m.csv", []))

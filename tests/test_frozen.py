@@ -87,11 +87,12 @@ def test_a_value_is_its_class_and_its_fields(cls, fields):
     assert not hasattr(value, "__dict__")
 
 
-def test_report_equality_ignores_warnings():
-    warned = BdReport(1.0, 2.0, -3.0, -4.0,
-                      warnings=("bdr_psnr (s01): quality overlap is only 5.0% of the anchor span",))
-    assert warned == REPORT
-    assert hash(warned) == hash(REPORT)
+def test_reports_with_different_warnings_differ():
+    warnings = ("bdr_psnr (s01): quality overlap is only 5.0% of the anchor span",)
+    warned = BdReport(1.0, 2.0, -3.0, -4.0, warnings=warnings)
+    assert warned != REPORT and not warned == REPORT
+    assert warned == BdReport(1.0, 2.0, -3.0, -4.0, warnings)
+    assert len({warned, REPORT}) == 2
     assert BdReport(1.0, 2.0, -3.0, -4.5) != REPORT
 
 
@@ -144,9 +145,9 @@ FIRST_FAILED_CHECK = [
     pytest.param(lambda: Ctp(REGISTRY, 1 << 30),
                  ConfigError, "profile mask 0x40000000 is out of range for a 30-tool registry",
                  id="ctp-mask"),
-    pytest.param(lambda: EvaluationRequest(ANCHOR, (), ()),
+    pytest.param(lambda: DseConfig(Objective.ENERGY, FlipPolicy.ONE, ANCHOR, (), ()),
                  ConfigError, "evaluation request needs at least one sequence",
-                 id="request-sequences-qps"),
+                 id="config-sequences-qps"),
     pytest.param(lambda: DseConfig(Objective.ENERGY, FlipPolicy.ONE, ANCHOR, (), (),
                                    max_iterations=0),
                  ConfigError, "max_iterations must be >= 1, got 0", id="config-iterations"),
