@@ -25,7 +25,8 @@ from ctpdse.profiles import Ctp, default_ctp, flip_tool, parse_ctp
 from ctpdse import cli
 
 from conftest import BASE_QPS, make_params, make_registry
-from test_curves import bd_trapezoid_oracle, random_curve_pair, report_bd
+from test_curves import (bd_trapezoid_oracle, energy_pairs, random_curve_pair, random_energy,
+                         report_bd, report_bdr_bdde)
 
 
 @contextmanager
@@ -46,9 +47,13 @@ def test_bd_oracle_equivalence():
         started = time.monotonic()
         for _ in range(100):
             anchor, test = random_curve_pair(rng)
-            closed = report_bd(anchor, test)
-            oracle = bd_trapezoid_oracle(anchor, test)
-            assert abs(closed - oracle) <= 1e-6 * max(abs(oracle), 1e-9)
+            anchor_energy, test_energy = random_energy(rng), random_energy(rng)
+            closed = report_bdr_bdde(anchor, test, anchor_energy, test_energy)
+            oracles = (bd_trapezoid_oracle(anchor, test),
+                       bd_trapezoid_oracle(energy_pairs(anchor, anchor_energy),
+                                           energy_pairs(test, test_energy)))
+            for value, oracle in zip(closed, oracles):
+                assert abs(value - oracle) <= 1e-6 * max(abs(oracle), 1e-9)
         elapsed = time.monotonic() - started
         assert elapsed < 5.0, f"oracle comparison took {elapsed:.1f}s"
 

@@ -65,14 +65,18 @@ def bd_scipy_oracle(anchor, test):
 def overlapping_curve_pairs(draw):
     """Two curves of 4-6 points whose quality ranges overlap at least in part.
 
-    A pair's costs come from one of three branches, chosen once per pair:
+    Returns each curve's (bitrate, quality) pairs, then each curve's
+    energies, one per pair. A pair's bitrates come from one of three
+    branches, chosen once per pair:
     - in any order with repeats, so secants change sign or vanish and the
       PCHIP zero-slope and end-clamp rules are exercised;
     - distinct and in any order, so both curves are ``RdeCurve``s and
       most of them have a quality that does not fall with qp;
     - distinct and rising with quality, as a measured ladder's costs are.
     The last two reach ``bd_report``, and a four-point test there takes
-    each of ``_four_point_side``'s two orders.
+    each of ``_four_point_side``'s two orders. The energies are distinct
+    and drawn apart from the bitrates, and they rise as the bitrates do,
+    so both fall in qp order as a measured curve's do.
     """
     branch = draw(st.sampled_from(("repeats", "distinct", "rising")))
 
@@ -86,7 +90,12 @@ def overlapping_curve_pairs(draw):
                                   unique=True))
             if branch == "rising":
                 costs.sort()
-        return list(zip(costs, itertools.accumulate(steps, initial=start)))
+        energies = sorted(draw(st.lists(st.floats(1.0, 1e4), min_size=size, max_size=size,
+                                        unique=True)))
+        energy = [0.0] * size
+        for rank, i in enumerate(sorted(range(size), key=costs.__getitem__)):
+            energy[i] = energies[rank]
+        return list(zip(costs, itertools.accumulate(steps, initial=start))), energy
 
     def steps():
         return draw(st.lists(st.floats(0.5, 4.0), min_size=3, max_size=5))
@@ -94,7 +103,9 @@ def overlapping_curve_pairs(draw):
     anchor_steps, test_steps = steps(), steps()
     shift = draw(st.floats(-0.9, 0.9))
     span = sum(anchor_steps) if shift > 0 else sum(test_steps)
-    return curve(30.0, anchor_steps), curve(30.0 + shift * span, test_steps)
+    (anchor, anchor_energy), (test, test_energy) = (curve(30.0, anchor_steps),
+                                                    curve(30.0 + shift * span, test_steps))
+    return anchor, test, anchor_energy, test_energy
 
 
 def random_curve_pair(rng):
@@ -109,6 +120,14 @@ def random_curve_pair(rng):
         * np.cumprod(rng.uniform(1.3, 2.5, size=4))
     )
     return list(zip(anchor_c, anchor_q)), list(zip(test_c, test_q))
+
+
+def random_energy(rng):
+    """Energies of a ``random_curve_pair`` curve's four points, drawn apart from its bitrates.
+
+    They rise with quality, as its bitrates do.
+    """
+    return list(rng.uniform(20.0, 200.0) * np.cumprod(rng.uniform(1.3, 2.5, size=4)))
 
 
 def make_curve(sequence="s01", rate_mult=1.0, energy_mult=1.0, psnr_shift=0.0,
@@ -144,40 +163,63 @@ def side_nodes(side):
     return quality, widths, log_costs
 
 
-def pair_curve(pairs):
-    """An ``s01`` curve of (cost, quality) pairs, sorted by falling cost, with qps from 0.
+def energy_pairs(pairs, energy):
+    """The (energy, quality) pairs of a curve's points; without energies, ``pairs`` themselves."""
+    return pairs if energy is None else [(e, q) for (_, q), e in zip(pairs, energy)]
 
-    Each cost is a point's bitrate and its energy, each quality its PSNR
-    and its VMAF, so the four fields of a report are one BD value. A
-    repeated cost is rejected, as ``RdeCurve`` rejects it.
+
+def pair_curve(pairs, energy=None):
+    """An ``s01`` curve of (bitrate, quality) pairs, sorted by falling bitrate, with qps from 0.
+
+    ``energy`` holds each pair's energy, and must fall as the bitrate
+    does; without it a point's energy is its bitrate. Each quality is a
+    point's PSNR and its VMAF, so the two BDR fields of a report are one
+    value and the two BDDE fields another. A repeated cost is rejected,
+    as ``RdeCurve`` rejects it.
     """
-    ordered = sorted(pairs, key=lambda pair: pair[0], reverse=True)
-    return RdeCurve("s01", tuple(RdePoint(qp, float(c), float(q), float(q), float(c))
-                                 for qp, (c, q) in enumerate(ordered)))
+    points = [(c, e, q) for (c, q), (e, _) in zip(pairs, energy_pairs(pairs, energy))]
+    return RdeCurve("s01", tuple(RdePoint(qp, float(c), float(q), float(q), float(e))
+                                 for qp, (c, e, q) in enumerate(sorted(points, reverse=True))))
+
+
+def report_bdr_bdde(anchor, test, anchor_energy=None, test_energy=None):
+    """The (BDR, BDDE) of two ``pair_curve`` curves by ``bd_report``, the path ``ctp`` runs."""
+    report = bd_report(PreparedAnchor(pair_curve(anchor, anchor_energy)),
+                       pair_curve(test, test_energy))
+    assert report.bdr_psnr == report.bdr_vmaf and report.bdde_psnr == report.bdde_vmaf
+    return report.bdr_psnr, report.bdde_psnr
 
 
 def report_bd(anchor, test):
-    """The BD value of (cost, quality) pairs by ``bd_report``, the path ``ctp`` runs."""
-    report = bd_report(PreparedAnchor(pair_curve(anchor)), pair_curve(test))
-    assert report.bdr_psnr == report.bdr_vmaf == report.bdde_psnr == report.bdde_vmaf
-    return report.bdr_psnr
+    """The BD value of (cost, quality) pairs by ``bd_report``, each cost both bitrate and energy."""
+    bdr, bdde = report_bdr_bdde(anchor, test)
+    assert bdr == bdde
+    return bdr
 
 
-def pair_side(points, role):
-    """The ``_intervals`` side of (cost, quality) pairs, the one cost serving as both costs."""
+def pair_side(points, role, energy=None):
+    """The ``_intervals`` side of (cost, quality) pairs and their energies, by default the costs."""
     cost = [c for c, _ in points]
-    return _intervals([q for _, q in points], [cost, cost], role)
+    return _intervals([q for _, q in points], [cost, cost if energy is None else energy], role)
+
+
+def kernel_bdr_bdde(anchor, test, anchor_energy=None, test_energy=None):
+    """The (BDR, BDDE) of (cost, quality) pairs in any order, repeated costs included.
+
+    The kernel's steps without ``RdeCurve``: each side by ``_intervals``,
+    then ``_overlap``, ``_integrals`` and ``_percent``. A curve without
+    energies takes its costs as its energies.
+    """
+    anchor = pair_side(anchor, "anchor", anchor_energy)
+    test = pair_side(test, "test", test_energy)
+    lo, hi = _overlap(anchor, test)
+    return tuple(_percent((t - a) / (hi - lo))
+                 for t, a in zip(_integrals(test, lo, hi), _integrals(anchor, lo, hi)))
 
 
 def kernel_bd(anchor, test):
-    """The BD value of (cost, quality) pairs in any order, repeated costs included.
-
-    The kernel's steps without ``RdeCurve``: each side by ``_intervals``,
-    then ``_overlap``, ``_integrals`` and ``_percent``.
-    """
-    anchor, test = pair_side(anchor, "anchor"), pair_side(test, "test")
-    lo, hi = _overlap(anchor, test)
-    return _percent((_integrals(test, lo, hi)[0] - _integrals(anchor, lo, hi)[0]) / (hi - lo))
+    """The BD value of (cost, quality) pairs in any order, repeated costs included."""
+    return kernel_bdr_bdde(anchor, test)[0]
 
 
 def holds_slopes(side, slopes):
@@ -265,9 +307,12 @@ class TestBdDelta:
         rng = np.random.default_rng(2024)
         for _ in range(10):
             anchor, test = random_curve_pair(rng)
-            closed = report_bd(anchor, test)
-            oracle = bd_trapezoid_oracle(anchor, test)
-            assert closed == pytest.approx(oracle, rel=1e-6)
+            anchor_energy, test_energy = random_energy(rng), random_energy(rng)
+            bdr, bdde = report_bdr_bdde(anchor, test, anchor_energy, test_energy)
+            assert bdr == pytest.approx(bd_trapezoid_oracle(anchor, test), rel=1e-6)
+            oracle = bd_trapezoid_oracle(energy_pairs(anchor, anchor_energy),
+                                         energy_pairs(test, test_energy))
+            assert bdde == pytest.approx(oracle, rel=1e-6)
 
     @given(overlapping_curve_pairs())
     @example(  # a secant sign change: zero interior slope and the 3 * m0 end clamp
@@ -278,12 +323,18 @@ class TestBdDelta:
         ([(1400.0, 34.6), (2500.0, 37.4), (4500.0, 40.1), (8000.0, 42.5)],
          [(900.0, 33.0), (2100.0, 36.8), (5000.0, 40.9), (7000.0, 41.9)]),
     )
-    def test_matches_scipy_pchip_integral(self, pair):
-        anchor, test = pair
+    def test_matches_scipy_pchip_integral(self, case):
+        # An @example gives no energies: each point's energy is its bitrate.
+        anchor, test, *energy = case
+        anchor_energy, test_energy = energy or (None, None)
         # An RdeCurve needs distinct costs; pairs that repeat one take the kernel's steps.
-        repeats = any(len({c for c, _ in pairs}) < len(pairs) for pairs in pair)
-        value = (kernel_bd if repeats else report_bd)(anchor, test)
-        assert value == pytest.approx(bd_scipy_oracle(anchor, test), rel=1e-9, abs=1e-12)
+        repeats = any(len({c for c, _ in pairs}) < len(pairs) for pairs in (anchor, test))
+        bdr, bdde = (kernel_bdr_bdde if repeats else report_bdr_bdde)(
+            anchor, test, anchor_energy, test_energy)
+        assert bdr == pytest.approx(bd_scipy_oracle(anchor, test), rel=1e-9, abs=1e-12)
+        oracle = bd_scipy_oracle(energy_pairs(anchor, anchor_energy),
+                                 energy_pairs(test, test_energy))
+        assert bdde == pytest.approx(oracle, rel=1e-9, abs=1e-12)
 
     def test_antisymmetry_on_offset_curves(self):
         anchor = [(1400.0, 34.6), (2500.0, 37.4), (4500.0, 40.1), (8000.0, 42.5)]
