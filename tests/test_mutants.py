@@ -10,8 +10,9 @@ kill-set against it:
   drawn apart from their bitrates, against ``per_call_bd`` bit for bit
   and against the scipy PCHIP and trapezoid oracles at their
   tolerances, on both costs; and a test curve with a repeated quality;
-- ``stats``: the filtered gate against ``ci_check`` on series at the
-  bound, on a ``%.6g`` boundary and a few ulps apart;
+- ``stats``: the filtered gate against ``ci_check`` on the series that
+  the filter cannot settle: at the bound, on a ``%.6g`` boundary, equal,
+  a few ulps apart, and below and above the filter's range;
 - ``frozen``: the value rules on a class built on the module's ``Frozen``.
 
 The unmutated sources must pass their kill-sets, each old text must occur
@@ -29,7 +30,7 @@ import pytest
 import ctpdse
 from ctpdse.curves import RdeCurve, RdePoint
 
-from test_ci_filter import ON_A_DECIMAL_BOUNDARY, ON_THE_BOUND, edge_spread
+from test_ci_filter import FALLBACKS
 from test_curves import (bd_scipy_oracle, bd_trapezoid_oracle, energy_pairs, pair_curve,
                          per_call_bd, random_curve_pair, random_energy)
 
@@ -117,23 +118,8 @@ def kill_curves(curves):
         raise AssertionError("a repeated test quality was not rejected")
 
 
-def near_bound_series():
-    """Readings whose half-width is a few ulps from the bound, for 2-12 readings."""
-    series = []
-    for n in range(2, 13):
-        steps, spread = edge_spread(n)
-        for k in (-4, -1, 0, 1, 4):
-            scaled = spread * (1 + k * 2.0 ** -52)
-            series.append([(10.0 + n) * (1 + step * scaled) for step in steps])
-    return series
-
-
-STATS_CASES = [ON_THE_BOUND, ON_A_DECIMAL_BOUNDARY, [1.0, 1.0 + 2.0 ** -52, 1.0],
-               [3.0, 3.0 + 4 * 2.0 ** -51, 3.0 - 2.0 ** -51], *near_bound_series()]
-
-
 def kill_stats(stats):
-    for samples in STATS_CASES:
+    for samples in FALLBACKS.values():
         verdict, mean, half_width = stats.ci_check(samples)
         series = stats.MeasurementSeries.validate(samples)
         assert (series.verdict, series.mean, series.half_width_text) == (
