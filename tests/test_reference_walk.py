@@ -170,7 +170,7 @@ def test_the_examples_reach_the_rules_they_claim():
     assert reason == "repeated-reference"
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(walks())
 @example((*tied_walk(), 3))
 @example((*cycling_walk(), 2))
