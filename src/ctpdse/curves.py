@@ -29,20 +29,23 @@ computes the width-only weights of the slope rules once for both costs.
 the same expressions in the same order, so its side is ``_intervals``'
 bit for bit; on a repeated quality it returns None and ``_intervals``
 raises. It takes strictly falling qualities, a ladder's in qp order, in
-reverse without a sort. A ``PreparedAnchor`` holds the anchor's side for
-each axis, built once per run. ``bd_report`` builds the test's side once
-per axis, by the four-point builder whenever the test has four points,
-as on the four-QP ladder of the common test conditions, whatever the
-anchor's point count. Then ``_overlap`` finds the common range from the two
-sides' first and last nodes, and one test pass and one anchor pass of
-``_integrals`` integrate both costs in one loop. The loop computes the
-Hermite weights of a cut end once and shares them between the costs; a
-whole interval uses the weights at 1. A whole interval's term is the
-float that integrating that interval on its own gives, because the
-interval's ends map to exactly 0.0 and 1.0 (and the weights at 0.0 are
-all zero), and each cost adds its terms in node order. So no side
-stores any per-interval term, and sharing the weights changes no bit of
-any result.
+reverse without a sort. Both builders take a curve by its columns: one
+quality column and the two cost columns. ``PreparedAnchor`` and
+``bd_report`` each read a curve's points into columns once, and every
+axis's pass takes its columns from there. A ``PreparedAnchor`` holds the
+anchor's side for each axis, built once per run. ``bd_report`` builds
+the test's side once per axis, by the four-point builder whenever the
+test has four points, as on the four-QP ladder of the common test
+conditions, whatever the anchor's point count. Then ``_overlap`` finds
+the common range from the two sides' first and last nodes, and one test
+pass and one anchor pass of ``_integrals`` integrate both costs in one
+loop. The loop computes the Hermite weights of a cut end once and shares
+them between the costs; a whole interval uses the weights at 1. A whole
+interval's term is the float that integrating that interval on its own
+gives, because the interval's ends map to exactly 0.0 and 1.0 (and the
+weights at 0.0 are all zero), and each cost adds its terms in node
+order. So no side stores any per-interval term, and sharing the weights
+changes no bit of any result.
 
 Only the piecewise-cubic form is provided; the older global third-order
 polynomial fit is deliberately not implemented. Quality values are used
@@ -117,16 +120,10 @@ class RdePoint(Frozen):
         return tuple.__new__(cls, (qp, bitrate, psnr, vmaf, energy))
 
 
-# The RdePoint costs a BD field can compare, in BD_FIELDS order, and the
-# position of each RdePoint field.
-_COSTS = tuple(dict.fromkeys(cost for _, cost, _ in BD_FIELDS))
+# The position of each RdePoint field, and the positions of the costs a BD
+# field can compare, in BD_FIELDS order.
 _POSITION = {name: i for i, name in enumerate(RdePoint._fields)}
-# Reads a point's quality on each axis and then its costs in _COSTS order.
-_NODE_FIELDS = {axis: itemgetter(_POSITION[axis.value], *[_POSITION[cost] for cost in _COSTS])
-                for axis in QualityAxis}
-# Read a point's quality on each axis, and each of its costs in _COSTS order.
-_QUALITY = {axis: itemgetter(_POSITION[axis.value]) for axis in QualityAxis}
-_COST_VALUES = tuple(itemgetter(_POSITION[cost]) for cost in _COSTS)
+_COST_POSITIONS = tuple(dict.fromkeys(_POSITION[cost] for _, cost, _ in BD_FIELDS))
 
 
 class RdeCurve(Frozen):
@@ -426,29 +423,30 @@ class PreparedAnchor:
     def __init__(self, curve: RdeCurve):
         self.sequence = curve.sequence
         self.axes = {}
+        columns = tuple(zip(*curve.points))
+        costs = [columns[i] for i in _COST_POSITIONS]
         for name, _, axis in BD_FIELDS:
             if axis not in self.axes:
-                quality, *costs = zip(*map(_NODE_FIELDS[axis], curve.points))
                 try:
-                    self.axes[axis] = _intervals(quality, costs, "anchor")
+                    self.axes[axis] = _intervals(columns[_POSITION[axis.value]], costs, "anchor")
                 except CtpDseError as exc:
                     raise CurveDataError(f"{name} ({curve.sequence}): {exc}") from exc
 
 
-def _axis_deltas(anchor: PreparedAnchor, test: RdeCurve, axis: QualityAxis,
+def _axis_deltas(anchor_side: tuple, quality: Sequence[float], costs: list,
                  logs: list | None) -> tuple[float, float, float]:
     """One quality axis's pass of ``bd_report``.
 
-    Returns the share of the anchor's quality span that the two curves
-    share, and the mean log10 rate and energy differences over it. When
-    ``logs`` holds a four-point test's log10 costs, its side is
-    ``_four_point_side``; otherwise, and when a test quality repeats,
-    ``_intervals`` builds it or raises.
+    ``anchor_side`` is the anchor's side on the axis, ``quality`` the
+    test's column on it and ``costs`` the test's cost columns. Returns the
+    share of the anchor's quality span that the two curves share, and the
+    mean log10 rate and energy differences over it. When ``logs`` holds a
+    four-point test's log10 costs, its side is ``_four_point_side``;
+    otherwise, and when a test quality repeats, ``_intervals`` builds it
+    or raises.
     """
-    anchor_side = anchor.axes[axis]
-    side = logs and _four_point_side(tuple(map(_QUALITY[axis], test.points)), logs)
+    side = logs and _four_point_side(quality, logs)
     if not side:
-        quality, *costs = zip(*map(_NODE_FIELDS[axis], test.points))
         side = _intervals(quality, costs, "test")
     lo, hi = _overlap(anchor_side, side)
     test_rate, test_energy = _integrals(side, lo, hi)
@@ -476,15 +474,19 @@ def bd_report(anchor: PreparedAnchor, test: RdeCurve) -> BdReport:
         raise CurveDataError(
             f"sequence mismatch: anchor is {anchor.sequence!r}, test is {test.sequence!r}"
         )
+    columns = tuple(zip(*test.points))
+    costs = [columns[i] for i in _COST_POSITIONS]
     logs = None
     if len(test.points) == 4:
-        logs = [tuple(map(math.log10, map(cost, test.points))) for cost in _COST_VALUES]
+        logs = [tuple(map(math.log10, cost)) for cost in costs]
     name = "bdr_psnr"
     try:
-        psnr_share, psnr_rate, psnr_energy = _axis_deltas(anchor, test, QualityAxis.PSNR, logs)
+        psnr_share, psnr_rate, psnr_energy = _axis_deltas(
+            anchor.axes[QualityAxis.PSNR], columns[_POSITION["psnr"]], costs, logs)
         bdr_psnr = _percent(psnr_rate)
         name = "bdr_vmaf"
-        vmaf_share, vmaf_rate, vmaf_energy = _axis_deltas(anchor, test, QualityAxis.VMAF, logs)
+        vmaf_share, vmaf_rate, vmaf_energy = _axis_deltas(
+            anchor.axes[QualityAxis.VMAF], columns[_POSITION["vmaf"]], costs, logs)
         bdr_vmaf = _percent(vmaf_rate)
         name = "bdde_psnr"
         bdde_psnr = _percent(psnr_energy)

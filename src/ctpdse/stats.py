@@ -315,10 +315,12 @@ _LOW, _HIGH = 1 - 16 * _U, 1 + 16 * _U
 def _screen(samples: tuple[float, ...], mean: float) -> tuple[Verdict, str] | None:
     """``ci_check``'s verdict and ``%.6g`` half-width text from a float stdev, or None.
 
-    ``samples`` are two or more checked samples and ``mean`` their
+    ``samples`` are one or more checked samples and ``mean`` their
     ``_checked_mean``. The float two-pass stdev and its proven bounds are
     derived in the module docstring; None means that the bounds do not
-    settle the verdict or the text, and the exact path must decide.
+    settle the verdict or the text, and the exact path must decide. One
+    sample's one deviation from its own mean is exactly zero, so it
+    always takes the exact path.
     """
     if not _FILTER_LO <= mean <= _FILTER_HI:
         return None
@@ -360,11 +362,14 @@ class MeasurementSeries(Frozen):
 
     @classmethod
     def validate(cls, samples: Sequence[float]) -> "MeasurementSeries":
-        """``ci_check`` of ``samples``, filtered: ``ci_check`` runs only when the filter fails."""
+        """``ci_check`` of ``samples``, filtered: ``ci_check`` runs only when the filter fails.
+
+        One path serves every sample count. A single sample never settles
+        in the filter, so ``ci_check`` gives its ``INSUFFICIENT`` verdict
+        and infinite half-width.
+        """
         mean = _checked_mean(samples)
         samples = tuple(samples)
-        if len(samples) < 2:
-            return cls(samples, Verdict.INSUFFICIENT, mean, "inf")
         settled = _screen(samples, mean)
         if settled is None:
             verdict, _, half_width = ci_check(samples)

@@ -25,7 +25,7 @@ from ctpdse.profiles import Ctp, default_ctp, flip_tool, parse_ctp
 from ctpdse import cli
 
 from conftest import BASE_QPS, make_params, make_registry
-from test_curves import (bd_trapezoid_oracle, energy_pairs, random_curve_pair, random_energy,
+from test_curves import (axis_oracles, bd_trapezoid_oracle, random_curve_pair, random_energy,
                          report_bd, report_bdr_bdde)
 
 
@@ -49,11 +49,10 @@ def test_bd_oracle_equivalence():
             anchor, test = random_curve_pair(rng)
             anchor_energy, test_energy = random_energy(rng), random_energy(rng)
             closed = report_bdr_bdde(anchor, test, anchor_energy, test_energy)
-            oracles = (bd_trapezoid_oracle(anchor, test),
-                       bd_trapezoid_oracle(energy_pairs(anchor, anchor_energy),
-                                           energy_pairs(test, test_energy)))
-            for value, oracle in zip(closed, oracles):
-                assert abs(value - oracle) <= 1e-6 * max(abs(oracle), 1e-9)
+            oracles = axis_oracles(bd_trapezoid_oracle, anchor, test, anchor_energy, test_energy)
+            for axis_values, axis_oracle_values in zip(closed, oracles):
+                for value, oracle in zip(axis_values, axis_oracle_values):
+                    assert abs(value - oracle) <= 1e-6 * max(abs(oracle), 1e-9)
         elapsed = time.monotonic() - started
         assert elapsed < 5.0, f"oracle comparison took {elapsed:.1f}s"
 

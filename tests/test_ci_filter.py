@@ -121,6 +121,20 @@ def test_filtered_gate_gives_the_exact_outputs(samples):
     assert_same_as_exact(samples)
 
 
+@given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+@example(2.0 ** -400)  # below the filter's range
+@example(2.0 ** 400)  # above it
+@example(5e-324)
+@example(1.7976931348623157e308)
+@example(10.0)
+def test_one_sample_is_insufficient(x):
+    series = MeasurementSeries.validate([x])
+    assert tuple(series) == ((x,), Verdict.INSUFFICIENT, x, "inf")
+    assert series.describe() == (
+        f"insufficient: n=1 mean={x:.6g} J half_width=inf J "
+        f"(confidence={DEFAULT_CONFIDENCE}, bound={DEFAULT_REL_HALF_WIDTH})")
+
+
 @pytest.mark.parametrize("samples", FALLBACKS.values(), ids=FALLBACKS)
 def test_unsettled_series_take_the_exact_path(samples, exact_calls):
     series = MeasurementSeries.validate(samples)

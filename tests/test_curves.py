@@ -18,6 +18,7 @@ from ctpdse.curves import (
     BdReport,
     CurveDataError,
     PreparedAnchor,
+    QualityAxis,
     RdeCurve,
     RdePoint,
     aggregate_reports,
@@ -168,32 +169,60 @@ def energy_pairs(pairs, energy):
     return pairs if energy is None else [(e, q) for (_, q), e in zip(pairs, energy)]
 
 
+def vmaf_of(psnr):
+    """The VMAF that ``pair_curve`` gives a point of PSNR ``psnr``: a rising logistic in (0, 100).
+
+    Distinct PSNRs give distinct VMAFs on the ranges the tests draw. The
+    map is not affine, because an affine map of quality leaves every BD
+    value as it is, so a report's VMAF fields are not its PSNR fields.
+    """
+    return 100.0 / (1.0 + math.exp((40.0 - float(psnr)) / 8.0))
+
+
+def vmaf_pairs(pairs):
+    """The (cost, VMAF) pairs of (cost, PSNR) pairs, each VMAF as ``pair_curve`` gives it."""
+    return [(c, vmaf_of(q)) for c, q in pairs]
+
+
 def pair_curve(pairs, energy=None):
-    """An ``s01`` curve of (bitrate, quality) pairs, sorted by falling bitrate, with qps from 0.
+    """An ``s01`` curve of (bitrate, PSNR) pairs, sorted by falling bitrate, with qps from 0.
 
     ``energy`` holds each pair's energy, and must fall as the bitrate
-    does; without it a point's energy is its bitrate. Each quality is a
-    point's PSNR and its VMAF, so the two BDR fields of a report are one
-    value and the two BDDE fields another. A repeated cost is rejected,
-    as ``RdeCurve`` rejects it.
+    does; without it a point's energy is its bitrate. Each point's VMAF
+    is ``vmaf_of`` its PSNR. A repeated cost is rejected, as ``RdeCurve``
+    rejects it.
     """
     points = [(c, e, q) for (c, q), (e, _) in zip(pairs, energy_pairs(pairs, energy))]
-    return RdeCurve("s01", tuple(RdePoint(qp, float(c), float(q), float(q), float(e))
+    return RdeCurve("s01", tuple(RdePoint(qp, float(c), float(q), vmaf_of(q), float(e))
                                  for qp, (c, e, q) in enumerate(sorted(points, reverse=True))))
 
 
 def report_bdr_bdde(anchor, test, anchor_energy=None, test_energy=None):
-    """The (BDR, BDDE) of two ``pair_curve`` curves by ``bd_report``, the path ``ctp`` runs."""
+    """The (BDR, BDDE) on PSNR and then on VMAF of two ``pair_curve`` curves by ``bd_report``.
+
+    ``bd_report`` is the path ``ctp`` runs.
+    """
     report = bd_report(PreparedAnchor(pair_curve(anchor, anchor_energy)),
                        pair_curve(test, test_energy))
-    assert report.bdr_psnr == report.bdr_vmaf and report.bdde_psnr == report.bdde_vmaf
-    return report.bdr_psnr, report.bdde_psnr
+    return report.pair(QualityAxis.PSNR), report.pair(QualityAxis.VMAF)
+
+
+def axis_oracles(oracle, anchor, test, anchor_energy=None, test_energy=None):
+    """``oracle``'s (BDR, BDDE) on PSNR and then on VMAF, for the curves of ``report_bdr_bdde``.
+
+    On each axis the BDR is the oracle on the rate pairs and the BDDE on
+    the energy pairs; a PSNR pair is a (cost, quality) pair as given.
+    """
+    rate = anchor, test
+    energy = energy_pairs(anchor, anchor_energy), energy_pairs(test, test_energy)
+    return [[oracle(*map(on_axis, rate)), oracle(*map(on_axis, energy))]
+            for on_axis in (list, vmaf_pairs)]
 
 
 def report_bd(anchor, test):
-    """The BD value of (cost, quality) pairs by ``bd_report``, each cost both bitrate and energy."""
-    bdr, bdde = report_bdr_bdde(anchor, test)
-    assert bdr == bdde
+    """The PSNR BD of (cost, PSNR) pairs by ``bd_report``, each cost both bitrate and energy."""
+    (bdr, bdde), (vmaf_bdr, vmaf_bdde) = report_bdr_bdde(anchor, test)
+    assert bdr == bdde and vmaf_bdr == vmaf_bdde
     return bdr
 
 
@@ -308,11 +337,10 @@ class TestBdDelta:
         for _ in range(10):
             anchor, test = random_curve_pair(rng)
             anchor_energy, test_energy = random_energy(rng), random_energy(rng)
-            bdr, bdde = report_bdr_bdde(anchor, test, anchor_energy, test_energy)
-            assert bdr == pytest.approx(bd_trapezoid_oracle(anchor, test), rel=1e-6)
-            oracle = bd_trapezoid_oracle(energy_pairs(anchor, anchor_energy),
-                                         energy_pairs(test, test_energy))
-            assert bdde == pytest.approx(oracle, rel=1e-6)
+            for values, oracles in zip(
+                    report_bdr_bdde(anchor, test, anchor_energy, test_energy),
+                    axis_oracles(bd_trapezoid_oracle, anchor, test, anchor_energy, test_energy)):
+                assert values == pytest.approx(oracles, rel=1e-6)
 
     @given(overlapping_curve_pairs())
     @example(  # a secant sign change: zero interior slope and the 3 * m0 end clamp
@@ -327,14 +355,15 @@ class TestBdDelta:
         # An @example gives no energies: each point's energy is its bitrate.
         anchor, test, *energy = case
         anchor_energy, test_energy = energy or (None, None)
-        # An RdeCurve needs distinct costs; pairs that repeat one take the kernel's steps.
-        repeats = any(len({c for c, _ in pairs}) < len(pairs) for pairs in (anchor, test))
-        bdr, bdde = (kernel_bdr_bdde if repeats else report_bdr_bdde)(
-            anchor, test, anchor_energy, test_energy)
-        assert bdr == pytest.approx(bd_scipy_oracle(anchor, test), rel=1e-9, abs=1e-12)
-        oracle = bd_scipy_oracle(energy_pairs(anchor, anchor_energy),
-                                 energy_pairs(test, test_energy))
-        assert bdde == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+        oracles = axis_oracles(bd_scipy_oracle, anchor, test, anchor_energy, test_energy)
+        # An RdeCurve needs distinct costs; pairs that repeat one take the
+        # kernel's steps, which read the PSNR alone.
+        if any(len({c for c, _ in pairs}) < len(pairs) for pairs in (anchor, test)):
+            checks = [(kernel_bdr_bdde(anchor, test, anchor_energy, test_energy), oracles[0])]
+        else:
+            checks = zip(report_bdr_bdde(anchor, test, anchor_energy, test_energy), oracles)
+        for values, expected in checks:
+            assert values == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
     def test_antisymmetry_on_offset_curves(self):
         anchor = [(1400.0, 34.6), (2500.0, 37.4), (4500.0, 40.1), (8000.0, 42.5)]

@@ -3,7 +3,10 @@
 The paper runs the exploration as one ``ctp`` process per strategy and
 quality metric, so every run pays for what its command imports. Each row
 imports a module, or runs a command line as ``ctp`` does, in a fresh
-interpreter, and fails if a module it names was loaded. Every supported
+interpreter, and fails if a module it names was loaded. The interpreter
+runs with ``-S``, without ``site``, so that what an installation's
+``.pth`` files or ``sitecustomize`` import is not charged to ``ctp``; the
+package comes from ``PYTHONPATH``, which ``-S`` keeps. Every supported
 Python runs this file, so it imports only the standard library, pytest,
 the package and the shared fixtures.
 """
@@ -23,11 +26,12 @@ from conftest import gated_table
 # Loaded by no row: the numeric libraries, the exact-arithmetic modules
 # that stats does without, the dataclass machinery, and the external
 # backend's job machinery (concurrent.futures brings logging, queue and
-# traceback). tempfile and threading are not listed: a site that processes
-# a certifi .pth file loads them before any command starts.
+# traceback; each job gets a tempfile directory). threading comes with
+# subprocess, which ctpdse.evaluators imports, so only the rows that do not
+# load evaluators list it.
 NEVER_LOADED = frozenset({
     "numpy", "scipy", "statistics", "fractions", "decimal", "dataclasses", "inspect",
-    "concurrent", "logging", "queue", "shlex", "string", "traceback",
+    "concurrent", "logging", "queue", "shlex", "string", "traceback", "tempfile",
 })
 
 # "import M" imports module M; "ctp ARGS" runs the command line, where
@@ -36,11 +40,11 @@ ROWS = {
     "import-cli": ("import ctpdse.cli", NEVER_LOADED | {"csv"}),
     "import-engine": ("import ctpdse.engine", NEVER_LOADED | {"csv"}),
     "import-evaluators": ("import ctpdse.evaluators", NEVER_LOADED | {"csv"}),
-    "import-curves": ("import ctpdse.curves", NEVER_LOADED | {"csv", "subprocess"}),
-    "import-stats": ("import ctpdse.stats", NEVER_LOADED | {"csv", "subprocess"}),
-    "import-pareto": ("import ctpdse.pareto", NEVER_LOADED | {"csv", "subprocess"}),
-    "import-profiles": ("import ctpdse.profiles", NEVER_LOADED | {"csv", "subprocess"}),
-    "import-manifest": ("import ctpdse.manifest", NEVER_LOADED | {"csv", "subprocess"}),
+    "import-curves": ("import ctpdse.curves", NEVER_LOADED | {"csv", "subprocess", "threading"}),
+    "import-stats": ("import ctpdse.stats", NEVER_LOADED | {"csv", "subprocess", "threading"}),
+    "import-pareto": ("import ctpdse.pareto", NEVER_LOADED | {"csv", "subprocess", "threading"}),
+    "import-profiles": ("import ctpdse.profiles", NEVER_LOADED | {"csv", "subprocess", "threading"}),
+    "import-manifest": ("import ctpdse.manifest", NEVER_LOADED | {"csv", "subprocess", "threading"}),
     "dse-synthetic": ("ctp dse --strategy ea --backend synthetic --seed 7 --out {out}",
                       NEVER_LOADED | {"csv"}),
     "bd": ("ctp bd --anchor 7 --test 6 --test 3 --measurements {table} --registry {registry}",
@@ -67,20 +71,34 @@ def inputs(tmp_path_factory):
     return {"registry": registry, "table": table, "run": str(run)}
 
 
-@pytest.mark.parametrize("row", ROWS)
-def test_loads_none_of_its_absent_modules(row, inputs, tmp_path):
+def absent_but_loaded(row, inputs, out, path=()):
+    """The modules of ``row``'s absent set that its child loads, with ``path`` before the package."""
     line, absent = ROWS[row]
     kind, _, rest = line.partition(" ")
     if kind == "import":
         source, args = line, []
     else:
         source = RUN_CTP
-        args = [arg.format(out=tmp_path / "out", **inputs) for arg in rest.split()]
-    env = dict(os.environ, PYTHONPATH=str(Path(ctpdse.__file__).parents[1]))
-    run = subprocess.run([sys.executable, "-c", CHILD.format(source), *args], env=env,
+        args = [arg.format(out=out, **inputs) for arg in rest.split()]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [*map(str, path), str(Path(ctpdse.__file__).parents[1])]))
+    run = subprocess.run([sys.executable, "-S", "-c", CHILD.format(source), *args], env=env,
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     # A package's name stands for all of it: "concurrent" covers concurrent.futures.
     names = run.stdout.splitlines()[-1].split()
     loaded = {name.partition(".")[0] for name in names}.union(names)
-    assert sorted(absent & loaded) == []
+    return sorted(absent & loaded)
+
+
+@pytest.mark.parametrize("row", ROWS)
+def test_loads_none_of_its_absent_modules(row, inputs, tmp_path):
+    assert absent_but_loaded(row, inputs, tmp_path / "out") == []
+
+
+def test_what_site_imports_is_not_charged_to_ctp(tmp_path):
+    # An installation's sitecustomize runs before any command when site does.
+    site_dir = tmp_path / "site"
+    site_dir.mkdir()
+    (site_dir / "sitecustomize.py").write_text("import inspect\n")
+    assert absent_but_loaded("import-cli", {}, tmp_path / "out", [site_dir]) == []

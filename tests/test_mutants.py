@@ -7,9 +7,10 @@ fresh module under ``ctpdse``, writes no file, and runs that module's
 kill-set against it:
 
 - ``curves``: ``bd_report`` on seeded curve pairs whose energies are
-  drawn apart from their bitrates, against ``per_call_bd`` bit for bit
-  and against the scipy PCHIP and trapezoid oracles at their
-  tolerances, on both costs; and a test curve with a repeated quality;
+  drawn apart from their bitrates and whose VMAFs are a non-affine image
+  of their PSNRs, against ``per_call_bd`` bit for bit and against the
+  scipy PCHIP and trapezoid oracles at their tolerances, on both costs
+  and both quality axes; and a test curve with a repeated quality;
 - ``stats``: the filtered gate against ``ci_check`` on the series that
   the filter cannot settle: at the bound, on a ``%.6g`` boundary, equal,
   a few ulps apart, and below and above the filter's range;
@@ -32,7 +33,7 @@ from ctpdse.curves import RdeCurve, RdePoint
 
 from test_ci_filter import FALLBACKS
 from test_curves import (bd_scipy_oracle, bd_trapezoid_oracle, energy_pairs, pair_curve,
-                         per_call_bd, random_curve_pair, random_energy)
+                         per_call_bd, random_curve_pair, random_energy, vmaf_pairs)
 
 
 def source(module):
@@ -93,21 +94,24 @@ REPEATED_TOP = RdeCurve("s01", tuple(map(RdePoint, (22, 27, 32, 37),
 
 
 def kill_curves(curves):
-    # The (BDR, BDDE) of each case, then the rate and the energy pairs its oracles take.
+    # The (BDR, BDDE) of each case on PSNR and then on VMAF, each followed
+    # by the rate and the energy pairs on that axis that its oracles take.
     checks = []
     for anchor, test, anchor_energy, test_energy in CURVE_CASES:
         report = curves.bd_report(curves.PreparedAnchor(pair_curve(anchor, anchor_energy)),
                                   pair_curve(test, test_energy))
-        assert report.bdr_psnr == report.bdr_vmaf and report.bdde_psnr == report.bdde_vmaf
-        checks.append(((report.bdr_psnr, report.bdde_psnr), (anchor, test),
-                       (energy_pairs(anchor, anchor_energy), energy_pairs(test, test_energy))))
+        rate = anchor, test
+        energy = energy_pairs(anchor, anchor_energy), energy_pairs(test, test_energy)
+        axes = (curves.QualityAxis.PSNR, list), (curves.QualityAxis.VMAF, vmaf_pairs)
+        for axis, on_axis in axes:
+            checks.append((report.pair(axis), [*map(on_axis, rate)], [*map(on_axis, energy)]))
     # Cheapest first, so that most mutants stop early.
     for values, *costs in checks:
         assert values == tuple(per_call_bd(*pairs) for pairs in costs)
     for values, *costs in checks:
         assert values == pytest.approx([bd_scipy_oracle(*pairs) for pairs in costs],
                                        rel=1e-9, abs=1e-12)
-    for values, *costs in checks[:2]:
+    for values, *costs in checks[:4]:
         assert values == pytest.approx([bd_trapezoid_oracle(*pairs) for pairs in costs],
                                        rel=1e-6)
     try:
@@ -172,8 +176,8 @@ MUTANTS = [
      "            1.0 / ((w1 / m0 + w2 / m1) / t1) if m0 > 0 < m1 or m0 < 0 > m1 else m0,\n",
      "ab414cb"),
     ("log10-costs-swapped", "curves",
-     " for cost in _COST_VALUES]\n",
-     " for cost in _COST_VALUES[::-1]]\n", "ab414cb"),
+     "        logs = [tuple(map(math.log10, cost)) for cost in costs]\n",
+     "        logs = [tuple(map(math.log10, cost)) for cost in costs[::-1]]\n", "ab414cb"),
     ("overlap-upper-end", "curves",
      "    hi = min(anchor[-1][1], test[-1][1])\n",
      "    hi = min(anchor[-1][0], test[-1][1])\n", "210143d"),
