@@ -199,6 +199,12 @@ MUTANTS = [
     ("end-slope-shortcut-skips-clamp", "curves",
      "    if d > 0 < m0 and m1 > 0 or d < 0 > m0 and m1 < 0:\n",
      "    if d > 0 < m0 or d < 0 > m0:\n", "9a28d1f"),
+    ("anchor-axis-from-vmaf", "curves",
+     '_intervals(columns[_POSITION[axis.value]], costs, "anchor")',
+     '_intervals(columns[_POSITION["vmaf"]], costs, "anchor")', "df0cf22"),
+    ("test-axis-swap", "curves",
+     'anchor.axes[QualityAxis.PSNR], columns[_POSITION["psnr"]], costs, logs)',
+     'anchor.axes[QualityAxis.PSNR], columns[_POSITION["vmaf"]], costs, logs)', "df0cf22"),
     ("filter-margins-and-rho-zero", "stats",
      "_RHO_SCALE = 5 * _U * _U\n"
      "# The relative margins of the stdev's lower and upper bounds.\n"
