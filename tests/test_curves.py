@@ -215,7 +215,7 @@ def axis_oracles(oracle, anchor, test, anchor_energy=None, test_energy=None):
     """
     rate = anchor, test
     energy = energy_pairs(anchor, anchor_energy), energy_pairs(test, test_energy)
-    return [[oracle(*map(on_axis, rate)), oracle(*map(on_axis, energy))]
+    return [(oracle(*map(on_axis, rate)), oracle(*map(on_axis, energy)))
             for on_axis in (list, vmaf_pairs)]
 
 

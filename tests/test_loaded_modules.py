@@ -26,13 +26,15 @@ from conftest import gated_table
 # Loaded by no row: the numeric libraries, the exact-arithmetic modules
 # that stats does without, the dataclass machinery, and the external
 # backend's job machinery (concurrent.futures brings logging, queue and
-# traceback; each job gets a tempfile directory). threading comes with
-# subprocess, which ctpdse.evaluators imports, so only the rows that do not
-# load evaluators list it.
+# traceback, and each profile's jobs run in a tempfile directory).
 NEVER_LOADED = frozenset({
     "numpy", "scipy", "statistics", "fractions", "decimal", "dataclasses", "inspect",
     "concurrent", "logging", "queue", "shlex", "string", "traceback", "tempfile",
 })
+# The absent set of a module that does not import ctpdse.evaluators: csv,
+# and the subprocess and threading that evaluators loads for the external
+# backend.
+WITHOUT_EVALUATORS = NEVER_LOADED | {"csv", "subprocess", "threading"}
 
 # "import M" imports module M; "ctp ARGS" runs the command line, where
 # {out} names a new directory and {registry}, {table} and {run} the inputs.
@@ -40,11 +42,11 @@ ROWS = {
     "import-cli": ("import ctpdse.cli", NEVER_LOADED | {"csv"}),
     "import-engine": ("import ctpdse.engine", NEVER_LOADED | {"csv"}),
     "import-evaluators": ("import ctpdse.evaluators", NEVER_LOADED | {"csv"}),
-    "import-curves": ("import ctpdse.curves", NEVER_LOADED | {"csv", "subprocess", "threading"}),
-    "import-stats": ("import ctpdse.stats", NEVER_LOADED | {"csv", "subprocess", "threading"}),
-    "import-pareto": ("import ctpdse.pareto", NEVER_LOADED | {"csv", "subprocess", "threading"}),
-    "import-profiles": ("import ctpdse.profiles", NEVER_LOADED | {"csv", "subprocess", "threading"}),
-    "import-manifest": ("import ctpdse.manifest", NEVER_LOADED | {"csv", "subprocess", "threading"}),
+    "import-curves": ("import ctpdse.curves", WITHOUT_EVALUATORS),
+    "import-stats": ("import ctpdse.stats", WITHOUT_EVALUATORS),
+    "import-pareto": ("import ctpdse.pareto", WITHOUT_EVALUATORS),
+    "import-profiles": ("import ctpdse.profiles", WITHOUT_EVALUATORS),
+    "import-manifest": ("import ctpdse.manifest", WITHOUT_EVALUATORS),
     "dse-synthetic": ("ctp dse --strategy ea --backend synthetic --seed 7 --out {out}",
                       NEVER_LOADED | {"csv"}),
     "bd": ("ctp bd --anchor 7 --test 6 --test 3 --measurements {table} --registry {registry}",
@@ -72,7 +74,11 @@ def inputs(tmp_path_factory):
 
 
 def absent_but_loaded(row, inputs, out, path=()):
-    """The modules of ``row``'s absent set that its child loads, with ``path`` before the package."""
+    """The modules of ``row``'s absent set that its child loads.
+
+    The directories in ``path`` come before the package on the child's
+    ``PYTHONPATH``.
+    """
     line, absent = ROWS[row]
     kind, _, rest = line.partition(" ")
     if kind == "import":

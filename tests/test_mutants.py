@@ -32,8 +32,8 @@ import ctpdse
 from ctpdse.curves import RdeCurve, RdePoint
 
 from test_ci_filter import FALLBACKS
-from test_curves import (bd_scipy_oracle, bd_trapezoid_oracle, energy_pairs, pair_curve,
-                         per_call_bd, random_curve_pair, random_energy, vmaf_pairs)
+from test_curves import (axis_oracles, bd_scipy_oracle, bd_trapezoid_oracle, pair_curve,
+                         per_call_bd, random_curve_pair, random_energy)
 
 
 def source(module):
@@ -94,26 +94,23 @@ REPEATED_TOP = RdeCurve("s01", tuple(map(RdePoint, (22, 27, 32, 37),
 
 
 def kill_curves(curves):
-    # The (BDR, BDDE) of each case on PSNR and then on VMAF, each followed
-    # by the rate and the energy pairs on that axis that its oracles take.
+    # Each case's (BDR, BDDE) on PSNR and then on VMAF, and the case.
     checks = []
-    for anchor, test, anchor_energy, test_energy in CURVE_CASES:
+    for case in CURVE_CASES:
+        anchor, test, anchor_energy, test_energy = case
         report = curves.bd_report(curves.PreparedAnchor(pair_curve(anchor, anchor_energy)),
                                   pair_curve(test, test_energy))
-        rate = anchor, test
-        energy = energy_pairs(anchor, anchor_energy), energy_pairs(test, test_energy)
-        axes = (curves.QualityAxis.PSNR, list), (curves.QualityAxis.VMAF, vmaf_pairs)
-        for axis, on_axis in axes:
-            checks.append((report.pair(axis), [*map(on_axis, rate)], [*map(on_axis, energy)]))
+        axis = curves.QualityAxis
+        checks.append(([report.pair(axis.PSNR), report.pair(axis.VMAF)], case))
     # Cheapest first, so that most mutants stop early.
-    for values, *costs in checks:
-        assert values == tuple(per_call_bd(*pairs) for pairs in costs)
-    for values, *costs in checks:
-        assert values == pytest.approx([bd_scipy_oracle(*pairs) for pairs in costs],
-                                       rel=1e-9, abs=1e-12)
-    for values, *costs in checks[:4]:
-        assert values == pytest.approx([bd_trapezoid_oracle(*pairs) for pairs in costs],
-                                       rel=1e-6)
+    for values, case in checks:
+        assert values == axis_oracles(per_call_bd, *case)
+    for values, case in checks:
+        for axis_values, oracles in zip(values, axis_oracles(bd_scipy_oracle, *case)):
+            assert axis_values == pytest.approx(oracles, rel=1e-9, abs=1e-12)
+    for values, case in checks[:2]:
+        for axis_values, oracles in zip(values, axis_oracles(bd_trapezoid_oracle, *case)):
+            assert axis_values == pytest.approx(oracles, rel=1e-6)
     try:
         curves.bd_report(curves.PreparedAnchor(pair_curve(*CURVE_CASES[0][::2])), REPEATED_TOP)
     except curves.CurveDataError as exc:
